@@ -5,7 +5,10 @@ c and the ratio c2/c1, so two well-posed modes are offered:
 
 * IVP mode: u1(0) and u1'(0) fix c algebraically and then the ratio.
 * BVP mode: u1(0) and u1(L) are enforced by shooting on c; u1'(0) is an
-  output, recoverable from c = nu*u1'(0) - u1(0)**2/2.
+  output, recoverable from c = nu*u1'(0) - u1(0)**2/2.  u1(L) increases
+  strictly in c up to the first pole crossing c*, so the root is unique:
+  a binary search over a SCAN_POINTS grid locates c*, and Newton with
+  the closed-form slope du1(L)/dc refines the root below it.
 
 Imposing all three conditions at once is generically unsatisfiable and
 deliberately unsupported.
@@ -107,8 +110,8 @@ class BvpSolution:
     c: float
     initial_slope: float  # u1'(0) implied by c and u10
     endpoint_residual: float
-    roots: tuple[float, ...]  # every root found in the bracket, ascending
-    excluded_candidates: int  # scan candidates rejected for interior poles
+    roots: tuple[float, ...]  # the one pole-free root, (c,)
+    excluded_candidates: int  # grid candidates at or past the first pole crossing
 
 
 def default_c_bracket(u10: float, u1L: float, nu: float) -> tuple[float, float]:
@@ -126,13 +129,14 @@ def solve_bvp(
 ) -> BvpSolution:
     """Find c such that the solution with u1(0) = u10 reaches u1(L) = u1L.
 
-    The bracket is scanned at SCAN_POINTS candidates; candidates whose z
-    vanishes in (0, L) have no usable endpoint value and are excluded
-    (counted in the result).  Sign changes of the endpoint residual are
-    refined by bisection.  With several roots the one with smallest |c|
-    is selected; all of them are reported.  Raises NoSignChangeError when
-    the scan sees no sign change and PoleCrossingError when every
-    candidate was excluded.  Fully deterministic.
+    With u1(0) fixed, u1(L) strictly increases in c on the pole-free set
+    c < c* (comparison theorem; blow-up is always to +infinity), so there
+    is at most one root.  A binary search over SCAN_POINTS grid candidates
+    finds the first one whose z vanishes in (0, L]; it and every later
+    candidate are excluded.  Safeguarded Newton then refines the root on
+    the pole-free candidates.  Raises NoSignChangeError when they hold no
+    root (also when the root lies between the last of them and c*) and
+    PoleCrossingError when every candidate is excluded.  Deterministic.
     """
     u10 = _require_finite("u10", u10)
     u1L = _require_finite("u1L", u1L)
@@ -141,95 +145,90 @@ def solve_bvp(
     c_lo, c_hi = (float(c_bracket[0]), float(c_bracket[1]))
     if not c_lo < c_hi:
         raise ValueError(f"need c_lo < c_hi, got ({c_lo!r}, {c_hi!r})")
-    length = params.length
-    res_tol = ENDPOINT_RTOL * (1.0 + abs(u1L))
 
     def build(c: float) -> SolutionConstants:
         partial = derive_constants(params, c)
         c1, c2 = coefficients_from_u0(u10, params, partial)
         return partial.with_coefficients(c1, c2)
 
-    def residual(c: float) -> float | None:
-        """Endpoint mismatch, or None when the candidate has no usable
-        endpoint (pole inside (0, L) or at L)."""
+    def residual(c: float) -> tuple[SolutionConstants, float] | None:
+        """Constants and endpoint mismatch, or None when the candidate has
+        no usable endpoint (pole inside (0, L) or at L)."""
         consts = build(c)
-        if has_interior_pole(consts, 0.0, length):
+        if has_interior_pole(consts, 0.0, params.length):
             return None
         try:
-            return exact_u1(length, params, consts) - u1L
+            return consts, exact_u1(params.length, params, consts) - u1L
         except PoleError:
             return None
 
-    cs = [c_lo + (c_hi - c_lo) * i / (SCAN_POINTS - 1) for i in range(SCAN_POINTS)]
-    residuals = [residual(c) for c in cs]
-    excluded = sum(1 for r in residuals if r is None)
-    if excluded == SCAN_POINTS:
-        raise PoleCrossingError(excluded)
+    def candidate(i: int) -> float:
+        return c_lo + (c_hi - c_lo) * i / (SCAN_POINTS - 1)
 
-    roots: list[float] = []
-    for i in range(SCAN_POINTS - 1):
-        r0, r1 = residuals[i], residuals[i + 1]
-        if r0 is None or r1 is None:
-            continue
-        if r0 == 0.0:
-            roots.append(cs[i])
-            continue
-        if (r0 < 0.0) == (r1 < 0.0):
-            continue
-        root = _bisect_residual(residual, cs[i], cs[i + 1], r0)
-        if root is not None:
-            roots.append(root)
-    if residuals[-1] == 0.0:
-        roots.append(cs[-1])
-
-    verified: list[tuple[float, float, SolutionConstants]] = []
-    for c in sorted(roots):
-        if verified and abs(c - verified[-1][0]) <= 1e-12 * (1.0 + abs(c)):
-            continue  # same root seen from an exact-zero scan residual
-        consts = build(c)
-        if has_interior_pole(consts, 0.0, length):
-            continue
-        try:
-            res = exact_u1(length, params, consts) - u1L
-        except PoleError:
-            continue
-        if abs(res) <= res_tol:
-            verified.append((c, res, consts))
-
-    if not verified:
-        usable = [r for r in residuals if r is not None]
-        raise NoSignChangeError(
-            usable[0] if usable else None, usable[-1] if usable else None
-        )
-
-    c_sel, res_sel, consts_sel = min(verified, key=lambda item: (abs(item[0]), item[0]))
-    return BvpSolution(
-        constants=consts_sel,
-        c=c_sel,
-        initial_slope=(c_sel + 0.5 * u10 * u10) / params.nu,
-        endpoint_residual=res_sel,
-        roots=tuple(sorted(c for c, _, _ in verified)),
-        excluded_candidates=excluded,
-    )
-
-
-def _bisect_residual(residual, lo: float, hi: float, r_lo: float) -> float | None:
-    """Bisect a bracketed sign change of the endpoint residual; None when
-    an unusable candidate (pole) interrupts the bracket."""
-    neg_lo = r_lo < 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        r_mid = residual(mid)
-        if r_mid is None:
-            return None
-        if r_mid == 0.0:
-            return mid
-        if (r_mid < 0.0) == neg_lo:
-            lo = mid
+    # binary search for k, the first unusable candidate; k only moves past
+    # a candidate it evaluated, so r_last is the residual at k - 1
+    k, end, r_last = 0, SCAN_POINTS, -1.0
+    while k < end:
+        mid = (k + end) // 2
+        found = residual(candidate(mid))
+        if found is None:
+            end = mid
         else:
-            hi = mid
-        if hi - lo <= 1e-13 * (1.0 + abs(mid)):
-            break
-    return 0.5 * (lo + hi)
+            k, r_last = mid + 1, found[1]
+    if k == 0:
+        raise PoleCrossingError(SCAN_POINTS)
+
+    if r_last >= 0.0:  # else u1(L) < u1L on every usable candidate
+        c = _newton_root(
+            lambda c: _residual_and_slope(build(c), params, u1L), c_lo, candidate(k - 1)
+        )
+        found = residual(c)
+        if found is not None and abs(found[1]) <= ENDPOINT_RTOL * (1.0 + abs(u1L)):
+            return BvpSolution(
+                constants=found[0],
+                c=c,
+                initial_slope=(c + 0.5 * u10 * u10) / params.nu,
+                endpoint_residual=found[1],
+                roots=(c,),
+                excluded_candidates=SCAN_POINTS - k,
+            )
+    ends = (residual(candidate(0)), residual(candidate(k - 1)))
+    raise NoSignChangeError(*(e[1] if e is not None else None for e in ends))
+
+
+def _residual_and_slope(
+    consts: SolutionConstants, params: FlowParams, u1L: float
+) -> tuple[float, float]:
+    """u1(L) - u1L and its derivative in c at fixed u1(0).
+
+    v = du1/dc solves v' = (u1/nu) v + 1/nu with v(0) = 0, so
+    v(L) = int_0^L z**2 ds / (nu z(L)**2); with dt/ds = kappa and the
+    Airy integral int w**2 dt = t w**2 - w_t**2 (DLMF 9.11) this is
+    [t z**2 - z_t**2] from t(0) to t(L), over kappa nu z(L)**2.
+    """
+    kappa = (-consts.a) ** (1.0 / 3.0)
+    c1, c2 = consts.c1, consts.c2
+    q0, qL = airy_eval(map_t(0.0, consts)), airy_eval(map_t(params.length, consts))
+    z0, zt0 = c1 * q0.ai + c2 * q0.bi, c1 * q0.ai_prime + c2 * q0.bi_prime
+    zL, ztL = c1 * qL.ai + c2 * qL.bi, c1 * qL.ai_prime + c2 * qL.bi_prime
+    integral = (qL.t * zL * zL - ztL * ztL) - (q0.t * z0 * z0 - zt0 * zt0)
+    return -2.0 * params.nu * kappa * ztL / zL - u1L, integral / (kappa * params.nu * zL * zL)
+
+
+def _newton_root(f, lo: float, hi: float) -> float:
+    """Root of an increasing f on [lo, hi], where f returns (value, slope):
+    Newton steps, bisecting whenever one leaves the sign bracket, until a
+    step or the bracket falls to 1e-14*(1 + |c|)."""
+    c = 0.5 * (lo + hi)
+    for _ in range(200):
+        r, slope = f(c)
+        if r == 0.0:
+            return c
+        lo, hi = (c, hi) if r < 0.0 else (lo, c)
+        nxt = c - r / slope if slope > 0.0 else math.nan
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if min(abs(nxt - c), hi - lo) <= 1e-14 * (1.0 + abs(nxt)):
+            return nxt
+        c = nxt
+    return c

@@ -17,7 +17,6 @@ bytes; --seed only affects the randomized cases inside `verify`.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +24,7 @@ from pathlib import Path
 from . import field as field_mod
 from .bvp import InitialData, solve_bvp, solve_ivp
 from .errors import FlowDomainError, PoleError
-from .flow import FlowParams, exact_u1, exact_u1_derivative, find_poles
+from .flow import FlowParams, _require_finite, exact_u1, exact_u1_derivative, find_poles
 from .airy import airy_eval
 from .verify import run_verification
 
@@ -58,19 +57,12 @@ class RunConfig:
     seed: int = 0
 
 
-def _finite(value: float, name: str) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
-
-
 def _params_from_args(args) -> FlowParams:
     return FlowParams(
-        nu=_finite(args.nu, "--nu"),
-        grad_term=_finite(args.grad_term, "--grad-term"),
-        f1=_finite(args.f1, "--f1"),
-        length=_finite(args.L, "--L"),
+        nu=_require_finite("--nu", args.nu),
+        grad_term=_require_finite("--grad-term", args.grad_term),
+        f1=_require_finite("--f1", args.f1),
+        length=_require_finite("--L", args.L),
     )
 
 
@@ -114,14 +106,16 @@ def parse_field_config(text: str) -> dict[str, str]:
 def _family_from_config(entries: dict[str, str]) -> field_mod.StreamlineFamily:
     kind = entries["family"]
     if kind == "straight":
-        return field_mod.StreamlineFamily.straight(_finite(float(entries["slope"]), "slope"))
+        slope = _require_finite("slope", float(entries["slope"]))
+        return field_mod.StreamlineFamily.straight(slope)
     if kind == "sinusoidal":
         return field_mod.StreamlineFamily.sinusoidal(
-            _finite(float(entries["amplitude"]), "amplitude"),
-            _finite(float(entries["wavenumber"]), "wavenumber"),
+            _require_finite("amplitude", float(entries["amplitude"])),
+            _require_finite("wavenumber", float(entries["wavenumber"])),
         )
     if kind == "polynomial":
-        coeffs = [_finite(float(tok), "coeffs") for tok in entries["coeffs"].split(",")]
+        coeffs = [_require_finite("coeffs", float(tok))
+                  for tok in entries["coeffs"].split(",")]
         return field_mod.StreamlineFamily.polynomial(coeffs)
     raise ValueError(f"family must be straight|sinusoidal|polynomial, got {kind!r}")
 
@@ -129,20 +123,20 @@ def _family_from_config(entries: dict[str, str]) -> field_mod.StreamlineFamily:
 def config_from_file(path: Path) -> RunConfig:
     entries = parse_field_config(path.read_text())
     params = FlowParams(
-        nu=_finite(float(entries["nu"]), "nu"),
-        grad_term=_finite(float(entries["grad_term"]), "grad_term"),
-        f1=_finite(float(entries["f1"]), "f1"),
-        length=_finite(float(entries["length"]), "length"),
+        nu=_require_finite("nu", float(entries["nu"])),
+        grad_term=_require_finite("grad_term", float(entries["grad_term"])),
+        f1=_require_finite("f1", float(entries["f1"])),
+        length=_require_finite("length", float(entries["length"])),
     )
     data = InitialData(
-        u10=_finite(float(entries["u10"]), "u10"),
-        u1dot0=_finite(float(entries["u1dot0"]), "u1dot0"),
+        u10=_require_finite("u10", float(entries["u10"])),
+        u1dot0=_require_finite("u1dot0", float(entries["u1dot0"])),
     )
     grid = field_mod.GridSpec(
-        x_min=_finite(float(entries["x_min"]), "x_min"),
-        x_max=_finite(float(entries["x_max"]), "x_max"),
-        y_min=_finite(float(entries["y_min"]), "y_min"),
-        y_max=_finite(float(entries["y_max"]), "y_max"),
+        x_min=_require_finite("x_min", float(entries["x_min"])),
+        x_max=_require_finite("x_max", float(entries["x_max"])),
+        y_min=_require_finite("y_min", float(entries["y_min"])),
+        y_max=_require_finite("y_max", float(entries["y_max"])),
         nx=int(entries["nx"]),
         ny=int(entries["ny"]),
     )
@@ -154,8 +148,8 @@ def config_from_file(path: Path) -> RunConfig:
         raise ValueError("pressure_q0 and pressure_qdot must be given together")
     if "pressure_q0" in entries:
         pressure = (
-            _finite(float(entries["pressure_q0"]), "pressure_q0"),
-            _finite(float(entries["pressure_qdot"]), "pressure_qdot"),
+            _require_finite("pressure_q0", float(entries["pressure_q0"])),
+            _require_finite("pressure_qdot", float(entries["pressure_qdot"])),
         )
     return RunConfig(
         mode="field",
@@ -300,13 +294,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.mode == "airy":
-        return RunConfig(mode="airy", t=_finite(args.t, "--t"))
+        return RunConfig(mode="airy", t=_require_finite("--t", args.t))
     if args.mode == "ivp":
         return RunConfig(
             mode="ivp",
             params=_params_from_args(args),
-            data=InitialData(u10=_finite(args.u10, "--u10"),
-                             u1dot0=_finite(args.u1dot0, "--u1dot0")),
+            data=InitialData(u10=_require_finite("--u10", args.u10),
+                             u1dot0=_require_finite("--u1dot0", args.u1dot0)),
             emit_path=args.emit,
             emit_samples=args.samples,
         )
@@ -315,12 +309,13 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ValueError("--c-min and --c-max must be given together")
         bracket = None
         if args.c_min is not None:
-            bracket = (_finite(args.c_min, "--c-min"), _finite(args.c_max, "--c-max"))
+            bracket = (_require_finite("--c-min", args.c_min),
+                       _require_finite("--c-max", args.c_max))
         return RunConfig(
             mode="bvp",
             params=_params_from_args(args),
-            data=InitialData(u10=_finite(args.u10, "--u10"), u1dot0=0.0),
-            u1L=_finite(args.u1L, "--u1L"),
+            data=InitialData(u10=_require_finite("--u10", args.u10), u1dot0=0.0),
+            u1L=_require_finite("--u1L", args.u1L),
             c_bracket=bracket,
         )
     if args.mode == "field":

@@ -53,8 +53,8 @@ class DegenerateCoefficientsError(FlowDomainError):
 
 
 class NoSignChangeError(FlowDomainError):
-    """The shooting residual has no sign change over the scanned bracket.
-    Carries the residuals observed at the outermost usable candidates."""
+    """The endpoint residual has no root on the pole-free candidates of
+    the bracket.  Carries the residuals at the outermost usable ones."""
 
     def __init__(self, residual_lo: float | None, residual_hi: float | None):
         self.residual_lo = residual_lo
@@ -66,8 +66,8 @@ class NoSignChangeError(FlowDomainError):
 
 
 class PoleCrossingError(FlowDomainError):
-    """Every scanned candidate produced a pole before the far boundary,
-    so the endpoint condition is undefined throughout the bracket."""
+    """Every grid candidate produced a pole before the far boundary, so
+    the endpoint condition is undefined throughout the bracket."""
 
     def __init__(self, excluded: int):
         self.excluded = excluded

@@ -427,7 +427,9 @@ def run_verification(seed: int = 0) -> VerificationReport:
     sampled = field_mod.reconstruct_field(
         family, params, consts, grid, pressure=(0.02, -0.05)
     )
-    checks.append(CheckResult("prop1_advective_identity", check_prop1(sampled, 1e-3), 1e-5))
+    # prop1 truncation at h = 1e-3 reached 1.16e-5 (seed 5); prop2/prop3 keep
+    # 1e-3, since at 1e-4 rounding lifts prop3 past its 1e-10
+    checks.append(CheckResult("prop1_advective_identity", check_prop1(sampled, 1e-4), 1e-5))
     err_v1, err_p = check_prop2_prop3(sampled, 1e-3)
     checks.append(CheckResult("prop2_laplacian_identity", err_v1, 1e-4))
     checks.append(CheckResult("prop3_pressure_harmonic", err_p, 1e-10))

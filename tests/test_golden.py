@@ -1,0 +1,80 @@
+"""The README command-line examples against their frozen output in
+tests/golden/ (regenerate with tests/make_golden.py).
+
+Everything is byte-identical except two recorded changes: `verify`'s
+prop1 line, whose finite-difference step went from 1e-3 to 1e-4, and the
+last digits of a solved BVP (`bvp`, and `verify`'s bvp_roundtrip line),
+whose root is now refined by Newton instead of bisection.
+"""
+
+import json
+
+import pytest
+
+from airyflow.bvp import ENDPOINT_RTOL
+from make_golden import CASES, GOLDEN_DIR, run_case
+
+MANIFEST = json.loads((GOLDEN_DIR / "manifest.json").read_text())
+PROP1 = "prop1_advective_identity"
+BVP_ROUNDTRIP = "bvp_roundtrip"
+
+
+def golden(name):
+    return (GOLDEN_DIR / f"{name}.stdout").read_text(), MANIFEST[name]
+
+
+def bvp_fields(stdout):
+    fields = {}
+    for line in stdout.splitlines():
+        key, _, value = line.partition("=")
+        fields[key.strip()] = value.strip()
+    return fields
+
+
+def test_golden_covers_every_case():
+    assert sorted(MANIFEST) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_matches_golden(name):
+    code, stdout, stderr, written = run_case(name)
+    want_stdout, want = golden(name)
+    assert code == want["exit"]
+    assert stderr == want["stderr"]
+    assert written == want["files"]
+    if name.startswith("bvp"):
+        assert_bvp_close(stdout, want_stdout)
+    elif name == "verify":
+        assert_verify_same_but_prop1_and_bvp(stdout, want_stdout)
+    else:
+        assert stdout == want_stdout
+
+
+def assert_verify_same_but_prop1_and_bvp(stdout, want_stdout):
+    out, want = stdout.splitlines(), want_stdout.splitlines()
+    assert len(out) == len(want)
+    for line, old in zip(out, want):
+        if PROP1 in old:
+            assert line.startswith(f"PASS {PROP1} max_residual=")
+            assert line.endswith(" tol=1e-05")
+        elif BVP_ROUNDTRIP in old:
+            head, _, tail = line.partition("max_residual=")
+            assert head == f"PASS {BVP_ROUNDTRIP} "
+            value, _, tol = tail.partition(" ")
+            assert float(value) <= 1e-12 and tol == "tol=1e-08"
+        else:
+            assert line == old
+
+
+def assert_bvp_close(stdout, want_stdout):
+    out, want = bvp_fields(stdout), bvp_fields(want_stdout)
+    assert out.keys() == want.keys()
+    if not want:
+        return  # an error case: exit code and stderr carry it
+    assert out["excluded_candidates"] == want["excluded_candidates"]
+    assert len(out["roots"].split()) == len(want["roots"].split())
+    for key in ("c", "u1'(0)", "c1", "c2", "roots"):
+        for got, ref in zip(out[key].split(), want[key].split()):
+            assert float(got) == pytest.approx(float(ref), rel=1e-12, abs=0.0), key
+    u1L = 0.25  # every bvp case targets the README's u1(L)
+    assert abs(float(out["residual"]) - float(want["residual"])) <= ENDPOINT_RTOL * (1.0 + u1L)
