@@ -114,24 +114,11 @@ def airy_ode_residual(t: float, q: AiryQuartet, h: float) -> tuple[float, float]
 # derivatives, with C1 = Ai(0) and C2 = -Ai'(0).
 
 def _series_float(t: float) -> tuple[float, float, float, float]:
-    f, g, fp, gp, _, _ = _series_float_parts(t)
-    ai = _C1_F * f - _C2_F * g
-    bi = _SQRT3_F * (_C1_F * f + _C2_F * g)
-    aip = _C1_F * fp - _C2_F * gp
-    bip = _SQRT3_F * (_C1_F * fp + _C2_F * gp)
-    return ai, bi, aip, bip
-
-
-def _series_float_parts(t: float) -> tuple[float, float, float, float, float, float]:
-    """f, g, f', g' sums plus the running absolute-term sums of f and g
-    (the latter bound the rounding scale for cancellation guards)."""
     t3 = t * t * t
     f = uf = 1.0
     g = ug = t
     fp = up = 0.5 * t * t
     gp = uq = 1.0
-    abs_f = 1.0
-    abs_g = abs(t)
     for k in range(_MAX_TERMS):
         uf = uf * t3 / ((3 * k + 2) * (3 * k + 3))
         ug = ug * t3 / ((3 * k + 3) * (3 * k + 4))
@@ -139,14 +126,16 @@ def _series_float_parts(t: float) -> tuple[float, float, float, float, float, fl
         f += uf
         g += ug
         gp += uq
-        abs_f += abs(uf)
-        abs_g += abs(ug)
         if k >= 1:
             up = up * t3 * (k + 1) / (k * (3 * k + 2) * (3 * k + 3))
             fp += up
         scale = max(abs(f), abs(g), abs(fp), abs(gp), 1.0)
         if max(abs(uf), abs(ug), abs(up), abs(uq)) < 1e-18 * scale:
-            return f, g, fp, gp, abs_f, abs_g
+            ai = _C1_F * f - _C2_F * g
+            bi = _SQRT3_F * (_C1_F * f + _C2_F * g)
+            aip = _C1_F * fp - _C2_F * gp
+            bip = _SQRT3_F * (_C1_F * fp + _C2_F * gp)
+            return ai, bi, aip, bip
     raise ArithmeticError(f"series did not converge within {_MAX_TERMS} terms at t = {t!r}")
 
 
@@ -283,26 +272,3 @@ def _asymptotic_negative(t: float) -> tuple[float, float, float, float]:
     bip = xq * (ct * pv + st * qv) / _SQRT_PI
     return ai, bi, aip, bip
 
-
-# ---------------------------------------------------------------------------
-# Fast combination evaluator used by pole scanning.
-
-def _combination(t: float, c1: float, c2: float) -> tuple[float, float]:
-    """c1*Ai(t) + c2*Bi(t) together with a rounding-scale estimate.
-
-    Uses the float series wherever it applies and falls back to the
-    accurate path only when the combination lands inside the cancellation
-    guard band, so sign queries are cheap and always trustworthy.
-    """
-    if abs(t) <= _SERIES_BOUND:
-        f, g, _, _, abs_f, abs_g = _series_float_parts(t)
-        a_coef = _C1_F * (c1 + _SQRT3_F * c2)
-        b_coef = _C2_F * (_SQRT3_F * c2 - c1)
-        z = a_coef * f + b_coef * g
-        scale = abs(a_coef) * abs_f + abs(b_coef) * abs_g + 1e-300
-        if abs(z) >= 1e-9 * scale:
-            return z, scale
-    q = airy_eval(t)
-    z = c1 * q.ai + c2 * q.bi
-    scale = abs(c1 * q.ai) + abs(c2 * q.bi) + 1e-300
-    return z, scale

@@ -16,7 +16,6 @@ deliberately unsupported.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .airy import airy_eval
@@ -29,6 +28,7 @@ from .errors import (
 from .flow import (
     FlowParams,
     SolutionConstants,
+    _newton_root,
     _normalize_pair,
     _require_finite,
     derive_constants,
@@ -214,21 +214,3 @@ def _residual_and_slope(
     integral = (qL.t * zL * zL - ztL * ztL) - (q0.t * z0 * z0 - zt0 * zt0)
     return -2.0 * params.nu * kappa * ztL / zL - u1L, integral / (kappa * params.nu * zL * zL)
 
-
-def _newton_root(f, lo: float, hi: float) -> float:
-    """Root of an increasing f on [lo, hi], where f returns (value, slope):
-    Newton steps, bisecting whenever one leaves the sign bracket, until a
-    step or the bracket falls to 1e-14*(1 + |c|)."""
-    c = 0.5 * (lo + hi)
-    for _ in range(200):
-        r, slope = f(c)
-        if r == 0.0:
-            return c
-        lo, hi = (c, hi) if r < 0.0 else (lo, c)
-        nxt = c - r / slope if slope > 0.0 else math.nan
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-        if min(abs(nxt - c), hi - lo) <= 1e-14 * (1.0 + abs(nxt)):
-            return nxt
-        c = nxt
-    return c

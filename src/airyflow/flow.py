@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .airy import _combination, airy_eval
+from .airy import airy_eval
 from .errors import DegenerateModelError, ModelInvalidError, PoleError
 
 # |z| <= POLE_RTOL * scale counts as a pole, where scale is the local
@@ -33,6 +33,8 @@ from .errors import DegenerateModelError, ModelInvalidError, PoleError
 # derivative terms keep the envelope finite at the zeros themselves so a
 # pure-Ai combination still gets a pole neighborhood around each zero.
 POLE_RTOL = 1e-13
+
+_TWO_PI = 2.0 * math.pi
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -162,8 +164,8 @@ def exact_u1(s: float, params: FlowParams, consts: SolutionConstants) -> float:
     """Closed-form streamwise velocity at arclength s.
 
     Raises PoleError when z(s) sits inside the relative cancellation
-    band POLE_RTOL; the error carries the nearest refined pole when a
-    sign change can be bracketed around s.
+    band POLE_RTOL; the error carries the zero of z at the half-turn of
+    the phase nearest s.
     """
     c1, c2 = _require_coefficients(consts)
     t = map_t(s, consts)
@@ -192,82 +194,113 @@ def exact_u1_derivative(s: float, params: FlowParams, consts: SolutionConstants)
 
 
 # ---------------------------------------------------------------------------
-# Pole location: zeros of z(s).
+# Pole location: zeros of z(s).  With (c1, c2) = (cos phi, sin phi) and
+# Ai + i Bi = M exp(i theta), z = M cos(theta - phi).  The Wronskian makes
+# theta strictly increasing, theta' = 1/(pi M**2) (DLMF 9.8), so the zeros
+# are where theta - phi crosses pi/2 + k pi, one half-turn at a time.
 
-def _scan_step(consts: SolutionConstants, t: float) -> float:
-    # base grid follows the asymptotic oscillation wavelength; refine by
-    # 1/sqrt|t| on the oscillatory side where zeros crowd together
-    kappa = (-consts.a) ** (1.0 / 3.0)
-    step = min(0.05, 0.25 * math.pi / kappa)
-    if t < -1.0:
-        step = min(step, 0.25 * math.pi / (kappa * math.sqrt(-t)))
-    return step
+def _phase(consts: SolutionConstants, s: float):
+    """theta - phi at t(s), unwrapped, together with the Airy quartet.
+
+    atan2 gives theta modulo 2 pi; the turn comes from the asymptote
+    theta ~ pi/4 - zeta (zeta = (2/3)(-t)**1.5 on t < 0), which stays
+    within pi/12 of theta for every t <= 0.
+    """
+    t = map_t(s, consts)
+    q = airy_eval(t)
+    theta = math.atan2(q.bi, q.ai)
+    zeta = (2.0 / 3.0) * max(-t, 0.0) ** 1.5
+    theta += _TWO_PI * round((0.25 * math.pi - zeta - theta) / _TWO_PI)
+    return theta - math.atan2(consts.c2, consts.c1), q
 
 
-def _z_fast(consts: SolutionConstants, s: float) -> float:
+def _half_turns(consts: SolutionConstants, s: float) -> int:
+    """How many half-turns pi/2 + k pi the phase has passed at s, i.e.
+    floor((theta - phi)/pi - 1/2).  Its parity is the sign of z there
+    (odd where z > 0), so it is read off the sign of z, and the phase,
+    which may be off by anything under a quarter turn, only picks the
+    pair of half-turns.  On t > 0 theta stays in [pi/3, pi/2), less than
+    a half-turn, so there the difference of two counts is exactly one
+    comparison of the signs of z at the two ends; the phase, flat to
+    within rounding of pi/2 once t > 9, never decides it.
+    """
+    delta, q = _phase(consts, s)
+    odd = consts.c1 * q.ai + consts.c2 * q.bi > 0.0
+    return odd + 2 * round((delta / math.pi - 1.0 - odd) / 2.0)
+
+
+def _zero_residual(consts: SolutionConstants, k: int):
+    """s -> (phase past the k-th half-turn, its s-derivative), increasing
+    in s.  The angle is atan2 of (-1)**(k+1) z and (-1)**k (c1 Bi - c2 Ai),
+    so it is as accurate as z itself near the zero."""
     c1, c2 = consts.c1, consts.c2
-    z, _ = _combination(map_t(s, consts), c1, c2)
-    return z
+    kappa = (-consts.a) ** (1.0 / 3.0)
+    sign = 1.0 if k % 2 else -1.0
+    target = (k + 0.5) * math.pi
+
+    def residual(s: float) -> tuple[float, float]:
+        delta, q = _phase(consts, s)
+        z, w = c1 * q.ai + c2 * q.bi, c1 * q.bi - c2 * q.ai
+        angle = math.atan2(sign * z, -sign * w)
+        angle += _TWO_PI * round((delta - target - angle) / _TWO_PI)
+        return angle, kappa / (math.pi * (q.ai * q.ai + q.bi * q.bi))
+
+    return residual
 
 
-def _sign_change_cells(consts, s_lo: float, s_hi: float):
-    """Yield (lo, hi) cells of a forward scan where z changes sign."""
-    s = s_lo
-    z_prev = _z_fast(consts, s)
-    while s < s_hi:
-        s_next = min(s + _scan_step(consts, map_t(s, consts)), s_hi)
-        z_next = _z_fast(consts, s_next)
-        if z_prev == 0.0 or (z_prev < 0.0) != (z_next < 0.0):
-            yield s, s_next
-        s, z_prev = s_next, z_next
+def _newton_root(f, lo: float, hi: float) -> float:
+    """Root of an increasing f on [lo, hi], where f returns (value, slope):
+    Newton steps, bisecting whenever one leaves the sign bracket, until a
+    step or the bracket falls to 1e-14*(1 + |x|)."""
+    x = 0.5 * (lo + hi)
+    for _ in range(200):
+        r, slope = f(x)
+        if r == 0.0:
+            return x
+        lo, hi = (x, hi) if r < 0.0 else (lo, x)
+        nxt = x - r / slope if slope > 0.0 else math.nan
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if min(abs(nxt - x), hi - lo) <= 1e-14 * (1.0 + abs(nxt)):
+            return nxt
+        x = nxt
+    return x
 
 
 def has_interior_pole(consts: SolutionConstants, s_lo: float, s_hi: float) -> bool:
-    """True when the scan grid sees a sign change of z on (s_lo, s_hi)."""
+    """True when z has a zero in (s_lo, s_hi]: the phase half-turn count
+    rises between the ends (two Airy evaluations, no scan)."""
     _require_coefficients(consts)
-    for _ in _sign_change_cells(consts, s_lo, s_hi):
-        return True
-    return False
-
-
-def _bisect_zero(consts: SolutionConstants, lo: float, hi: float) -> float:
-    z_lo = _z_fast(consts, lo)
-    if z_lo == 0.0:
-        return lo
-    neg_lo = z_lo < 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        z_mid = _z_fast(consts, mid)
-        if z_mid == 0.0:
-            return mid
-        if (z_mid < 0.0) == neg_lo:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 4e-16 * (1.0 + abs(mid)):
-            break
-    return 0.5 * (lo + hi)
+    return _half_turns(consts, s_hi) > _half_turns(consts, s_lo)
 
 
 def find_poles(consts: SolutionConstants, s_lo: float, s_hi: float) -> list[float]:
-    """All zeros of z in [s_lo, s_hi], refined by bisection, ascending.
+    """All zeros of z in (s_lo, s_hi], ascending.
 
-    Each zero is located to a few ulps, well inside the requested
-    1e-12*(1+|s|) bound, so evaluating exact_u1 at a returned location
-    lands in its pole band.
+    The half-turn count at the ends gives how many there are; each is
+    then solved for as the root of its increasing phase residual by the
+    safeguarded Newton iteration that solve_bvp also uses, to well inside
+    1e-12*(1+|s|), so evaluating exact_u1 at a returned location lands in
+    its pole band.
     """
     _require_coefficients(consts)
     s_lo, s_hi = float(s_lo), float(s_hi)
     if not s_lo < s_hi:
         raise ValueError(f"need s_lo < s_hi, got [{s_lo!r}, {s_hi!r}]")
-    return [_bisect_zero(consts, lo, hi) for lo, hi in _sign_change_cells(consts, s_lo, s_hi)]
+    poles, lo = [], s_lo
+    for k in range(_half_turns(consts, s_lo) + 1, _half_turns(consts, s_hi) + 1):
+        lo = _newton_root(_zero_residual(consts, k), lo, s_hi)
+        poles.append(lo)
+    return poles
 
 
-def _nearest_pole(consts: SolutionConstants, s: float) -> float | None:
-    width = _scan_step(consts, map_t(s, consts))
-    poles = find_poles(consts, s - width, s + width)
-    if not poles:
-        return None
-    return min(poles, key=lambda p: abs(p - s))
+def _nearest_pole(consts: SolutionConstants, s: float) -> float:
+    """The zero at the half-turn nearest the phase at s, searched within
+    the distance over which the phase moves a quarter turn at its rate
+    at s (s itself where that rate underflows)."""
+    delta, _ = _phase(consts, s)
+    f = _zero_residual(consts, round(delta / math.pi - 0.5))
+    half_width = 0.5 * math.pi / f(s)[1]
+    if not math.isfinite(half_width):
+        return s
+    return _newton_root(f, s - half_width, s + half_width)

@@ -4,7 +4,9 @@ write, frozen so that
 tests/test_golden.py can hold the CLI to its bytes.  Run from the
 repository root:
 
-    PYTHONPATH=src python tests/make_golden.py
+    PYTHONPATH=src python tests/make_golden.py [case ...]
+
+Naming cases regenerates only those and keeps every other frozen file.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import hashlib
 import io
 import json
 import os
+import sys
 import tempfile
 from pathlib import Path
 
@@ -52,6 +55,8 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
         ["ivp", *FLOW, "--L", "2", "--u10", "0", "--u1dot0", "-2", "--emit", "profile.csv"],
         {},
     ),
+    # three poles inside [0, L]
+    "ivp_poles": (["ivp", *FLOW, "--L", "6", "--u10", "0", "--u1dot0", "12"], {}),
     "bvp": (["bvp", *FLOW, "--L", "1", "--u10", "0", "--u1L", "0.25"], {}),
     "bvp_bracket": (
         ["bvp", *FLOW, "--L", "1", "--u10", "0", "--u1L", "0.25",
@@ -92,15 +97,17 @@ def run_case(name: str) -> tuple[int, str, str, dict[str, str]]:
     return code, out.getvalue(), err.getvalue(), written
 
 
-def main() -> None:
+def main(names: list[str]) -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
-    manifest = {}
-    for name in CASES:
+    manifest_path = GOLDEN_DIR / "manifest.json"
+    manifest = json.loads(manifest_path.read_text()) if names else {}
+    for name in names or CASES:
         code, stdout, stderr, written = run_case(name)
         (GOLDEN_DIR / f"{name}.stdout").write_text(stdout)
         manifest[name] = {"exit": code, "stderr": stderr, "files": written}
-    (GOLDEN_DIR / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    manifest = {name: manifest[name] for name in CASES if name in manifest}
+    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -6,13 +6,19 @@ working precision scaled to the known cancellation (exp(2*zeta) on the
 positive axis, exp(zeta) on the negative), so it is accurate for any
 argument the tests use.  It shares no code or branch logic with the
 implementation under test: one method, one arithmetic, no asymptotics.
+
+The pole oracle is a dense sign scan, independent of the library's
+phase count: z = c1 Ai + c2 Bi sampled with scipy's Airy functions on a
+grid fine enough to separate neighbouring zeros.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 from mpmath import mp, mpf, sqrt, gamma, workdps
+from scipy.special import airy
 
 
 def _required_dps(t: float) -> int:
@@ -70,3 +76,25 @@ def airy_rel_err(quartet, t: float) -> float:
                 continue
             worst = max(worst, float(abs((mpf(g) - r) / r)))
     return worst
+
+
+def sign_scan_cells(consts, s_lo: float, s_hi: float) -> list[tuple[float, float]]:
+    """(lo, hi) cells of a uniform grid over [s_lo, s_hi] on which z
+    changes sign (or starts at zero), ascending.
+
+    The step is at most 0.05, a quarter of the asymptotic oscillation
+    wavelength pi/kappa in s, and a quarter of the local zero spacing
+    pi/(kappa sqrt(-t)) at the most negative t of the interval, so no
+    two zeros share a cell.
+    """
+    kappa = (-consts.a) ** (1.0 / 3.0)
+    t_min = -(consts.a * s_lo + consts.b) / kappa**2
+    step = min(0.05, 0.25 * math.pi / kappa)
+    if t_min < -1.0:
+        step = min(step, 0.25 * math.pi / (kappa * math.sqrt(-t_min)))
+    s = np.linspace(s_lo, s_hi, int(math.ceil((s_hi - s_lo) / step)) + 1)
+    ai, _, bi, _ = airy(-(consts.a * s + consts.b) / (-consts.a) ** (2.0 / 3.0))
+    z = consts.c1 * ai + consts.c2 * bi
+    neg = z < 0.0
+    cells = np.flatnonzero((z[:-1] == 0.0) | (neg[:-1] != neg[1:]))
+    return [(float(s[i]), float(s[i + 1])) for i in cells]

@@ -4,7 +4,9 @@ With u1(0) fixed, u1(L) strictly increases in c on the pole-free set,
 and that set is a half-line c < c*.  So the candidates with a pole in
 (0, L] form a suffix of the SCAN_POINTS grid, the usable residuals
 increase along it, and a binary search plus Newton can replace the full
-scan.  The dense oracle below is that full scan, kept only here.
+scan.  The dense oracle below is that full scan, kept only here; its
+pole predicate is the test-side sign scan of oracles.py, not the
+library's phase count that solve_bvp uses.
 """
 
 import random
@@ -25,7 +27,7 @@ from airyflow import (
 )
 from airyflow import bvp
 from airyflow.bvp import SCAN_POINTS, _residual_and_slope
-from airyflow.flow import has_interior_pole
+from oracles import sign_scan_cells
 
 N_DRAWS = 40
 
@@ -54,7 +56,7 @@ def endpoint_residual(params, u10, u1L, c):
     """The scan's per-candidate rule: None for a pole in (0, L] (grid
     sign change, or the PoleError band at L), else u1(L) - u1L."""
     consts = constants_for(params, u10, c)
-    if has_interior_pole(consts, 0.0, params.length):
+    if sign_scan_cells(consts, 0.0, params.length):
         return None
     try:
         return exact_u1(params.length, params, consts) - u1L

@@ -237,7 +237,7 @@ class TestFindPoles:
         assert poles[0] == pytest.approx(6.0 - 5.52055982809555105913, abs=1e-10)
 
     def test_dense_oscillation_all_found(self):
-        # steep map: zeros crowd, the refined scan still separates them
+        # steep map: zeros crowd, each still has its own half-turn of the phase
         k = SolutionConstants(a=-64.0, b=0.0, c=0.0, c1=1.0, c2=0.3)
         poles = find_poles(k, -6.0, 0.0)
         assert len(poles) >= 15

@@ -1,10 +1,12 @@
 """The README command-line examples against their frozen output in
 tests/golden/ (regenerate with tests/make_golden.py).
 
-Everything is byte-identical except two recorded changes: `verify`'s
-prop1 line, whose finite-difference step went from 1e-3 to 1e-4, and the
+Everything is byte-identical except three recorded changes: `verify`'s
+prop1 line, whose finite-difference step went from 1e-3 to 1e-4, the
 last digits of a solved BVP (`bvp`, and `verify`'s bvp_roundtrip line),
-whose root is now refined by Newton instead of bisection.
+whose root is now refined by Newton instead of bisection, and the last
+digits of the `ivp_poles` pole locations, which Newton on the phase now
+places instead of bisection on the sign of z (compared at 1e-12).
 """
 
 import json
@@ -46,6 +48,8 @@ def test_matches_golden(name):
         assert_bvp_close(stdout, want_stdout)
     elif name == "verify":
         assert_verify_same_but_prop1_and_bvp(stdout, want_stdout)
+    elif name == "ivp_poles":
+        assert_same_but_poles_close(stdout, want_stdout)
     else:
         assert stdout == want_stdout
 
@@ -64,6 +68,16 @@ def assert_verify_same_but_prop1_and_bvp(stdout, want_stdout):
             assert float(value) <= 1e-12 and tol == "tol=1e-08"
         else:
             assert line == old
+
+
+def assert_same_but_poles_close(stdout, want_stdout):
+    out, want = stdout.splitlines(), want_stdout.splitlines()
+    assert out[:-1] == want[:-1]
+    got, ref = out[-1].split(), want[-1].split()
+    assert got[:2] == ref[:2] == ["poles", "="]
+    assert len(got) == len(ref) == 5
+    for g, r in zip(got[2:], ref[2:]):
+        assert float(g) == pytest.approx(float(r), rel=1e-12, abs=0.0)
 
 
 def assert_bvp_close(stdout, want_stdout):

@@ -1,0 +1,96 @@
+"""Pole counts and locations from the Airy phase, against the dense sign
+scan of oracles.py, plus the two conditioning traps of the positive axis.
+
+On t > 0, Ai/Bi falls like exp(-2 zeta), so for an Ai-dominated
+combination both |z|/M and the phase's distance from a half-turn drop
+below double resolution.  A count read from the phase alone, or a pole
+band set by |z|/M, then reports poles where z keeps one sign.
+"""
+
+import math
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from airyflow import (
+    FlowParams,
+    SolutionConstants,
+    coefficients_from_u0,
+    default_c_bracket,
+    derive_constants,
+    exact_u1,
+    find_poles,
+    map_t,
+    random_flow_case,
+)
+from airyflow import flow
+from airyflow.bvp import ENDPOINT_RTOL, SCAN_POINTS
+from airyflow.flow import has_interior_pole
+from oracles import sign_scan_cells
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    a=st.floats(-400.0, -1.0),
+    b=st.floats(-50.0, 50.0),
+    phi=st.floats(-math.pi / 2, math.pi / 2),
+    t_lo=st.floats(-60.0, -1e-3),
+    t_hi=st.floats(1e-3, 60.0),
+)
+def test_pole_count_matches_sign_scan(a, b, phi, t_lo, t_hi):
+    consts = SolutionConstants(a=a, b=b, c=0.0, c1=math.cos(phi), c2=math.sin(phi))
+    kappa_sq = (-a) ** (2.0 / 3.0)
+    s_lo, s_hi = -(t_lo * kappa_sq + b) / a, -(t_hi * kappa_sq + b) / a
+    cells = sign_scan_cells(consts, s_lo, s_hi)
+    poles = find_poles(consts, s_lo, s_hi)
+    assert len(poles) == len(cells)
+    assert has_interior_pole(consts, s_lo, s_hi) == bool(cells)
+    for pole, (lo, hi) in zip(poles, cells):
+        assert lo - 1e-12 * (1.0 + abs(lo)) <= pole <= hi + 1e-12 * (1.0 + abs(hi))
+
+
+def test_pure_ai_has_no_pole_on_positive_axis():
+    # t = s; |z|/M = Ai/Bi is 4e-14 at t = 8 and 1e-16 at t = 9, where
+    # theta - phi rounds to pi/2
+    consts = SolutionConstants(a=-1.0, b=0.0, c=0.0, c1=1.0, c2=0.0)
+    params = FlowParams(nu=1.0, grad_term=-2.0, f1=0.0, length=24.0)
+    assert find_poles(consts, 8.0, 24.0) == []
+    assert not has_interior_pole(consts, 8.0, 24.0)
+    for s in range(8, 25):
+        # u1 = -2 Ai'/Ai = 2 sqrt(t) + 1/(2t) + O(t**-2.5)
+        want = 2.0 * math.sqrt(s) + 0.5 / s
+        assert abs(exact_u1(float(s), params, consts) - want) <= 1e-3 * want
+
+
+def test_ai_dominated_bvp_candidate_has_no_pole():
+    # candidate 36 of the default bracket for the second seed-7 draw
+    rng = random.Random(7)
+    random_flow_case(rng)
+    params, data, _ = random_flow_case(rng)
+    c_lo, c_hi = default_c_bracket(data.u10, 0.0, params.nu)
+    partial = derive_constants(params, c_lo + (c_hi - c_lo) * 36 / (SCAN_POINTS - 1))
+    consts = partial.with_coefficients(*coefficients_from_u0(data.u10, params, partial))
+    length = params.length
+    assert 9.1 < map_t(0.0, consts) < map_t(length, consts) < 10.5
+    assert 0.0 < consts.c2 / consts.c1 < 1e-15
+    assert sign_scan_cells(consts, 0.0, length) == []
+    assert not has_interior_pole(consts, 0.0, length)
+    assert find_poles(consts, 0.0, length) == []
+    u10 = exact_u1(0.0, params, consts)
+    assert abs(u10 - data.u10) <= ENDPOINT_RTOL * (1.0 + abs(data.u10))
+    assert math.isfinite(exact_u1(length, params, consts))
+
+
+def test_pole_check_is_two_airy_evaluations(monkeypatch):
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return airy_eval(t)
+
+    airy_eval = flow.airy_eval
+    monkeypatch.setattr(flow, "airy_eval", counted)
+    # 25 zeros of z on [-6, 0]
+    consts = SolutionConstants(a=-64.0, b=0.0, c=0.0, c1=1.0, c2=0.3)
+    assert has_interior_pole(consts, -6.0, 0.0)
+    assert len(calls) == 2
