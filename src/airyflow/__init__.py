@@ -52,18 +52,28 @@ from .flow import (
     find_poles,
     map_t,
 )
-from .verify import (
-    CheckResult,
-    Trajectory,
-    VerificationReport,
-    check_prop1,
-    check_prop2_prop3,
-    continuity_bracket,
-    integrate_riccati,
-    integrate_second_order,
-    random_flow_case,
-    run_verification,
-)
+# the oracle suite needs numpy, so its names load on first use (PEP 562)
+_VERIFY_NAMES = frozenset({
+    "CheckResult",
+    "Trajectory",
+    "VerificationReport",
+    "check_prop1",
+    "check_prop2_prop3",
+    "continuity_bracket",
+    "integrate_riccati",
+    "integrate_second_order",
+    "random_flow_case",
+    "run_verification",
+})
+
+
+def __getattr__(name):
+    if name in _VERIFY_NAMES:
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

@@ -26,7 +26,6 @@ from .bvp import InitialData, solve_bvp, solve_ivp
 from .errors import FlowDomainError, PoleError
 from .flow import FlowParams, _require_finite, exact_u1, exact_u1_derivative, find_poles
 from .airy import airy_eval
-from .verify import run_verification
 
 USAGE_EXIT = 2
 DOMAIN_EXIT = 1
@@ -242,6 +241,8 @@ def _run_field(cfg: RunConfig) -> int:
 
 
 def _run_verify(cfg: RunConfig) -> int:
+    from .verify import run_verification  # numpy loads only for this command
+
     report = run_verification(seed=cfg.seed)
     for line in report.format_lines():
         print(line)

@@ -5,13 +5,19 @@ import math
 from pathlib import Path
 
 import pytest
+from mpmath import mpf, workdps
 
 from airyflow import AiryOverflowError, airy_eval, airy_ode_residual
 from airyflow.airy import GAMMA_ONE_THIRD, GAMMA_TWO_THIRDS
 
-from oracles import airy_rel_err
+from make_airy_anchors import TABLE, table_text
+from oracles import airy_reference, airy_rel_err
 
 HERE = Path(__file__).parent
+
+# accuracy of the Taylor window |t| <= 9, relative to |y| + |y'| of each function
+SERIES_BOUND = 9.0
+ENVELOPE_RTOL = 2e-15
 
 # frozen from the arbitrary-precision series oracle (tests/oracles.py)
 AI_0 = 0.35502805388781723926
@@ -174,3 +180,38 @@ def test_frozen_sweep_within_tolerance():
             if abs(ref) <= 1e-300:
                 continue
             assert abs(got - ref) <= 1e-10 * abs(ref), f"{key} at t={t}"
+
+
+def envelope_err(q, ref):
+    """Worst error of a quartet against reference (Ai, Bi, Ai', Bi'), each
+    component relative to its function's envelope |y| + |y'|, which stays
+    meaningful through the zeros of y and y'."""
+    with workdps(30):
+        ai, bi, aip, bip = (mpf(v) for v in ref)
+        env_ai, env_bi = abs(ai) + abs(aip), abs(bi) + abs(bip)
+        pairs = ((q.ai, ai, env_ai), (q.bi, bi, env_bi),
+                 (q.ai_prime, aip, env_ai), (q.bi_prime, bip, env_bi))
+        return max(float(abs(mpf(got) - want) / env) for got, want, env in pairs)
+
+
+def test_series_window_within_envelope_of_frozen_table():
+    data = json.loads((HERE / "airy_reference.json").read_text())
+    rows = [row for row in data["points"] if abs(float(row["t"])) <= SERIES_BOUND]
+    assert len(rows) == 450
+    for row in rows:
+        t = float(row["t"])
+        ref = (row["ai"], row["bi"], row["ai_prime"], row["bi_prime"])
+        assert envelope_err(airy_eval(t), ref) <= ENVELOPE_RTOL, f"t={t}"
+
+
+def test_anchor_midpoints_consistent_with_oracle():
+    # the Taylor steps switch anchor at t = (k + 1/2)/4, where |t - t_k|
+    # is largest; check both sides of every switch
+    for k in range(-36, 36):
+        for t in ((k + 0.5) / 4 - 1e-12, (k + 0.5) / 4 + 1e-12):
+            assert envelope_err(airy_eval(t), airy_reference(t)) <= ENVELOPE_RTOL, f"t={t}"
+
+
+def test_anchor_table_is_generated():
+    # the checked-in table is exactly what tests/make_airy_anchors.py writes
+    assert TABLE.read_text() == table_text()

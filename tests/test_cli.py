@@ -1,9 +1,14 @@
 """Command-line surface: output, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import airyflow
 from airyflow.cli import run
 
 # 17-significant-digit renderings of the correctly-rounded doubles
@@ -203,3 +208,17 @@ class TestUsage:
 
     def test_unknown_subcommand(self, capsys):
         assert invoke(capsys, "frobnicate")[0] == 2
+
+
+def test_import_leaves_numpy_unloaded():
+    # numpy (most of the import time) comes in only with the verify module
+    probe = (
+        "import sys, airyflow, airyflow.cli\n"
+        "print('numpy' in sys.modules, 'airyflow.verify' in sys.modules)\n"
+        "airyflow.run_verification\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = str(Path(airyflow.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    assert out.split() == ["False", "False", "True"]
