@@ -250,8 +250,9 @@ def _zero_residual(consts: SolutionConstants, k: int):
 
 def _newton_root(f, lo: float, hi: float) -> float:
     """Root of an increasing f on [lo, hi], where f returns (value, slope):
-    Newton steps, bisecting whenever one leaves the sign bracket, until a
-    step or the bracket falls to 1e-14*(1 + |x|)."""
+    Newton steps, bisecting whenever one leaves the closed sign bracket,
+    until a step or the bracket falls to 1e-14*(1 + |x|).  A step that
+    rounds to x itself, where f is down to its rounding noise, ends at x."""
     x = 0.5 * (lo + hi)
     for _ in range(200):
         r, slope = f(x)
@@ -259,7 +260,7 @@ def _newton_root(f, lo: float, hi: float) -> float:
             return x
         lo, hi = (x, hi) if r < 0.0 else (lo, x)
         nxt = x - r / slope if slope > 0.0 else math.nan
-        if not lo < nxt < hi:
+        if not lo <= nxt <= hi:
             nxt = 0.5 * (lo + hi)
         if min(abs(nxt - x), hi - lo) <= 1e-14 * (1.0 + abs(nxt)):
             return nxt

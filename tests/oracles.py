@@ -10,6 +10,11 @@ implementation under test: one method, one arithmetic, no asymptotics.
 The pole oracle is a dense sign scan, independent of the library's
 phase count: z = c1 Ai + c2 Bi sampled with scipy's Airy functions on a
 grid fine enough to separate neighbouring zeros.
+
+The RK4 references are the plain textbook loops the library's
+specialised integrators replaced: a nested right-hand side, a list grid
+and an isfinite/abs blow-up test.  The library's loops must reproduce
+their output bit for bit.
 """
 
 from __future__ import annotations
@@ -98,3 +103,94 @@ def sign_scan_cells(consts, s_lo: float, s_hi: float) -> list[tuple[float, float
     neg = z < 0.0
     cells = np.flatnonzero((z[:-1] == 0.0) | (neg[:-1] != neg[1:]))
     return [(float(s[i]), float(s[i + 1])) for i in cells]
+
+
+def _reference_grid(s_end: float, step: float) -> list[float]:
+    n = int(math.floor(s_end / step + 1e-9))
+    ss = [k * step for k in range(n + 1)]
+    if ss[-1] < s_end - 1e-12 * max(step, 1.0):
+        ss.append(s_end)  # shorter final step
+    return ss
+
+
+def reference_riccati(params, c: float, u10: float, s_end: float, step: float):
+    """Textbook RK4 on the Riccati form; see integrate_riccati."""
+    # imported here, so the Airy oracle alone runs without airyflow on the path
+    from airyflow.verify import BLOWUP_LIMIT, Trajectory, _validate_span
+
+    s_end, step = _validate_span(s_end, step)
+    nu = params.nu
+    gap = params.forcing_gap
+
+    def rhs(s: float, u: float) -> float:
+        return u * u / (2.0 * nu) + (gap * s + c) / nu
+
+    ss = _reference_grid(s_end, step)
+    us = [float(u10)]
+    for i in range(len(ss) - 1):
+        s0, s1 = ss[i], ss[i + 1]
+        h = s1 - s0
+        u = us[-1]
+        k1 = rhs(s0, u)
+        k2 = rhs(s0 + 0.5 * h, u + 0.5 * h * k1)
+        k3 = rhs(s0 + 0.5 * h, u + 0.5 * h * k2)
+        k4 = rhs(s1, u + h * k3)
+        u_next = u + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not math.isfinite(u_next) or abs(u_next) > BLOWUP_LIMIT:
+            return Trajectory(
+                s=np.array(ss[: i + 1]),
+                u1=np.array(us),
+                step=step,
+                truncated_at_pole=True,
+                truncation_location=s1,
+            )
+        us.append(u_next)
+    return Trajectory(s=np.array(ss), u1=np.array(us), step=step)
+
+
+def reference_second_order(params, u10: float, u1dot0: float, s_end: float, step: float):
+    """Textbook RK4 on the second-order form; see integrate_second_order."""
+    from airyflow.verify import BLOWUP_LIMIT, Trajectory, _validate_span
+
+    s_end, step = _validate_span(s_end, step)
+    nu = params.nu
+    f1 = params.f1
+    grad = params.grad_term
+
+    ss = _reference_grid(s_end, step)
+    us = [float(u10)]
+    w = float(u1dot0)
+    for i in range(len(ss) - 1):
+        s1 = ss[i + 1]
+        h = s1 - ss[i]
+        u = us[-1]
+        k1u = w
+        k1w = (u * w - f1 + grad) / nu
+        u2 = u + 0.5 * h * k1u
+        w2 = w + 0.5 * h * k1w
+        k2u = w2
+        k2w = (u2 * w2 - f1 + grad) / nu
+        u3 = u + 0.5 * h * k2u
+        w3 = w + 0.5 * h * k2w
+        k3u = w3
+        k3w = (u3 * w3 - f1 + grad) / nu
+        u4 = u + h * k3u
+        w4 = w + h * k3w
+        k4u = w4
+        k4w = (u4 * w4 - f1 + grad) / nu
+        u_next = u + h / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+        w_next = w + h / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+        if (
+            not (math.isfinite(u_next) and math.isfinite(w_next))
+            or abs(u_next) > BLOWUP_LIMIT
+        ):
+            return Trajectory(
+                s=np.array(ss[: i + 1]),
+                u1=np.array(us),
+                step=step,
+                truncated_at_pole=True,
+                truncation_location=s1,
+            )
+        us.append(u_next)
+        w = w_next
+    return Trajectory(s=np.array(ss), u1=np.array(us), step=step)

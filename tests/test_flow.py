@@ -18,7 +18,10 @@ from airyflow import (
     find_poles,
     map_t,
     random_flow_case,
+    solve_ivp,
 )
+from airyflow import flow
+from airyflow.bvp import InitialData
 
 # frozen from the arbitrary-precision oracle
 AI_0 = 0.35502805388781723926
@@ -256,3 +259,46 @@ class TestFindPoles:
         k = SolutionConstants(a=-1.0, b=0.0, c=0.0, c1=1.0, c2=0.0)
         with pytest.raises(ValueError):
             find_poles(k, 1.0, 1.0)
+
+
+def counting(f, counts):
+    def g(x):
+        counts[-1] += 1
+        return f(x)
+
+    return g
+
+
+class TestNewtonRoot:
+    def test_step_rounding_to_x_ends_there(self):
+        # at x = 0.5 the residual is -2**-60, and the Newton step rounds to
+        # nothing: the root is found, not bisected for another ~50 halvings
+        counts = [0]
+        f = counting(lambda x: (x - 0.5 - 2.0**-60, 1.0), counts)
+        assert flow._newton_root(f, 0.0, 1.0) == 0.5
+        assert counts == [1]
+
+    def test_phase_residual_noise_ends_newton(self, monkeypatch):
+        # a low-viscosity case whose fifth zero reaches its phase residual's
+        # rounding noise on the fourth Newton step; it used to take 39
+        # residual evaluations, bisecting down from there
+        p = FlowParams(
+            nu=0.05624491046080502,
+            grad_term=-1.1400742008611715,
+            f1=0.04866545816910417,
+            length=1.0173294312540213,
+        )
+        k = solve_ivp(InitialData(u10=0.8727093521317062, u1dot0=41.29963502761871), p)
+        counts = []
+        newton = flow._newton_root
+
+        def counted(f, lo, hi):
+            counts.append(0)
+            return newton(counting(f, counts), lo, hi)
+
+        monkeypatch.setattr(flow, "_newton_root", counted)
+        poles = find_poles(k, 0.0, p.length)
+        assert len(poles) == 5
+        assert poles[4] == pytest.approx(0.93144826987591589, rel=1e-14)
+        assert max(counts) <= 6
+        assert sum(counts) <= 25

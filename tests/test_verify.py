@@ -26,6 +26,8 @@ from airyflow import (
 )
 from airyflow.bvp import InitialData
 from airyflow.field import FlowProfile, SampledField
+from airyflow.verify import BLOWUP_LIMIT, _grid
+from oracles import _reference_grid, reference_riccati, reference_second_order
 
 
 def pole_free_case():
@@ -33,6 +35,36 @@ def pole_free_case():
     consts = solve_ivp(InitialData(u10=0.0, u1dot0=-0.5), p)
     assert find_poles(consts, -0.1, 1.6) == []
     return p, consts
+
+
+def bits(a: np.ndarray):
+    return a.dtype, a.shape, a.tobytes()
+
+
+def assert_same_trajectory(got, ref):
+    # bytes, so that NaN equals NaN and -0.0 differs from 0.0
+    assert bits(got.s) == bits(ref.s)
+    assert bits(got.u1) == bits(ref.u1)
+    assert got.truncated_at_pole == ref.truncated_at_pole
+    assert got.truncation_location == ref.truncation_location
+    assert type(got.truncation_location) is type(ref.truncation_location)
+
+
+def assert_both_match(params, c, u10, u1dot0, s_end, step):
+    """Both integrators equal the textbook reference loops bit for bit;
+    returns the two trajectories."""
+    ric = integrate_riccati(params, c, u10, s_end, step)
+    assert_same_trajectory(ric, reference_riccati(params, c, u10, s_end, step))
+    sec = integrate_second_order(params, u10, u1dot0, s_end, step)
+    assert_same_trajectory(sec, reference_second_order(params, u10, u1dot0, s_end, step))
+    return ric, sec
+
+
+def pole_case():
+    k = SolutionConstants(a=-1.0, b=4.0, c=8.0, c1=1.0, c2=0.0)
+    p = FlowParams(nu=1.0, grad_term=-2.0, f1=0.0, length=2.0)
+    u10 = exact_u1(0.0, p, k)
+    return p, 8.0, u10, (8.0 + 0.5 * u10 * u10) / p.nu
 
 
 class TestIntegrateRiccati:
@@ -104,11 +136,10 @@ class TestIntegrateSecondOrder:
 
     def test_zero_span_single_sample(self):
         p = FlowParams(nu=1.0, grad_term=-2.0, f1=0.0, length=1.0)
-        traj = integrate_second_order(p, 0.3, 0.1, 0.0, 1e-3)
-        assert len(traj) == 1
-        assert traj.u1[0] == 0.3
-        traj = integrate_riccati(p, 0.0, 0.3, 0.0, 1e-3)
-        assert len(traj) == 1
+        ric, sec = assert_both_match(p, 0.0, 0.3, 0.1, 0.0, 1e-3)
+        assert len(sec) == 1
+        assert sec.u1[0] == 0.3
+        assert len(ric) == 1
 
     def test_closed_form_matches_fine_rk4_up_to_pole(self):
         # a case whose span contains a pole: integrate only up to
@@ -121,6 +152,99 @@ class TestIntegrateSecondOrder:
         assert not traj.truncated_at_pole
         exact = np.array([exact_u1(float(s), p, k) for s in traj.s[::500]])
         assert float(np.max(np.abs(traj.u1[::500] - exact))) <= 1e-9
+
+
+class TestBitIdenticalToReference:
+    def test_grid_matches_list_grid(self):
+        rng = random.Random(11)
+        for _ in range(2000):
+            s_end, step = rng.uniform(0.0, 5.0), 10.0 ** rng.uniform(-2.5, 0.5)
+            assert _grid(s_end, step).tolist() == _reference_grid(s_end, step)
+
+    def test_random_cases_at_fixed_step_count(self):
+        rng = random.Random(2)
+        for _ in range(20):
+            params, data, consts = random_flow_case(rng)
+            ric, _ = assert_both_match(
+                params, consts.c, data.u10, data.u1dot0, params.length, params.length / 8000
+            )
+            assert not ric.truncated_at_pole
+
+    def test_run_verification_steps(self):
+        rng = random.Random(0)
+        cases = [random_flow_case(rng) for _ in range(3)]
+        short_final = False
+        for params, data, consts in cases:
+            for step in (1e-4, 1e-5, 8e-3, 4e-3):
+                ric, _ = assert_both_match(
+                    params, consts.c, data.u10, data.u1dot0, params.length, step
+                )
+                short_final |= bool(ric.s[-1] - ric.s[-2] < 0.99 * step)
+        assert short_final
+
+    @pytest.mark.parametrize("step", [1e-4, 1e-3])
+    def test_pole_case_truncates_at_same_step(self, step):
+        ric, sec = assert_both_match(*pole_case(), 2.0, step)
+        assert ric.truncated_at_pole and sec.truncated_at_pole
+        assert type(ric.truncation_location) is float
+
+
+class TestNonFiniteBlowUp:
+    def test_overflow_to_inf_truncates_first_step(self):
+        p = FlowParams(nu=1.0, grad_term=-2.0, f1=0.0, length=1.0)
+        ric, sec = assert_both_match(p, 0.0, 1e200, 1e200, 1.0, 0.1)
+        for traj in (ric, sec):
+            assert len(traj) == 1 and traj.truncated_at_pole
+            assert type(traj.truncation_location) is float
+            assert traj.truncation_location == 0.1
+
+    def test_nan_truncates_first_step(self):
+        p = FlowParams(nu=1.0, grad_term=-2.0, f1=0.0, length=1.0)
+        ric = integrate_riccati(p, 0.0, math.nan, 1.0, 0.1)
+        assert_same_trajectory(ric, reference_riccati(p, 0.0, math.nan, 1.0, 0.1))
+        sec = integrate_second_order(p, 0.5, math.nan, 1.0, 0.1)
+        assert_same_trajectory(sec, reference_second_order(p, 0.5, math.nan, 1.0, 0.1))
+        for traj in (ric, sec):
+            assert traj.truncated_at_pole and len(traj) == 1
+
+    @pytest.mark.parametrize(
+        "nu, u10, u1dot0, step, w_bad",
+        [
+            # the w stages sum past the float range: w -> inf, u stays 1
+            (1e-300, 1.0, 1e8, 1e-300, math.isinf),
+            # 2 k2w and 2 k3w overflow with opposite signs: w -> nan, u -0.25
+            (2e-198, -0.25, 2e71, 1e-177, math.isnan),
+        ],
+    )
+    def test_non_finite_w_alone_truncates(self, nu, u10, u1dot0, step, w_bad):
+        p = FlowParams(nu=nu, grad_term=0.0, f1=0.0, length=1.0)
+        ref = reference_second_order(p, u10, u1dot0, step, step)
+        got = integrate_second_order(p, u10, u1dot0, step, step)
+        assert_same_trajectory(got, ref)
+        assert got.truncated_at_pole and got.truncation_location == step
+        # the step that truncated kept u in range, so only w tripped the test
+        h = step
+        k1w = u10 * u1dot0 / nu
+        w2 = u1dot0 + 0.5 * h * k1w
+        u2 = u10 + 0.5 * h * u1dot0
+        k2w = u2 * w2 / nu
+        w3 = u1dot0 + 0.5 * h * k2w
+        u3 = u10 + 0.5 * h * w2
+        k3w = u3 * w3 / nu
+        w4 = u1dot0 + h * k3w
+        u4 = u10 + h * w3
+        k4w = u4 * w4 / nu
+        u_next = u10 + h / 6.0 * (u1dot0 + 2.0 * w2 + 2.0 * w3 + w4)
+        w_next = u1dot0 + h / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+        assert abs(u_next) <= BLOWUP_LIMIT and w_bad(w_next)
+
+    def test_limit_crossed_mid_run(self):
+        p = FlowParams(nu=1.0, grad_term=-2.0, f1=0.0, length=1.0)
+        ric, sec = assert_both_match(p, 0.0, 1e9, 1e19, 1e-8, 1e-11)
+        for traj in (ric, sec):
+            assert 1 < len(traj) < 1001 and traj.truncated_at_pole
+            assert np.all(np.abs(traj.u1) <= BLOWUP_LIMIT)
+            assert type(traj.truncation_location) is float
 
 
 def airy_profile_field(h_margin=0.0, nx=9, ny=3, pressure=(0.02, -0.05)):
