@@ -7,8 +7,9 @@ Evaluation is self-contained (no special-function library):
   (_airy_anchors, generated with mpmath) holds Ai, Ai', Bi, Bi' at each
   anchor.  The two unit solutions of y'' = t*y at t_k are summed as
   Taylor series in d = t - t_k with a fixed term count, and the quartet
-  is their combination with the anchor values.  Plain float arithmetic
-  throughout.
+  is their combination with the anchor values.  The series coefficients
+  depend on t_k alone, so they are built once per anchor at import and a
+  call only sums powers of d.  Plain float arithmetic throughout.
 * Asymptotic expansions in zeta = (2/3)*|t|**1.5 for |t| > 9, truncated
   at the smallest term.  The oscillatory phase for t < 0 is reduced
   modulo 2*pi in extended precision so very negative arguments keep
@@ -107,28 +108,42 @@ def airy_ode_residual(t: float, q: AiryQuartet, h: float) -> tuple[float, float]
 #   y = y(t_k) f + y'(t_k) g,   y' = y(t_k) f' + y'(t_k) g'
 # for both Ai and Bi.  The sums start at n = 2 and meet the leading terms
 # (f = 1 + ..., g = d + ..., g' = 1 + ...) only at the end, so they round
-# at their own, smaller scale.
+# at their own, smaller scale.  The unit-solution coefficients depend on
+# t_k alone, so they are computed once per anchor, at import.
 
-def _taylor(t: float) -> tuple[float, float, float, float]:
-    k = round(4.0 * t)
-    tk = 0.25 * k
-    d = t - tk  # exact: t and t_k are within a factor of 2 (or k = 0)
+def _unit_terms(tk: float) -> tuple[tuple[float, float, float, float], ...]:
+    """(n f_n, n g_n, f_n, g_n) for n = 2 .. 15 at the anchor tk."""
     f3, f2, f1 = 0.0, 1.0, 0.0  # f's a_{n-3}, a_{n-2}, a_{n-1}
     g3, g2, g1 = 0.0, 0.0, 1.0
-    sf = sg = sfp = sgp = 0.0
-    dn = d  # d^(n-1)
+    terms = []
     for n, inv in _TAYLOR_STEPS:
         fn = (tk * f2 + f3) * inv
         gn = (tk * g2 + g3) * inv
-        sfp += n * fn * dn
-        sgp += n * gn * dn
+        terms.append((n * fn, n * gn, fn, gn))
+        f3, f2, f1 = f2, f1, fn
+        g3, g2, g1 = g2, g1, gn
+    return tuple(terms)
+
+
+# row k + _K_MAX: the anchor quartet and the unit-solution terms at t_k
+_TAYLOR_TABLE = tuple(
+    (ANCHORS[k + _K_MAX], _unit_terms(0.25 * k)) for k in range(-_K_MAX, _K_MAX + 1)
+)
+
+
+def _taylor(t: float) -> tuple[float, float, float, float]:
+    k = round(4.0 * t)
+    d = t - 0.25 * k  # exact: t and t_k are within a factor of 2 (or k = 0)
+    (ai0, aip0, bi0, bip0), terms = _TAYLOR_TABLE[k + _K_MAX]
+    sf = sg = sfp = sgp = 0.0
+    dn = d  # d^(n-1)
+    for nf, ng, fn, gn in terms:
+        sfp += nf * dn
+        sgp += ng * dn
         dn *= d
         sf += fn * dn
         sg += gn * dn
-        f3, f2, f1 = f2, f1, fn
-        g3, g2, g1 = g2, g1, gn
     f, g, fp, gp = 1.0 + sf, d + sg, sfp, 1.0 + sgp
-    ai0, aip0, bi0, bip0 = ANCHORS[k + _K_MAX]
     return (
         ai0 * f + aip0 * g,
         bi0 * f + bip0 * g,

@@ -8,7 +8,10 @@ c and the ratio c2/c1, so two well-posed modes are offered:
   output, recoverable from c = nu*u1'(0) - u1(0)**2/2.  u1(L) increases
   strictly in c up to the first pole crossing c*, so the root is unique:
   a binary search over a SCAN_POINTS grid locates c*, and Newton with
-  the closed-form slope du1(L)/dc refines the root below it.
+  the closed-form slope du1(L)/dc refines the root below it.  One shot
+  at a given c costs two Airy evaluations, at t(0) and t(L): (c1, c2),
+  the pole count on (0, L], u1(L) and its slope all come from those two
+  quartets.
 
 Imposing all three conditions at once is generically unsatisfiable and
 deliberately unsupported.
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .airy import airy_eval
+from .airy import AiryQuartet, airy_eval
 from .errors import (
     DegenerateCoefficientsError,
     NoSignChangeError,
@@ -28,12 +31,12 @@ from .errors import (
 from .flow import (
     FlowParams,
     SolutionConstants,
+    _half_turns,
     _newton_root,
     _normalize_pair,
     _require_finite,
+    _u1_at,
     derive_constants,
-    exact_u1,
-    has_interior_pole,
     map_t,
 )
 
@@ -74,8 +77,13 @@ def coefficients_from_u0(
     with k = (-a)**(1/3) and t0 = t(0); the returned pair is the
     orthogonal-complement solution, normalized per SolutionConstants.
     """
-    t0 = map_t(0.0, consts_with_c)
-    q = airy_eval(t0)
+    return _coefficients_at(u10, params, consts_with_c, airy_eval(map_t(0.0, consts_with_c)))
+
+
+def _coefficients_at(
+    u10: float, params: FlowParams, consts_with_c: SolutionConstants, q: AiryQuartet
+) -> tuple[float, float]:
+    """coefficients_from_u0 from the quartet q at t(0)."""
     kappa = (-consts_with_c.a) ** (1.0 / 3.0)
     two_nu_k = 2.0 * params.nu * kappa
     bracket_ai = -two_nu_k * q.ai_prime - u10 * q.ai
@@ -96,9 +104,9 @@ def solve_ivp(data: InitialData, params: FlowParams) -> SolutionConstants:
     """
     c = c_from_initial(data.u10, data.u1dot0, params.nu)
     partial = derive_constants(params, c)
-    c1, c2 = coefficients_from_u0(data.u10, params, partial)
-    consts = partial.with_coefficients(c1, c2)
-    exact_u1(0.0, params, consts)  # raises PoleError on a degenerate origin
+    q0 = airy_eval(map_t(0.0, partial))
+    consts = partial.with_coefficients(*_coefficients_at(data.u10, params, partial, q0))
+    _u1_at(0.0, params, consts, q0)  # raises PoleError on a degenerate origin
     return consts
 
 
@@ -134,7 +142,8 @@ def solve_bvp(
     is at most one root.  A binary search over SCAN_POINTS grid candidates
     finds the first one whose z vanishes in (0, L]; it and every later
     candidate are excluded.  Safeguarded Newton then refines the root on
-    the pole-free candidates.  Raises NoSignChangeError when they hold no
+    the pole-free candidates; each candidate or iterate is one shot of
+    two Airy evaluations.  Raises NoSignChangeError when they hold no
     root (also when the root lies between the last of them and c*) and
     PoleCrossingError when every candidate is excluded.  Deterministic.
     """
@@ -145,20 +154,22 @@ def solve_bvp(
     c_lo, c_hi = (float(c_bracket[0]), float(c_bracket[1]))
     if not c_lo < c_hi:
         raise ValueError(f"need c_lo < c_hi, got ({c_lo!r}, {c_hi!r})")
+    length = params.length
 
-    def build(c: float) -> SolutionConstants:
+    def shot(c: float) -> tuple[SolutionConstants, AiryQuartet, AiryQuartet]:
+        """Constants for c with u1(0) = u10, and the quartets at t(0), t(L)."""
         partial = derive_constants(params, c)
-        c1, c2 = coefficients_from_u0(u10, params, partial)
-        return partial.with_coefficients(c1, c2)
+        q0 = airy_eval(map_t(0.0, partial))
+        consts = partial.with_coefficients(*_coefficients_at(u10, params, partial, q0))
+        return consts, q0, airy_eval(map_t(length, consts))
 
-    def residual(c: float) -> tuple[SolutionConstants, float] | None:
-        """Constants and endpoint mismatch, or None when the candidate has
-        no usable endpoint (pole inside (0, L) or at L)."""
-        consts = build(c)
-        if has_interior_pole(consts, 0.0, params.length):
+    def residual(consts, q0, qL) -> float | None:
+        """Endpoint mismatch, or None when the shot has no usable endpoint
+        (pole inside (0, L) or at L)."""
+        if _half_turns(consts, qL) > _half_turns(consts, q0):
             return None
         try:
-            return consts, exact_u1(params.length, params, consts) - u1L
+            return _u1_at(length, params, consts, qL) - u1L
         except PoleError:
             return None
 
@@ -170,36 +181,42 @@ def solve_bvp(
     k, end, r_last = 0, SCAN_POINTS, -1.0
     while k < end:
         mid = (k + end) // 2
-        found = residual(candidate(mid))
-        if found is None:
+        r = residual(*shot(candidate(mid)))
+        if r is None:
             end = mid
         else:
-            k, r_last = mid + 1, found[1]
+            k, r_last = mid + 1, r
     if k == 0:
         raise PoleCrossingError(SCAN_POINTS)
 
     if r_last >= 0.0:  # else u1(L) < u1L on every usable candidate
+        lo, hi = c_lo, candidate(k - 1)
         c = _newton_root(
-            lambda c: _residual_and_slope(build(c), params, u1L), c_lo, candidate(k - 1)
+            lambda c: _residual_and_slope(*shot(c), params, u1L), lo, hi, 0.5 * (lo + hi)
         )
-        found = residual(c)
-        if found is not None and abs(found[1]) <= ENDPOINT_RTOL * (1.0 + abs(u1L)):
+        found = shot(c)
+        r = residual(*found)
+        if r is not None and abs(r) <= ENDPOINT_RTOL * (1.0 + abs(u1L)):
             return BvpSolution(
                 constants=found[0],
                 c=c,
                 initial_slope=(c + 0.5 * u10 * u10) / params.nu,
-                endpoint_residual=found[1],
+                endpoint_residual=r,
                 roots=(c,),
                 excluded_candidates=SCAN_POINTS - k,
             )
-    ends = (residual(candidate(0)), residual(candidate(k - 1)))
-    raise NoSignChangeError(*(e[1] if e is not None else None for e in ends))
+    raise NoSignChangeError(residual(*shot(candidate(0))), residual(*shot(candidate(k - 1))))
 
 
 def _residual_and_slope(
-    consts: SolutionConstants, params: FlowParams, u1L: float
+    consts: SolutionConstants,
+    q0: AiryQuartet,
+    qL: AiryQuartet,
+    params: FlowParams,
+    u1L: float,
 ) -> tuple[float, float]:
-    """u1(L) - u1L and its derivative in c at fixed u1(0).
+    """u1(L) - u1L and its derivative in c at fixed u1(0), from the
+    quartets q0 and qL at t(0) and t(L).
 
     v = du1/dc solves v' = (u1/nu) v + 1/nu with v(0) = 0, so
     v(L) = int_0^L z**2 ds / (nu z(L)**2); with dt/ds = kappa and the
@@ -208,7 +225,6 @@ def _residual_and_slope(
     """
     kappa = (-consts.a) ** (1.0 / 3.0)
     c1, c2 = consts.c1, consts.c2
-    q0, qL = airy_eval(map_t(0.0, consts)), airy_eval(map_t(params.length, consts))
     z0, zt0 = c1 * q0.ai + c2 * q0.bi, c1 * q0.ai_prime + c2 * q0.bi_prime
     zL, ztL = c1 * qL.ai + c2 * qL.bi, c1 * qL.ai_prime + c2 * qL.bi_prime
     integral = (qL.t * zL * zL - ztL * ztL) - (q0.t * z0 * z0 - zt0 * zt0)

@@ -22,9 +22,9 @@ Euclidean norm, first nonzero component positive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .airy import airy_eval
+from .airy import AiryQuartet, airy_eval
 from .errors import DegenerateModelError, ModelInvalidError, PoleError
 
 # |z| <= POLE_RTOL * scale counts as a pole, where scale is the local
@@ -109,7 +109,7 @@ class SolutionConstants:
         return self.c1 is not None
 
     def with_coefficients(self, c1: float, c2: float) -> "SolutionConstants":
-        return replace(self, c1=c1, c2=c2)
+        return SolutionConstants(a=self.a, b=self.b, c=self.c, c1=c1, c2=c2)
 
 
 def _normalize_pair(c1: float, c2: float) -> tuple[float, float]:
@@ -167,9 +167,13 @@ def exact_u1(s: float, params: FlowParams, consts: SolutionConstants) -> float:
     band POLE_RTOL; the error carries the zero of z at the half-turn of
     the phase nearest s.
     """
-    c1, c2 = _require_coefficients(consts)
-    t = map_t(s, consts)
-    q = airy_eval(t)
+    _require_coefficients(consts)
+    return _u1_at(s, params, consts, airy_eval(map_t(s, consts)))
+
+
+def _u1_at(s: float, params: FlowParams, consts: SolutionConstants, q: AiryQuartet) -> float:
+    """exact_u1 from the quartet q at t(s), for callers that hold it."""
+    c1, c2 = consts.c1, consts.c2
     z = c1 * q.ai + c2 * q.bi
     scale = (
         abs(c1) * (abs(q.ai) + abs(q.ai_prime))
@@ -199,23 +203,21 @@ def exact_u1_derivative(s: float, params: FlowParams, consts: SolutionConstants)
 # theta strictly increasing, theta' = 1/(pi M**2) (DLMF 9.8), so the zeros
 # are where theta - phi crosses pi/2 + k pi, one half-turn at a time.
 
-def _phase(consts: SolutionConstants, s: float):
-    """theta - phi at t(s), unwrapped, together with the Airy quartet.
+def _phase(consts: SolutionConstants, q: AiryQuartet) -> float:
+    """theta - phi at q.t, unwrapped.
 
     atan2 gives theta modulo 2 pi; the turn comes from the asymptote
     theta ~ pi/4 - zeta (zeta = (2/3)(-t)**1.5 on t < 0), which stays
     within pi/12 of theta for every t <= 0.
     """
-    t = map_t(s, consts)
-    q = airy_eval(t)
     theta = math.atan2(q.bi, q.ai)
-    zeta = (2.0 / 3.0) * max(-t, 0.0) ** 1.5
+    zeta = (2.0 / 3.0) * max(-q.t, 0.0) ** 1.5
     theta += _TWO_PI * round((0.25 * math.pi - zeta - theta) / _TWO_PI)
-    return theta - math.atan2(consts.c2, consts.c1), q
+    return theta - math.atan2(consts.c2, consts.c1)
 
 
-def _half_turns(consts: SolutionConstants, s: float) -> int:
-    """How many half-turns pi/2 + k pi the phase has passed at s, i.e.
+def _half_turns(consts: SolutionConstants, q: AiryQuartet) -> int:
+    """How many half-turns pi/2 + k pi the phase has passed at q.t, i.e.
     floor((theta - phi)/pi - 1/2).  Its parity is the sign of z there
     (odd where z > 0), so it is read off the sign of z, and the phase,
     which may be off by anything under a quarter turn, only picks the
@@ -224,9 +226,8 @@ def _half_turns(consts: SolutionConstants, s: float) -> int:
     comparison of the signs of z at the two ends; the phase, flat to
     within rounding of pi/2 once t > 9, never decides it.
     """
-    delta, q = _phase(consts, s)
     odd = consts.c1 * q.ai + consts.c2 * q.bi > 0.0
-    return odd + 2 * round((delta / math.pi - 1.0 - odd) / 2.0)
+    return odd + 2 * round((_phase(consts, q) / math.pi - 1.0 - odd) / 2.0)
 
 
 def _zero_residual(consts: SolutionConstants, k: int):
@@ -239,7 +240,8 @@ def _zero_residual(consts: SolutionConstants, k: int):
     target = (k + 0.5) * math.pi
 
     def residual(s: float) -> tuple[float, float]:
-        delta, q = _phase(consts, s)
+        q = airy_eval(map_t(s, consts))
+        delta = _phase(consts, q)
         z, w = c1 * q.ai + c2 * q.bi, c1 * q.bi - c2 * q.ai
         angle = math.atan2(sign * z, -sign * w)
         angle += _TWO_PI * round((delta - target - angle) / _TWO_PI)
@@ -248,12 +250,12 @@ def _zero_residual(consts: SolutionConstants, k: int):
     return residual
 
 
-def _newton_root(f, lo: float, hi: float) -> float:
+def _newton_root(f, lo: float, hi: float, x: float) -> float:
     """Root of an increasing f on [lo, hi], where f returns (value, slope):
-    Newton steps, bisecting whenever one leaves the closed sign bracket,
-    until a step or the bracket falls to 1e-14*(1 + |x|).  A step that
-    rounds to x itself, where f is down to its rounding noise, ends at x."""
-    x = 0.5 * (lo + hi)
+    Newton steps from x, bisecting whenever one leaves the closed sign
+    bracket, until a step or the bracket falls to 1e-14*(1 + |x|).  A
+    step that rounds to x itself, where f is down to its rounding noise,
+    ends at x."""
     for _ in range(200):
         r, slope = f(x)
         if r == 0.0:
@@ -272,7 +274,8 @@ def has_interior_pole(consts: SolutionConstants, s_lo: float, s_hi: float) -> bo
     """True when z has a zero in (s_lo, s_hi]: the phase half-turn count
     rises between the ends (two Airy evaluations, no scan)."""
     _require_coefficients(consts)
-    return _half_turns(consts, s_hi) > _half_turns(consts, s_lo)
+    hi = _half_turns(consts, airy_eval(map_t(s_hi, consts)))
+    return hi > _half_turns(consts, airy_eval(map_t(s_lo, consts)))
 
 
 def find_poles(consts: SolutionConstants, s_lo: float, s_hi: float) -> list[float]:
@@ -282,15 +285,28 @@ def find_poles(consts: SolutionConstants, s_lo: float, s_hi: float) -> list[floa
     then solved for as the root of its increasing phase residual by the
     safeguarded Newton iteration that solve_bvp also uses, to well inside
     1e-12*(1+|s|), so evaluating exact_u1 at a returned location lands in
-    its pole band.
+    its pole band.  M**2 = Ai**2 + Bi**2 increases, so the phase is
+    concave as well as increasing, and Newton started at the left end of
+    each bracket (s_lo, then the previous zero) climbs to a zero on t <= 0
+    from below without overshooting.
     """
     _require_coefficients(consts)
     s_lo, s_hi = float(s_lo), float(s_hi)
     if not s_lo < s_hi:
         raise ValueError(f"need s_lo < s_hi, got [{s_lo!r}, {s_hi!r}]")
+    q_lo, q_hi = airy_eval(map_t(s_lo, consts)), airy_eval(map_t(s_hi, consts))
+    first, last = _half_turns(consts, q_lo) + 1, _half_turns(consts, q_hi)
+    if first > last:
+        return []
+    # the zeros up to the count at t = 0 lie on t <= 0; past it the phase
+    # nears pi/2 exponentially, Newton from the left would creep, and the
+    # one zero there keeps its bracket's midpoint as the start
+    q_0 = q_hi if q_hi.t <= 0.0 else q_lo if q_lo.t >= 0.0 else airy_eval(0.0)
+    on_negative = _half_turns(consts, q_0)
     poles, lo = [], s_lo
-    for k in range(_half_turns(consts, s_lo) + 1, _half_turns(consts, s_hi) + 1):
-        lo = _newton_root(_zero_residual(consts, k), lo, s_hi)
+    for k in range(first, last + 1):
+        x = lo if k <= on_negative else 0.5 * (lo + s_hi)
+        lo = _newton_root(_zero_residual(consts, k), lo, s_hi, x)
         poles.append(lo)
     return poles
 
@@ -299,9 +315,10 @@ def _nearest_pole(consts: SolutionConstants, s: float) -> float:
     """The zero at the half-turn nearest the phase at s, searched within
     the distance over which the phase moves a quarter turn at its rate
     at s (s itself where that rate underflows)."""
-    delta, _ = _phase(consts, s)
+    delta = _phase(consts, airy_eval(map_t(s, consts)))
     f = _zero_residual(consts, round(delta / math.pi - 0.5))
     half_width = 0.5 * math.pi / f(s)[1]
     if not math.isfinite(half_width):
         return s
-    return _newton_root(f, s - half_width, s + half_width)
+    lo, hi = s - half_width, s + half_width
+    return _newton_root(f, lo, hi, 0.5 * (lo + hi))

@@ -381,12 +381,13 @@ def run_verification(seed: int = 0) -> VerificationReport:
         )
     )
 
-    # RK4 against the closed form, fine step
+    # RK4 against the closed form at every 0.002 in s; at step 1e-4 the
+    # gap is already rounding (~1e-14), so a finer step buys nothing
     worst = 0.0
     for params, data, consts in cases[:3]:
-        traj = integrate_riccati(params, consts.c, data.u10, params.length, 1e-5)
-        exact = np.array([exact_u1(float(s), params, consts) for s in traj.s[::200]])
-        worst = max(worst, float(np.max(np.abs(traj.u1[::200] - exact))))
+        traj = integrate_riccati(params, consts.c, data.u10, params.length, 1e-4)
+        exact = np.array([exact_u1(float(s), params, consts) for s in traj.s[::20]])
+        worst = max(worst, float(np.max(np.abs(traj.u1[::20] - exact))))
     checks.append(CheckResult("rk4_vs_closed_form", worst, 1e-9))
 
     # observed RK4 order from a step-halving pair; steps large enough

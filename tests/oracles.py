@@ -14,7 +14,11 @@ grid fine enough to separate neighbouring zeros.
 The RK4 references are the plain textbook loops the library's
 specialised integrators replaced: a nested right-hand side, a list grid
 and an isfinite/abs blow-up test.  The library's loops must reproduce
-their output bit for bit.
+their output bit for bit.  In the same way, reference_taylor runs the
+unit-solution recurrence on every call, where airy._taylor reads it from
+a table, and reference_solve_bvp makes each shot from the public
+per-step functions, four Airy evaluations per candidate, where
+solve_bvp reuses two quartets.
 """
 
 from __future__ import annotations
@@ -194,3 +198,104 @@ def reference_second_order(params, u10: float, u1dot0: float, s_end: float, step
         us.append(u_next)
         w = w_next
     return Trajectory(s=np.array(ss), u1=np.array(us), step=step)
+
+
+def reference_taylor(t: float) -> tuple[float, float, float, float]:
+    """airy._taylor with the unit-solution recurrence run per call."""
+    from airyflow.airy import _K_MAX, _TAYLOR_STEPS
+    from airyflow._airy_anchors import ANCHORS
+
+    k = round(4.0 * t)
+    tk = 0.25 * k
+    d = t - tk
+    f3, f2, f1 = 0.0, 1.0, 0.0
+    g3, g2, g1 = 0.0, 0.0, 1.0
+    sf = sg = sfp = sgp = 0.0
+    dn = d
+    for n, inv in _TAYLOR_STEPS:
+        fn = (tk * f2 + f3) * inv
+        gn = (tk * g2 + g3) * inv
+        sfp += n * fn * dn
+        sgp += n * gn * dn
+        dn *= d
+        sf += fn * dn
+        sg += gn * dn
+        f3, f2, f1 = f2, f1, fn
+        g3, g2, g1 = g2, g1, gn
+    f, g, fp, gp = 1.0 + sf, d + sg, sfp, 1.0 + sgp
+    ai0, aip0, bi0, bip0 = ANCHORS[k + _K_MAX]
+    return (
+        ai0 * f + aip0 * g,
+        bi0 * f + bip0 * g,
+        ai0 * fp + aip0 * gp,
+        bi0 * fp + bip0 * gp,
+    )
+
+
+def reference_solve_bvp(u10: float, u1L: float, params, c_bracket=None):
+    """(c, excluded_candidates, endpoint_residual) by solve_bvp's search,
+    each shot built from derive_constants, coefficients_from_u0,
+    with_coefficients, has_interior_pole and exact_u1; raises the same
+    errors with the same arguments."""
+    from airyflow import (
+        NoSignChangeError,
+        PoleCrossingError,
+        PoleError,
+        airy_eval,
+        coefficients_from_u0,
+        default_c_bracket,
+        derive_constants,
+        exact_u1,
+        map_t,
+    )
+    from airyflow.bvp import ENDPOINT_RTOL, SCAN_POINTS
+    from airyflow.flow import _newton_root, has_interior_pole
+
+    if c_bracket is None:
+        c_bracket = default_c_bracket(u10, u1L, params.nu)
+    c_lo, c_hi = c_bracket
+    nu, length = params.nu, params.length
+
+    def build(c):
+        partial = derive_constants(params, c)
+        return partial.with_coefficients(*coefficients_from_u0(u10, params, partial))
+
+    def residual(c):
+        consts = build(c)
+        if has_interior_pole(consts, 0.0, length):
+            return None
+        try:
+            return exact_u1(length, params, consts) - u1L
+        except PoleError:
+            return None
+
+    def residual_and_slope(c):
+        consts = build(c)
+        kappa = (-consts.a) ** (1.0 / 3.0)
+        c1, c2 = consts.c1, consts.c2
+        q0, qL = airy_eval(map_t(0.0, consts)), airy_eval(map_t(length, consts))
+        z0, zt0 = c1 * q0.ai + c2 * q0.bi, c1 * q0.ai_prime + c2 * q0.bi_prime
+        zL, ztL = c1 * qL.ai + c2 * qL.bi, c1 * qL.ai_prime + c2 * qL.bi_prime
+        integral = (qL.t * zL * zL - ztL * ztL) - (q0.t * z0 * z0 - zt0 * zt0)
+        return -2.0 * nu * kappa * ztL / zL - u1L, integral / (kappa * nu * zL * zL)
+
+    def candidate(i):
+        return c_lo + (c_hi - c_lo) * i / (SCAN_POINTS - 1)
+
+    k, end, r_last = 0, SCAN_POINTS, -1.0
+    while k < end:
+        mid = (k + end) // 2
+        r = residual(candidate(mid))
+        if r is None:
+            end = mid
+        else:
+            k, r_last = mid + 1, r
+    if k == 0:
+        raise PoleCrossingError(SCAN_POINTS)
+    if r_last >= 0.0:
+        lo, hi = c_lo, candidate(k - 1)
+        c = _newton_root(residual_and_slope, lo, hi, 0.5 * (lo + hi))
+        r = residual(c)
+        if r is not None and abs(r) <= ENDPOINT_RTOL * (1.0 + abs(u1L)):
+            return c, SCAN_POINTS - k, r
+    raise NoSignChangeError(residual(candidate(0)), residual(candidate(k - 1)))

@@ -2,16 +2,17 @@
 
 import json
 import math
+import random
 from pathlib import Path
 
 import pytest
 from mpmath import mpf, workdps
 
 from airyflow import AiryOverflowError, airy_eval, airy_ode_residual
-from airyflow.airy import GAMMA_ONE_THIRD, GAMMA_TWO_THIRDS
+from airyflow.airy import GAMMA_ONE_THIRD, GAMMA_TWO_THIRDS, _taylor
 
 from make_airy_anchors import TABLE, table_text
-from oracles import airy_reference, airy_rel_err
+from oracles import airy_reference, airy_rel_err, reference_taylor
 
 HERE = Path(__file__).parent
 
@@ -215,3 +216,14 @@ def test_anchor_midpoints_consistent_with_oracle():
 def test_anchor_table_is_generated():
     # the checked-in table is exactly what tests/make_airy_anchors.py writes
     assert TABLE.read_text() == table_text()
+
+
+def test_taylor_table_matches_per_call_recurrence():
+    rng = random.Random(0)
+    points = [rng.uniform(-SERIES_BOUND, SERIES_BOUND) for _ in range(20000)]
+    points += [0.25 * k for k in range(-36, 37)]
+    for k in range(-36, 36):
+        mid = 0.25 * k + 0.125
+        points += [mid - 1e-12, mid, mid + 1e-12]
+    for t in points:
+        assert _taylor(t) == reference_taylor(t), t

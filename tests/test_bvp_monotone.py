@@ -14,9 +14,11 @@ import random
 import pytest
 
 from airyflow import (
+    FlowDomainError,
     FlowParams,
     NoSignChangeError,
     PoleError,
+    airy_eval,
     coefficients_from_u0,
     default_c_bracket,
     derive_constants,
@@ -25,9 +27,9 @@ from airyflow import (
     random_flow_case,
     solve_bvp,
 )
-from airyflow import bvp
+from airyflow import bvp, flow
 from airyflow.bvp import SCAN_POINTS, _residual_and_slope
-from oracles import sign_scan_cells
+from oracles import reference_solve_bvp, sign_scan_cells
 
 N_DRAWS = 40
 
@@ -37,9 +39,6 @@ T0_TRUSTED = 64.0
 
 # README case: nu=1, grad_term=-2, f1=0, L=1, u10=0, u1L=0.25
 README_PARAMS = FlowParams(nu=1.0, grad_term=-2.0, f1=0.0, length=1.0)
-# calls the 256-point scan made on the README case
-SCAN_POLE_CHECKS = 296
-SCAN_EXACT_U1 = 238
 
 
 def constants_for(params, u10, c):
@@ -119,7 +118,10 @@ def test_closed_form_slope_matches_central_difference():
         params, data, consts = random_flow_case(rng)
 
         def residual_and_slope(c):
-            return _residual_and_slope(constants_for(params, data.u10, c), params, 0.0)
+            consts = constants_for(params, data.u10, c)
+            q0 = airy_eval(map_t(0.0, consts))
+            qL = airy_eval(map_t(params.length, consts))
+            return _residual_and_slope(consts, q0, qL, params, 0.0)
 
         c = consts.c
         h = 1e-5 * (1.0 + abs(c))
@@ -162,18 +164,40 @@ def test_root_below_bracket_has_no_sign_change():
 
 
 def test_readme_case_work_count(monkeypatch):
-    calls = {"pole": 0, "u1": 0}
+    # Airy evaluations made through bvp and flow.  Building each shot from
+    # coefficients_from_u0, has_interior_pole and exact_u1 costs four per
+    # candidate and three per Newton step, 56 here; sharing the quartets
+    # at t(0) and t(L) costs two.
+    calls = [0]
 
-    def counted(key, fn):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def counted(t):
+        calls[0] += 1
+        return airy_eval(t)
 
-    monkeypatch.setattr(bvp, "has_interior_pole", counted("pole", bvp.has_interior_pole))
-    monkeypatch.setattr(bvp, "exact_u1", counted("u1", bvp.exact_u1))
+    monkeypatch.setattr(bvp, "airy_eval", counted)
+    monkeypatch.setattr(flow, "airy_eval", counted)
     sol = solve_bvp(0.0, 0.25, README_PARAMS)
     assert sol.excluded_candidates == 58
-    assert calls["pole"] <= 12
-    assert calls["u1"] * 20 < SCAN_EXACT_U1
-    assert calls["pole"] * 20 < SCAN_POLE_CHECKS
+    assert calls[0] <= 36
+
+
+def test_solve_bvp_matches_public_function_reference():
+    rng = random.Random(5)
+    solved = failed = 0
+    for _ in range(N_DRAWS):
+        params, data, consts = random_flow_case(rng)
+        u1L = exact_u1(params.length, params, consts)
+        c = consts.c  # the last bracket misses the root
+        for bracket in (None, (c - 2.0, c + 2.0), (c + 1.0, c + 3.0)):
+            try:
+                want = reference_solve_bvp(data.u10, u1L, params, bracket)
+            except FlowDomainError as err:  # the solver must fail the same way
+                with pytest.raises(type(err)) as got:
+                    solve_bvp(data.u10, u1L, params, bracket)
+                assert got.value.args == err.args
+                failed += 1
+                continue
+            sol = solve_bvp(data.u10, u1L, params, bracket)
+            assert (sol.c, sol.excluded_candidates, sol.endpoint_residual) == want
+            solved += 1
+    assert solved >= N_DRAWS and failed >= N_DRAWS

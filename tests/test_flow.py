@@ -275,7 +275,7 @@ class TestNewtonRoot:
         # nothing: the root is found, not bisected for another ~50 halvings
         counts = [0]
         f = counting(lambda x: (x - 0.5 - 2.0**-60, 1.0), counts)
-        assert flow._newton_root(f, 0.0, 1.0) == 0.5
+        assert flow._newton_root(f, 0.0, 1.0, 0.5) == 0.5
         assert counts == [1]
 
     def test_phase_residual_noise_ends_newton(self, monkeypatch):
@@ -292,9 +292,9 @@ class TestNewtonRoot:
         counts = []
         newton = flow._newton_root
 
-        def counted(f, lo, hi):
+        def counted(f, lo, hi, x):
             counts.append(0)
-            return newton(counting(f, counts), lo, hi)
+            return newton(counting(f, counts), lo, hi, x)
 
         monkeypatch.setattr(flow, "_newton_root", counted)
         poles = find_poles(k, 0.0, p.length)

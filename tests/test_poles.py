@@ -94,3 +94,41 @@ def test_pole_check_is_two_airy_evaluations(monkeypatch):
     consts = SolutionConstants(a=-64.0, b=0.0, c=0.0, c1=1.0, c2=0.3)
     assert has_interior_pole(consts, -6.0, 0.0)
     assert len(calls) == 2
+
+
+def test_zero_far_out_on_positive_axis():
+    # z = Ai - 2.4e-89 Bi vanishes once, near t = 28.54, where the phase
+    # sits within 1e-88 of pi/2; Newton from the left end would creep there
+    # by ~1/(2 sqrt(t)) a step and run out of iterations at t = 28.27
+    consts = SolutionConstants(a=-1.0, b=0.0, c=0.0, c1=1.0, c2=-2.4419804210882222e-89)
+    ((lo, hi),) = sign_scan_cells(consts, -1.0, 29.0)
+    (pole,) = find_poles(consts, -1.0, 29.0)
+    assert lo <= pole <= hi
+
+
+def test_newton_from_left_end_takes_few_phase_evaluations(monkeypatch):
+    # the phase is concave, so Newton from each bracket's left end climbs
+    # to the zero; started at the midpoints it took ~7.5 per zero here
+    counts = []
+    newton = flow._newton_root
+
+    def counted(f, lo, hi, x):
+        counts.append(0)
+
+        def g(s):
+            counts[-1] += 1
+            return f(s)
+
+        return newton(g, lo, hi, x)
+
+    monkeypatch.setattr(flow, "_newton_root", counted)
+    rng = random.Random(0)
+    for _ in range(60):
+        a, b = rng.uniform(-400.0, -1.0), rng.uniform(-50.0, 50.0)
+        phi = rng.uniform(-math.pi / 2, math.pi / 2)
+        t_lo, t_hi = rng.uniform(-60.0, -1e-3), rng.uniform(1e-3, 60.0)
+        consts = SolutionConstants(a=a, b=b, c=0.0, c1=math.cos(phi), c2=math.sin(phi))
+        kappa_sq = (-a) ** (2.0 / 3.0)
+        find_poles(consts, -(t_lo * kappa_sq + b) / a, -(t_hi * kappa_sq + b) / a)
+    assert len(counts) > 2000
+    assert sum(counts) <= 5 * len(counts)
