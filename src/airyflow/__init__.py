@@ -27,6 +27,7 @@ from .errors import (
     GridDomainError,
     GridTooCoarseError,
     ModelInvalidError,
+    NoConvergenceError,
     NoSignChangeError,
     PoleCrossingError,
     PoleError,
@@ -45,7 +46,6 @@ from .field import (
 from .flow import (
     FlowParams,
     SolutionConstants,
-    denominator_z,
     derive_constants,
     exact_u1,
     exact_u1_derivative,
@@ -92,6 +92,7 @@ __all__ = [
     "GridTooCoarseError",
     "InitialData",
     "ModelInvalidError",
+    "NoConvergenceError",
     "NoSignChangeError",
     "PoleCrossingError",
     "PoleError",
@@ -109,7 +110,6 @@ __all__ = [
     "coefficients_from_u0",
     "continuity_bracket",
     "default_c_bracket",
-    "denominator_z",
     "derive_constants",
     "emit",
     "exact_u1",

@@ -46,17 +46,14 @@ ENDPOINT_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class InitialData:
-    """Conditions at s = 0, with an optional far-end target u1(L)."""
+    """Conditions at s = 0: u1(0) and u1'(0)."""
 
     u10: float
     u1dot0: float
-    u1L: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "u10", _require_finite("u10", self.u10))
         object.__setattr__(self, "u1dot0", _require_finite("u1dot0", self.u1dot0))
-        if self.u1L is not None:
-            object.__setattr__(self, "u1L", _require_finite("u1L", self.u1L))
 
 
 def c_from_initial(u10: float, u1dot0: float, nu: float) -> float:
@@ -96,7 +93,7 @@ def _coefficients_at(
 
 
 def solve_ivp(data: InitialData, params: FlowParams) -> SolutionConstants:
-    """Constants from u1(0) = u10 and u1'(0) = u1dot0 (u1L is ignored).
+    """Constants from u1(0) = u10 and u1'(0) = u1dot0.
 
     The result reproduces both conditions by construction; evaluation at
     the origin is performed once so a degenerate z(0) surfaces here

@@ -8,52 +8,30 @@ bvp     recover the Riccati constant by shooting on u1(L)
 field   reconstruct a sampled 2D field from a key=value config file
 verify  run the numerical oracle suite and print a pass/fail report
 
-Exit codes: 0 success, 1 domain errors (a >= 0, poles, no usable root,
-failed verification), 2 usage/config errors.  All floating-point output
-uses 17 significant digits, so identical invocations print identical
-bytes; --seed only affects the randomized cases inside `verify`.
+Each subcommand's driver reads the parsed flags directly and validates
+them before any computation.  Exit codes: 0 success, 1 domain errors
+(a >= 0, poles, no usable root, failed verification), 2 usage/config
+errors (a bad flag such as `ivp --samples` below 2, a bad or unreadable
+config file, an output path that cannot be written).  All floating-point
+output uses 17 significant digits, so identical invocations print
+identical bytes; --seed only affects the randomized cases inside `verify`.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import field as field_mod
+from .airy import airy_eval
 from .bvp import InitialData, solve_bvp, solve_ivp
 from .errors import FlowDomainError, PoleError
+from .field import _fmt
 from .flow import FlowParams, _require_finite, exact_u1, exact_u1_derivative, find_poles
-from .airy import airy_eval
 
 USAGE_EXIT = 2
 DOMAIN_EXIT = 1
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
-@dataclass
-class RunConfig:
-    """A validated invocation: mode plus whichever inputs it needs."""
-
-    mode: str
-    t: float | None = None
-    params: FlowParams | None = None
-    data: InitialData | None = None
-    u1L: float | None = None
-    c_bracket: tuple[float, float] | None = None
-    family: field_mod.StreamlineFamily | None = None
-    grid: field_mod.GridSpec | None = None
-    output: Path | None = None
-    fmt: str = "csv"
-    pressure: tuple[float, float] | None = None
-    gnuplot: Path | None = None
-    emit_path: Path | None = None
-    emit_samples: int = 101
-    seed: int = 0
 
 
 def _params_from_args(args) -> FlowParams:
@@ -119,7 +97,9 @@ def _family_from_config(entries: dict[str, str]) -> field_mod.StreamlineFamily:
     raise ValueError(f"family must be straight|sinusoidal|polynomial, got {kind!r}")
 
 
-def config_from_file(path: Path) -> RunConfig:
+def config_from_file(path: Path):
+    """(params, data, family, grid, pressure, output, format, gnuplot
+    script path or None) from a field config file."""
     entries = parse_field_config(path.read_text())
     params = FlowParams(
         nu=_require_finite("nu", float(entries["nu"])),
@@ -150,24 +130,16 @@ def config_from_file(path: Path) -> RunConfig:
             _require_finite("pressure_q0", float(entries["pressure_q0"])),
             _require_finite("pressure_qdot", float(entries["pressure_qdot"])),
         )
-    return RunConfig(
-        mode="field",
-        params=params,
-        data=data,
-        family=_family_from_config(entries),
-        grid=grid,
-        output=Path(entries["output"]),
-        fmt=fmt,
-        pressure=pressure,
-        gnuplot=Path(entries["gnuplot_script"]) if "gnuplot_script" in entries else None,
-    )
+    gnuplot = Path(entries["gnuplot_script"]) if "gnuplot_script" in entries else None
+    return (params, data, _family_from_config(entries), grid, pressure,
+            Path(entries["output"]), fmt, gnuplot)
 
 
 # ---------------------------------------------------------------------------
 # subcommand drivers
 
-def _run_airy(cfg: RunConfig) -> int:
-    q = airy_eval(cfg.t)
+def _run_airy(args) -> int:
+    q = airy_eval(_require_finite("--t", args.t))
     print(f"t        = {_fmt(q.t)}")
     print(f"Ai(t)    = {_fmt(q.ai)}")
     print(f"Bi(t)    = {_fmt(q.bi)}")
@@ -176,8 +148,12 @@ def _run_airy(cfg: RunConfig) -> int:
     return 0
 
 
-def _run_ivp(cfg: RunConfig) -> int:
-    params, data = cfg.params, cfg.data
+def _run_ivp(args) -> int:
+    params = _params_from_args(args)
+    data = InitialData(u10=_require_finite("--u10", args.u10),
+                       u1dot0=_require_finite("--u1dot0", args.u1dot0))
+    if args.samples < 2:
+        raise ValueError(f"--samples must be at least 2, got {args.samples}")
     consts = solve_ivp(data, params)
     print(f"a      = {_fmt(consts.a)}")
     print(f"b      = {_fmt(consts.b)}")
@@ -195,9 +171,9 @@ def _run_ivp(cfg: RunConfig) -> int:
         print("poles  = " + " ".join(_fmt(p) for p in poles))
     else:
         print("poles  = none")
-    if cfg.emit_path is not None:
-        _emit_profile(cfg.emit_path, params, consts, cfg.emit_samples)
-        print(f"profile written to {cfg.emit_path}")
+    if args.emit is not None:
+        _emit_profile(args.emit, params, consts, args.samples)
+        print(f"profile written to {args.emit}")
     return 0
 
 
@@ -212,9 +188,16 @@ def _emit_profile(path: Path, params: FlowParams, consts, n: int) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _run_bvp(cfg: RunConfig) -> int:
-    params = cfg.params
-    sol = solve_bvp(cfg.data.u10, cfg.u1L, params, cfg.c_bracket)
+def _run_bvp(args) -> int:
+    if (args.c_min is None) != (args.c_max is None):
+        raise ValueError("--c-min and --c-max must be given together")
+    bracket = None
+    if args.c_min is not None:
+        bracket = (_require_finite("--c-min", args.c_min),
+                   _require_finite("--c-max", args.c_max))
+    params = _params_from_args(args)
+    u10 = _require_finite("--u10", args.u10)
+    sol = solve_bvp(u10, _require_finite("--u1L", args.u1L), params, bracket)
     print(f"c       = {_fmt(sol.c)}")
     print(f"u1'(0)  = {_fmt(sol.initial_slope)}")
     print(f"residual= {_fmt(sol.endpoint_residual)}")
@@ -225,25 +208,23 @@ def _run_bvp(cfg: RunConfig) -> int:
     return 0
 
 
-def _run_field(cfg: RunConfig) -> int:
-    consts = solve_ivp(cfg.data, cfg.params)
-    sampled = field_mod.reconstruct_field(
-        cfg.family, cfg.params, consts, cfg.grid, pressure=cfg.pressure
-    )
-    blob = field_mod.emit(sampled, cfg.fmt)
-    cfg.output.write_bytes(blob)
+def _run_field(args) -> int:
+    params, data, family, grid, pressure, output, fmt, gnuplot = config_from_file(args.config)
+    consts = solve_ivp(data, params)
+    sampled = field_mod.reconstruct_field(family, params, consts, grid, pressure=pressure)
+    output.write_bytes(field_mod.emit(sampled, fmt))
     n_invalid = sum(1 for sm in sampled.samples if not sm.valid)
-    print(f"wrote {cfg.output} ({len(sampled.samples)} samples, {n_invalid} at poles)")
-    if cfg.gnuplot is not None:
-        cfg.gnuplot.write_text(field_mod.gnuplot_script(str(cfg.output)))
-        print(f"wrote {cfg.gnuplot}")
+    print(f"wrote {output} ({len(sampled.samples)} samples, {n_invalid} at poles)")
+    if gnuplot is not None:
+        gnuplot.write_text(field_mod.gnuplot_script(str(output)))
+        print(f"wrote {gnuplot}")
     return 0
 
 
-def _run_verify(cfg: RunConfig) -> int:
+def _run_verify(args) -> int:
     from .verify import run_verification  # numpy loads only for this command
 
-    report = run_verification(seed=cfg.seed)
+    report = run_verification(seed=args.seed)
     for line in report.format_lines():
         print(line)
     if report.all_passed:
@@ -264,6 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_airy = sub.add_parser("airy", help="evaluate Ai, Bi, Ai', Bi'")
     p_airy.add_argument("--t", type=float, required=True)
+    p_airy.set_defaults(run=_run_airy)
 
     def add_flow_args(p):
         p.add_argument("--nu", type=float, required=True)
@@ -277,62 +259,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_ivp.add_argument("--u1dot0", type=float, required=True)
     p_ivp.add_argument("--emit", type=Path, default=None, metavar="PATH")
     p_ivp.add_argument("--samples", type=int, default=101)
+    p_ivp.set_defaults(run=_run_ivp)
 
     p_bvp = sub.add_parser("bvp", help="shoot on c for u1(L)")
     add_flow_args(p_bvp)
     p_bvp.add_argument("--u1L", type=float, required=True)
     p_bvp.add_argument("--c-min", dest="c_min", type=float, default=None)
     p_bvp.add_argument("--c-max", dest="c_max", type=float, default=None)
+    p_bvp.set_defaults(run=_run_bvp)
 
     p_field = sub.add_parser("field", help="reconstruct and emit a sampled field")
     p_field.add_argument("--config", type=Path, required=True)
+    p_field.set_defaults(run=_run_field)
 
     p_verify = sub.add_parser("verify", help="run the oracle suite")
     p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.set_defaults(run=_run_verify)
 
     return parser
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.mode == "airy":
-        return RunConfig(mode="airy", t=_require_finite("--t", args.t))
-    if args.mode == "ivp":
-        return RunConfig(
-            mode="ivp",
-            params=_params_from_args(args),
-            data=InitialData(u10=_require_finite("--u10", args.u10),
-                             u1dot0=_require_finite("--u1dot0", args.u1dot0)),
-            emit_path=args.emit,
-            emit_samples=args.samples,
-        )
-    if args.mode == "bvp":
-        if (args.c_min is None) != (args.c_max is None):
-            raise ValueError("--c-min and --c-max must be given together")
-        bracket = None
-        if args.c_min is not None:
-            bracket = (_require_finite("--c-min", args.c_min),
-                       _require_finite("--c-max", args.c_max))
-        return RunConfig(
-            mode="bvp",
-            params=_params_from_args(args),
-            data=InitialData(u10=_require_finite("--u10", args.u10), u1dot0=0.0),
-            u1L=_require_finite("--u1L", args.u1L),
-            c_bracket=bracket,
-        )
-    if args.mode == "field":
-        return config_from_file(args.config)
-    if args.mode == "verify":
-        return RunConfig(mode="verify", seed=args.seed)
-    raise ValueError(f"unknown mode {args.mode!r}")
-
-
-_DRIVERS = {
-    "airy": _run_airy,
-    "ivp": _run_ivp,
-    "bvp": _run_bvp,
-    "field": _run_field,
-    "verify": _run_verify,
-}
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -342,16 +286,11 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
     try:
-        cfg = config_from_args(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    try:
-        return _DRIVERS[cfg.mode](cfg)
+        return args.run(args)
     except FlowDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DOMAIN_EXIT
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # bad flags or config, unreadable or unwritable files
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
 

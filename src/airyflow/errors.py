@@ -47,6 +47,11 @@ class PoleError(FlowDomainError):
         super().__init__(f"denominator vanishes near s = {s!r}{where}")
 
 
+class NoConvergenceError(FlowDomainError):
+    """The safeguarded Newton iteration ran out of iterations before its
+    step or bracket shrank to the stopping tolerance."""
+
+
 class DegenerateCoefficientsError(FlowDomainError):
     """Both coefficient brackets vanished; cannot happen for finite data
     (the Wronskian forbids it) but guarded against anyway."""

@@ -10,86 +10,32 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 from .errors import GridDomainError, PoleError
-from .flow import FlowParams, SolutionConstants, exact_u1
-
-STRAIGHT = "straight"
-SINUSOIDAL = "sinusoidal"
-POLYNOMIAL = "polynomial"
+from .flow import FlowParams, SolutionConstants, exact_u1, exact_u1_derivative
 
 
-@dataclass(frozen=True)
 class StreamlineFamily:
     """Analytic description of phi2(s; y0) = y0 + psi(s) and derivatives.
 
-    ``dg_dy`` is 0 for every translate family (g(x, y) = x); it exists as
-    an override hook for synthetic continuity checks only.
+    Each shape of psi is its own frozen subclass, made by the
+    constructors below; phi1(s) = s for every family here.
     """
 
-    kind: str
-    slope: float = 0.0
-    amplitude: float = 0.0
-    wavenumber: float = 0.0
-    coefficients: tuple[float, ...] = ()
-    dg_dy: float = 0.0
+    @staticmethod
+    def straight(slope: float) -> "StreamlineFamily":
+        return StraightFamily(float(slope))
 
-    @classmethod
-    def straight(cls, slope: float) -> "StreamlineFamily":
-        return cls(kind=STRAIGHT, slope=float(slope))
+    @staticmethod
+    def sinusoidal(amplitude: float, wavenumber: float) -> "StreamlineFamily":
+        return SinusoidalFamily(float(amplitude), float(wavenumber))
 
-    @classmethod
-    def sinusoidal(cls, amplitude: float, wavenumber: float) -> "StreamlineFamily":
-        return cls(kind=SINUSOIDAL, amplitude=float(amplitude), wavenumber=float(wavenumber))
+    @staticmethod
+    def polynomial(coefficients) -> "StreamlineFamily":
+        return PolynomialFamily(tuple(float(c) for c in coefficients))
 
-    @classmethod
-    def polynomial(cls, coefficients, dg_dy: float = 0.0) -> "StreamlineFamily":
-        return cls(
-            kind=POLYNOMIAL,
-            coefficients=tuple(float(c) for c in coefficients),
-            dg_dy=float(dg_dy),
-        )
-
-    def psi(self, s: float) -> float:
-        if self.kind == STRAIGHT:
-            return self.slope * s
-        if self.kind == SINUSOIDAL:
-            return self.amplitude * math.sin(self.wavenumber * s)
-        if self.kind == POLYNOMIAL:
-            acc = 0.0
-            for coef in reversed(self.coefficients):
-                acc = acc * s + coef
-            return acc
-        raise ValueError(f"unknown family kind {self.kind!r}")
-
-    def psi_dot(self, s: float) -> float:
-        if self.kind == STRAIGHT:
-            return self.slope
-        if self.kind == SINUSOIDAL:
-            return self.amplitude * self.wavenumber * math.cos(self.wavenumber * s)
-        if self.kind == POLYNOMIAL:
-            acc = 0.0
-            for i in range(len(self.coefficients) - 1, 0, -1):
-                acc = acc * s + i * self.coefficients[i]
-            return acc
-        raise ValueError(f"unknown family kind {self.kind!r}")
-
-    def psi_ddot(self, s: float) -> float:
-        if self.kind == STRAIGHT:
-            return 0.0
-        if self.kind == SINUSOIDAL:
-            w = self.wavenumber
-            return -self.amplitude * w * w * math.sin(w * s)
-        if self.kind == POLYNOMIAL:
-            acc = 0.0
-            for i in range(len(self.coefficients) - 1, 1, -1):
-                acc = acc * s + i * (i - 1) * self.coefficients[i]
-            return acc
-        raise ValueError(f"unknown family kind {self.kind!r}")
-
-    # phi1(s) = s for every family here
     def phi1_dot(self, s: float) -> float:
         return 1.0
 
@@ -107,6 +53,65 @@ class StreamlineFamily:
 
 
 @dataclass(frozen=True)
+class StraightFamily(StreamlineFamily):
+    """psi(s) = slope * s."""
+
+    slope: float
+
+    def psi(self, s: float) -> float:
+        return self.slope * s
+
+    def psi_dot(self, s: float) -> float:
+        return self.slope
+
+    def psi_ddot(self, s: float) -> float:
+        return 0.0
+
+
+@dataclass(frozen=True)
+class SinusoidalFamily(StreamlineFamily):
+    """psi(s) = amplitude * sin(wavenumber * s)."""
+
+    amplitude: float
+    wavenumber: float
+
+    def psi(self, s: float) -> float:
+        return self.amplitude * math.sin(self.wavenumber * s)
+
+    def psi_dot(self, s: float) -> float:
+        return self.amplitude * self.wavenumber * math.cos(self.wavenumber * s)
+
+    def psi_ddot(self, s: float) -> float:
+        w = self.wavenumber
+        return -self.amplitude * w * w * math.sin(w * s)
+
+
+@dataclass(frozen=True)
+class PolynomialFamily(StreamlineFamily):
+    """psi(s) = sum of coefficients[i] * s**i."""
+
+    coefficients: tuple[float, ...]
+
+    def psi(self, s: float) -> float:
+        acc = 0.0
+        for coef in reversed(self.coefficients):
+            acc = acc * s + coef
+        return acc
+
+    def psi_dot(self, s: float) -> float:
+        acc = 0.0
+        for i in range(len(self.coefficients) - 1, 0, -1):
+            acc = acc * s + i * self.coefficients[i]
+        return acc
+
+    def psi_ddot(self, s: float) -> float:
+        acc = 0.0
+        for i in range(len(self.coefficients) - 1, 1, -1):
+            acc = acc * s + i * (i - 1) * self.coefficients[i]
+        return acc
+
+
+@dataclass(frozen=True)
 class FlowProfile:
     """u1 and its first two derivatives along s, as callables."""
 
@@ -116,8 +121,6 @@ class FlowProfile:
 
     @classmethod
     def from_solution(cls, params: FlowParams, consts: SolutionConstants) -> "FlowProfile":
-        from .flow import exact_u1_derivative
-
         def u1(s: float) -> float:
             return exact_u1(s, params, consts)
 
@@ -172,14 +175,13 @@ class GridSpec:
 class SampledField:
     """Row-major samples (y rows, x varying fastest) over a GridSpec.
 
-    ``pressure`` mirrors the sample order when present.  The provenance
-    fields (family/profile/pressure_affine) feed the finite-difference
-    checks and are not serialized.
+    The provenance fields (family, profile, and pressure_affine, the
+    (q0, qdot) of an affine pressure p = q0 + qdot x) feed the
+    finite-difference checks and are not serialized.
     """
 
     grid: GridSpec
     samples: tuple[VelocitySample, ...]
-    pressure: tuple[float, ...] | None = None
     family: StreamlineFamily | None = None
     profile: FlowProfile | None = None
     pressure_affine: tuple[float, float] | None = None
@@ -205,7 +207,6 @@ def reconstruct_field(
             f"grid x-range [{grid.x_min!r}, {grid.x_max!r}] leaves [0, {params.length!r}]"
         )
     samples: list[VelocitySample] = []
-    pvals: list[float] = []
     for y in grid.ys():
         for x in grid.xs():
             y0 = y - family.psi(x)
@@ -217,12 +218,9 @@ def reconstruct_field(
             else:
                 u2 = family.phi2_dot(x) * u1
                 samples.append(VelocitySample(s=x, x=x, y=y, u1=u1, u2=u2))
-            if pressure is not None:
-                pvals.append(pressure[0] + pressure[1] * x)
     return SampledField(
         grid=grid,
         samples=tuple(samples),
-        pressure=tuple(pvals) if pressure is not None else None,
         family=family,
         profile=FlowProfile.from_solution(params, consts) if per_streamline is None else None,
         pressure_affine=pressure,
@@ -252,14 +250,7 @@ def emit(sampled: SampledField, fmt: str = "csv") -> bytes:
         return ("\n".join(lines) + "\n").encode("ascii")
     if fmt == "json":
         doc = {
-            "grid": {
-                "x_min": sampled.grid.x_min,
-                "x_max": sampled.grid.x_max,
-                "y_min": sampled.grid.y_min,
-                "y_max": sampled.grid.y_max,
-                "nx": sampled.grid.nx,
-                "ny": sampled.grid.ny,
-            },
+            "grid": asdict(sampled.grid),
             "samples": [
                 {
                     "s": sm.s,
@@ -287,20 +278,16 @@ def parse(blob: bytes, fmt: str = "csv") -> SampledField:
         samples = []
         for ln in lines[1:]:
             s_, x_, y_, u1_, u2_, valid_ = ln.split(",")
-            if valid_ == "true":
-                samples.append(
-                    VelocitySample(
-                        s=float(s_), x=float(x_), y=float(y_),
-                        u1=float(u1_), u2=float(u2_),
-                    )
-                )
-            elif valid_ == "false":
-                samples.append(
-                    VelocitySample(s=float(s_), x=float(x_), y=float(y_),
-                                   u1=None, u2=None, valid=False)
-                )
-            else:
+            if valid_ not in ("true", "false"):
                 raise ValueError(f"bad valid flag {valid_!r}")
+            valid = valid_ == "true"
+            samples.append(
+                VelocitySample(
+                    s=float(s_), x=float(x_), y=float(y_),
+                    u1=float(u1_) if valid else None, u2=float(u2_) if valid else None,
+                    valid=valid,
+                )
+            )
         xs = sorted({sm.x for sm in samples})
         ys = sorted({sm.y for sm in samples})
         grid = GridSpec(

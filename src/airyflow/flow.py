@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .airy import AiryQuartet, airy_eval
-from .errors import DegenerateModelError, ModelInvalidError, PoleError
+from .errors import DegenerateModelError, ModelInvalidError, NoConvergenceError, PoleError
 
 # |z| <= POLE_RTOL * scale counts as a pole, where scale is the local
 # envelope |c1|(|Ai| + |Ai'|) + |c2|(|Bi| + |Bi'|).  A relative test, so
@@ -104,10 +104,6 @@ class SolutionConstants:
             object.__setattr__(self, "c1", c1)
             object.__setattr__(self, "c2", c2)
 
-    @property
-    def has_coefficients(self) -> bool:
-        return self.c1 is not None
-
     def with_coefficients(self, c1: float, c2: float) -> "SolutionConstants":
         return SolutionConstants(a=self.a, b=self.b, c=self.c, c1=c1, c2=c2)
 
@@ -126,10 +122,9 @@ def _normalize_pair(c1: float, c2: float) -> tuple[float, float]:
     return c1, c2
 
 
-def _require_coefficients(consts: SolutionConstants) -> tuple[float, float]:
+def _require_coefficients(consts: SolutionConstants) -> None:
     if consts.c1 is None or consts.c2 is None:
         raise ValueError("SolutionConstants has no (c1, c2) yet")
-    return consts.c1, consts.c2
 
 
 def derive_constants(params: FlowParams, c: float) -> SolutionConstants:
@@ -151,13 +146,6 @@ def derive_constants(params: FlowParams, c: float) -> SolutionConstants:
 def map_t(s: float, consts: SolutionConstants) -> float:
     """Affine map from arclength s to the Airy argument t."""
     return -(consts.a * s + consts.b) / (-consts.a) ** (2.0 / 3.0)
-
-
-def denominator_z(s: float, consts: SolutionConstants) -> float:
-    """z(s) = c1*Ai(t(s)) + c2*Bi(t(s))."""
-    c1, c2 = _require_coefficients(consts)
-    q = airy_eval(map_t(s, consts))
-    return c1 * q.ai + c2 * q.bi
 
 
 def exact_u1(s: float, params: FlowParams, consts: SolutionConstants) -> float:
@@ -255,7 +243,7 @@ def _newton_root(f, lo: float, hi: float, x: float) -> float:
     Newton steps from x, bisecting whenever one leaves the closed sign
     bracket, until a step or the bracket falls to 1e-14*(1 + |x|).  A
     step that rounds to x itself, where f is down to its rounding noise,
-    ends at x."""
+    ends at x.  Raises NoConvergenceError after 200 iterations."""
     for _ in range(200):
         r, slope = f(x)
         if r == 0.0:
@@ -267,7 +255,9 @@ def _newton_root(f, lo: float, hi: float, x: float) -> float:
         if min(abs(nxt - x), hi - lo) <= 1e-14 * (1.0 + abs(nxt)):
             return nxt
         x = nxt
-    return x
+    raise NoConvergenceError(
+        f"Newton iteration on [{lo!r}, {hi!r}] did not converge (last iterate {x!r})"
+    )
 
 
 def has_interior_pole(consts: SolutionConstants, s_lo: float, s_hi: float) -> bool:
@@ -311,14 +301,18 @@ def find_poles(consts: SolutionConstants, s_lo: float, s_hi: float) -> list[floa
     return poles
 
 
-def _nearest_pole(consts: SolutionConstants, s: float) -> float:
+def _nearest_pole(consts: SolutionConstants, s: float) -> float | None:
     """The zero at the half-turn nearest the phase at s, searched within
     the distance over which the phase moves a quarter turn at its rate
-    at s (s itself where that rate underflows)."""
+    at s (s itself where that rate underflows); None when the search
+    does not converge."""
     delta = _phase(consts, airy_eval(map_t(s, consts)))
     f = _zero_residual(consts, round(delta / math.pi - 0.5))
     half_width = 0.5 * math.pi / f(s)[1]
     if not math.isfinite(half_width):
         return s
     lo, hi = s - half_width, s + half_width
-    return _newton_root(f, lo, hi, 0.5 * (lo + hi))
+    try:
+        return _newton_root(f, lo, hi, 0.5 * (lo + hi))
+    except NoConvergenceError:
+        return None

@@ -221,19 +221,19 @@ def check_prop2_prop3(field, h: float) -> tuple[float, float]:
     return worst_v1, worst_p
 
 
-def continuity_bracket(family, y0: float, s: float) -> float:
+def continuity_bracket(family, y0: float, s: float, dg_dy: float = 0.0) -> float:
     """Coefficient [phi2'' - (phi2'/phi1') phi1''] * dg/dy of the
     incompressible continuity equation written in u1 alone.
 
-    Vanishes identically for the translate families (dg/dy = 0),
-    reproducing the classical constant-velocity result for rectilinear
-    incompressible flow.
+    Vanishes identically for the translate families, whose inverse map
+    g(x, y) = x gives the default dg/dy = 0, reproducing the classical
+    constant-velocity result for rectilinear incompressible flow.
     """
     phi1_dot = family.phi1_dot(s)
     if phi1_dot == 0.0:
         raise ValueError(f"phi1'(s) must be nonzero, got 0 at s = {s!r}")
     bracket = family.phi2_ddot(s) - family.phi2_dot(s) / phi1_dot * family.phi1_ddot(s)
-    return bracket * family.dg_dy
+    return bracket * dg_dy
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +295,25 @@ class VerificationReport:
         return [c.format_line() for c in self.checks]
 
 
-def _fd_riccati_residual(params, consts, n_samples: int = 48, h: float = 1e-5) -> float:
+# ---------------------------------------------------------------------------
+# Checks shared by run_verification and the acceptance tests.  Each
+# returns its worst residual; the callers own the cases and tolerances.
+
+def check_wronskian() -> float:
+    """Max |Ai Bi' - Ai' Bi - 1/pi| for t = -50, -49.75, ..., 50."""
+    worst = 0.0
+    t = -50.0
+    inv_pi = 1.0 / math.pi
+    while t <= 50.0:
+        q = airy_eval(t)
+        worst = max(worst, abs(q.ai * q.bi_prime - q.ai_prime * q.bi - inv_pi))
+        t += 0.25
+    return worst
+
+
+def check_fd_riccati(params, consts, n_samples: int = 48, h: float = 1e-5) -> float:
+    """Max |central difference of u1 - Riccati right side| at
+    s = k L/n_samples, k = 1 .. n_samples - 1."""
     worst = 0.0
     length = params.length
     for k in range(1, n_samples):
@@ -309,7 +327,9 @@ def _fd_riccati_residual(params, consts, n_samples: int = 48, h: float = 1e-5) -
     return worst
 
 
-def _fd_second_order_residual(params, consts, n_samples: int = 48, h: float = 1e-4) -> float:
+def check_fd_second_order(params, consts, n_samples: int = 48, h: float = 1e-4) -> float:
+    """Max |u1 u1' - f1 + grad_term - nu u1''| by central differences at
+    s = k L/n_samples, k = 2 .. n_samples - 2."""
     worst = 0.0
     length = params.length
     for k in range(2, n_samples - 1):
@@ -325,6 +345,51 @@ def _fd_second_order_residual(params, consts, n_samples: int = 48, h: float = 1e
     return worst
 
 
+def check_rk4_closed_form(params, data, consts, step: float, stride: int = 1) -> float:
+    """Max |RK4 Riccati trajectory - closed form| over every stride-th
+    sample of a run over [0, L] at the given step."""
+    traj = integrate_riccati(params, consts.c, data.u10, params.length, step)
+    exact = np.array([exact_u1(float(s), params, consts) for s in traj.s[::stride]])
+    return float(np.max(np.abs(traj.u1[::stride] - exact)))
+
+
+def check_ode_forms(params, data, consts, step: float) -> float:
+    """Max gap between the RK4 trajectories of the Riccati and the
+    second-order form, linked by c = nu*u1dot0 - u10**2/2, over their
+    common samples."""
+    t1 = integrate_riccati(params, consts.c, data.u10, params.length, step)
+    t2 = integrate_second_order(params, data.u10, data.u1dot0, params.length, step)
+    n = min(len(t1), len(t2))
+    return float(np.max(np.abs(t1.u1[:n] - t2.u1[:n])))
+
+
+def check_pole_truncation(params, consts, s_end: float, step: float) -> float:
+    """Max distance by which each pole in (0, s_end] precedes the blow-up
+    of an RK4 run started at 0, or midway after the previous pole; inf
+    when there is no pole or a run does not blow up after its pole.
+    """
+    poles = find_poles(consts, 0.0, s_end)
+    worst = 0.0 if poles else math.inf
+    starts = [0.0] + [0.5 * (a + b) for a, b in zip(poles, poles[1:])]
+    for s_start, pole in zip(starts, poles):
+        # restarting at s_start shifts the integrator clock: fold gap*s_start into c
+        c = consts.c + params.forcing_gap * s_start
+        u_start = exact_u1(s_start, params, consts)
+        traj = integrate_riccati(params, c, u_start, s_end - s_start, step)
+        gap = s_start + traj.truncation_location - pole if traj.truncated_at_pole else math.inf
+        worst = max(worst, gap if gap >= 0.0 else math.inf)
+    return worst
+
+
+def check_emit_roundtrip(sampled) -> bool:
+    """True when emit -> parse -> emit is byte-identical in CSV and JSON."""
+    for fmt in ("csv", "json"):
+        blob = field_mod.emit(sampled, fmt)
+        if field_mod.emit(field_mod.parse(blob, fmt), fmt) != blob:
+            return False
+    return True
+
+
 def run_verification(seed: int = 0) -> VerificationReport:
     """Full oracle suite: Airy identities, RK4 comparisons against the
     closed form, equivalence of the two ODE forms, kinematic identity
@@ -332,15 +397,7 @@ def run_verification(seed: int = 0) -> VerificationReport:
     rng = random.Random(seed)
     checks: list[CheckResult] = []
 
-    # Wronskian Ai Bi' - Ai' Bi = 1/pi over a wide sweep
-    worst = 0.0
-    t = -50.0
-    inv_pi = 1.0 / math.pi
-    while t <= 50.0:
-        q = airy_eval(t)
-        worst = max(worst, abs(q.ai * q.bi_prime - q.ai_prime * q.bi - inv_pi))
-        t += 0.25
-    checks.append(CheckResult("airy_wronskian_sweep", worst, 1e-10))
+    checks.append(CheckResult("airy_wronskian_sweep", check_wronskian(), 1e-10))
 
     # the evaluated quartets satisfy the defining equation; arguments
     # stay where the values are O(1) since the truncation term carries
@@ -369,46 +426,29 @@ def run_verification(seed: int = 0) -> VerificationReport:
     checks.append(
         CheckResult(
             "riccati_residual_fd",
-            max(_fd_riccati_residual(p, k) for p, _, k in cases),
+            max(check_fd_riccati(p, k) for p, _, k in cases),
             1e-6,
         )
     )
     checks.append(
         CheckResult(
             "second_order_residual_fd",
-            max(_fd_second_order_residual(p, k) for p, _, k in cases),
+            max(check_fd_second_order(p, k) for p, _, k in cases),
             1e-4,
         )
     )
 
     # RK4 against the closed form at every 0.002 in s; at step 1e-4 the
     # gap is already rounding (~1e-14), so a finer step buys nothing
-    worst = 0.0
-    for params, data, consts in cases[:3]:
-        traj = integrate_riccati(params, consts.c, data.u10, params.length, 1e-4)
-        exact = np.array([exact_u1(float(s), params, consts) for s in traj.s[::20]])
-        worst = max(worst, float(np.max(np.abs(traj.u1[::20] - exact))))
+    worst = max(check_rk4_closed_form(*case, 1e-4, 20) for case in cases[:3])
     checks.append(CheckResult("rk4_vs_closed_form", worst, 1e-9))
 
     # observed RK4 order from a step-halving pair; steps large enough
     # that truncation dominates the closed-form evaluation noise
-    params, data, consts = cases[0]
-
-    def rk_err(step: float) -> float:
-        traj = integrate_riccati(params, consts.c, data.u10, params.length, step)
-        exact = np.array([exact_u1(float(s), params, consts) for s in traj.s])
-        return float(np.max(np.abs(traj.u1 - exact)))
-
-    ratio = rk_err(8e-3) / rk_err(4e-3)
+    ratio = check_rk4_closed_form(*cases[0], 8e-3) / check_rk4_closed_form(*cases[0], 4e-3)
     checks.append(CheckResult("rk4_order", abs(math.log2(ratio) - 4.0), 0.32))
 
-    # the two ODE forms agree when linked by c = nu*u1dot0 - u10^2/2
-    worst = 0.0
-    for params, data, consts in cases[:3]:
-        t1 = integrate_riccati(params, consts.c, data.u10, params.length, 1e-4)
-        t2 = integrate_second_order(params, data.u10, data.u1dot0, params.length, 1e-4)
-        n = min(len(t1), len(t2))
-        worst = max(worst, float(np.max(np.abs(t1.u1[:n] - t2.u1[:n]))))
+    worst = max(check_ode_forms(*case, 1e-4) for case in cases[:3])
     checks.append(CheckResult("riccati_vs_second_order", worst, 1e-8))
 
     # kinematic identities on a sinusoidal family with the exact profile
@@ -451,11 +491,11 @@ def run_verification(seed: int = 0) -> VerificationReport:
         for s in (0.0, 0.4, 1.3)
     )
     checks.append(CheckResult("continuity_straight_family", worst, 0.0))
-    poly = field_mod.StreamlineFamily.polynomial((0.0, 0.0, 1.0), dg_dy=1.0)
+    poly = field_mod.StreamlineFamily.polynomial((0.0, 0.0, 1.0))
     checks.append(
         CheckResult(
             "continuity_synthetic_family",
-            abs(continuity_bracket(poly, 0.0, 1.0) - 2.0),
+            abs(continuity_bracket(poly, 0.0, 1.0, dg_dy=1.0) - 2.0),
             0.0,
         )
     )
@@ -465,17 +505,8 @@ def run_verification(seed: int = 0) -> VerificationReport:
     # nu = 1 corresponds to c = 8
     pole_consts = SolutionConstants(a=-1.0, b=4.0, c=8.0, c1=1.0, c2=0.0)
     pole_params = FlowParams(nu=1.0, grad_term=-2.0, f1=0.0, length=2.0)
-    poles = find_poles(pole_consts, 0.0, 2.0)
-    step = 1e-4
-    traj = integrate_riccati(
-        pole_params, 8.0, exact_u1(0.0, pole_params, pole_consts), 2.0, step
-    )
-    if poles and traj.truncated_at_pole:
-        gap = traj.truncation_location - poles[0]
-        residual = abs(gap) if gap >= 0.0 else math.inf
-    else:
-        residual = math.inf
-    checks.append(CheckResult("pole_vs_rk4_truncation", residual, 10 * step))
+    residual = check_pole_truncation(pole_params, pole_consts, 2.0, 1e-4)
+    checks.append(CheckResult("pole_vs_rk4_truncation", residual, 10 * 1e-4))
 
     # solver round-trips
     worst = 0.0
@@ -507,11 +538,7 @@ def run_verification(seed: int = 0) -> VerificationReport:
     small = field_mod.reconstruct_field(
         field_mod.StreamlineFamily.straight(0.3), params, consts, small_grid
     )
-    ok = True
-    for fmt in ("csv", "json"):
-        blob = field_mod.emit(small, fmt)
-        again = field_mod.emit(field_mod.parse(blob, fmt), fmt)
-        ok = ok and blob == again
+    ok = check_emit_roundtrip(small)
     checks.append(CheckResult("serialization_roundtrip", 0.0 if ok else 1.0, 0.0))
 
     return VerificationReport(checks=tuple(checks))

@@ -11,7 +11,6 @@ import random
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from airyflow import (
@@ -24,21 +23,25 @@ from airyflow import (
     check_prop1,
     check_prop2_prop3,
     continuity_bracket,
-    emit,
     exact_u1,
     find_poles,
-    integrate_riccati,
-    integrate_second_order,
-    parse,
     random_flow_case,
     reconstruct_field,
     solve_bvp,
     solve_ivp,
 )
 from airyflow.bvp import InitialData
+from airyflow.verify import (
+    check_emit_roundtrip,
+    check_fd_riccati,
+    check_fd_second_order,
+    check_ode_forms,
+    check_pole_truncation,
+    check_rk4_closed_form,
+    check_wronskian,
+)
 
 HERE = Path(__file__).parent
-INV_PI = 0.31830988618379067154
 
 
 def _report(name: str, runtime: float, budget: float, detail: str) -> None:
@@ -69,12 +72,7 @@ def test_criterion_1_airy_correctness():
     assert len(points) == 1000
     assert worst <= 1e-10
 
-    worst_w = 0.0
-    t = -50.0
-    while t <= 50.0:
-        q = airy_eval(t)
-        worst_w = max(worst_w, abs(q.ai * q.bi_prime - q.ai_prime * q.bi - INV_PI))
-        t += 0.25
+    worst_w = check_wronskian()
     assert worst_w <= 1e-10
 
     elapsed = time.perf_counter() - start
@@ -90,30 +88,9 @@ def test_criterion_2_closed_form_validity():
     rng = random.Random(20260809)
     start = time.perf_counter()
     cases = [random_flow_case(rng) for _ in range(50)]
-    worst_ric = 0.0
-    worst_second = 0.0
-    h1, h2 = 1e-5, 1e-4
-    for params, _, consts in cases:
-        length = params.length
-        for i in range(1, 24):
-            s = i * length / 24
-            um1 = exact_u1(s - h1, params, consts)
-            up1 = exact_u1(s + h1, params, consts)
-            u0 = exact_u1(s, params, consts)
-            fd = (up1 - um1) / (2 * h1)
-            rhs = u0 * u0 / (2 * params.nu) + (
-                params.forcing_gap * s + consts.c
-            ) / params.nu
-            worst_ric = max(worst_ric, abs(fd - rhs))
-
-            um2 = exact_u1(s - h2, params, consts)
-            up2 = exact_u1(s + h2, params, consts)
-            du = (up2 - um2) / (2 * h2)
-            ddu = (up2 - 2 * u0 + um2) / (h2 * h2)
-            worst_second = max(
-                worst_second,
-                abs(u0 * du - params.f1 + params.grad_term - params.nu * ddu),
-            )
+    # the 48-sample grids hold every point of the former s = i L/24 grid
+    worst_ric = max(check_fd_riccati(params, consts) for params, _, consts in cases)
+    worst_second = max(check_fd_second_order(params, consts) for params, _, consts in cases)
     assert worst_ric <= 1e-6
     assert worst_second <= 1e-4
     elapsed = time.perf_counter() - start
@@ -130,28 +107,13 @@ def test_criterion_3_oracle_equivalence():
     start = time.perf_counter()
     cases = [random_flow_case(rng) for _ in range(4)]
 
-    worst_exact = 0.0
-    for params, data, consts in cases:
-        traj = integrate_riccati(params, consts.c, data.u10, params.length, 1e-5)
-        idx = np.arange(0, len(traj.s), 250)
-        exact = np.array([exact_u1(float(traj.s[i]), params, consts) for i in idx])
-        worst_exact = max(worst_exact, float(np.max(np.abs(traj.u1[idx] - exact))))
+    worst_exact = max(check_rk4_closed_form(*case, 1e-5, 250) for case in cases)
     assert worst_exact <= 1e-9
 
-    worst_forms = 0.0
-    for params, data, consts in cases:
-        t1 = integrate_riccati(params, consts.c, data.u10, params.length, 1e-4)
-        t2 = integrate_second_order(params, data.u10, data.u1dot0, params.length, 1e-4)
-        n = min(len(t1), len(t2))
-        worst_forms = max(worst_forms, float(np.max(np.abs(t1.u1[:n] - t2.u1[:n]))))
+    worst_forms = max(check_ode_forms(*case, 1e-4) for case in cases)
     assert worst_forms <= 1e-8
 
-    params, data, consts = cases[0]
-    errs = []
-    for step in (8e-3, 4e-3, 2e-3):
-        traj = integrate_riccati(params, consts.c, data.u10, params.length, step)
-        exact = np.array([exact_u1(float(s), params, consts) for s in traj.s])
-        errs.append(float(np.max(np.abs(traj.u1 - exact))))
+    errs = [check_rk4_closed_form(*cases[0], step) for step in (8e-3, 4e-3, 2e-3)]
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     for order in orders:
         assert abs(order - 4.0) <= 0.3
@@ -241,18 +203,9 @@ def test_criterion_6_pole_handling():
     assert len(poles) == 3
 
     # each pole sits just before the blow-up truncation of an RK4 run
-    # started midway between the previous pole and it; restarting at
-    # s_start shifts the integrator clock, so fold gap*s_start into c
+    # started midway between the previous pole and it
     step = 1e-4
-    starts = [0.0] + [0.5 * (a + b) for a, b in zip(poles, poles[1:])]
-    for s_start, pole in zip(starts, poles):
-        c_shifted = consts.c + params.forcing_gap * s_start
-        traj = integrate_riccati(
-            params, c_shifted, exact_u1(s_start, params, consts), 6.0 - s_start, step
-        )
-        assert traj.truncated_at_pole
-        trunc = s_start + traj.truncation_location
-        assert 0.0 <= trunc - pole <= 10 * step
+    assert check_pole_truncation(params, consts, 6.0, step) <= 10 * step
 
     # a pole error in a neighborhood of each pole
     for pole in poles:
@@ -292,10 +245,7 @@ def test_criterion_7_serialization():
     n_invalid = sum(1 for sm in sampled.samples if not sm.valid)
     assert n_invalid == 50  # the pole column, every row
 
-    for fmt in ("csv", "json"):
-        blob = emit(sampled, fmt)
-        blob2 = emit(parse(blob, fmt), fmt)
-        assert blob == blob2, f"{fmt} round-trip not byte-identical"
+    assert check_emit_roundtrip(sampled), "round-trip not byte-identical"
 
     elapsed = time.perf_counter() - start
     assert elapsed < budget

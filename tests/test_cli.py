@@ -83,6 +83,19 @@ class TestIvp:
         code, _, _ = invoke(capsys, "ivp", "--nu", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("samples", ["1", "0", "-3"])
+    def test_samples_below_two_rejected(self, capsys, tmp_path, samples):
+        out_path = tmp_path / "profile.csv"
+        code, out, err = invoke(capsys, *self.ARGS, "--emit", str(out_path), "--samples", samples)
+        assert code == 2
+        assert err.startswith("error:") and "--samples" in err
+        assert out == "" and not out_path.exists()
+
+    def test_unwritable_emit_path(self, capsys, tmp_path):
+        code, _, err = invoke(capsys, *self.ARGS, "--emit", str(tmp_path / "no" / "p.csv"))
+        assert code == 2
+        assert err.startswith("error:")
+
 
 class TestBvp:
     def test_roundtrip_via_cli(self, capsys):
@@ -185,6 +198,22 @@ class TestField:
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "field", "--config", str(tmp_path / "nope.cfg"))
         assert code == 2
+
+    def test_unwritable_output(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FIELD_CONFIG.format(output=tmp_path / "no" / "field.csv", fmt="csv"))
+        code, _, err = invoke(capsys, "field", "--config", str(cfg))
+        assert code == 2
+        assert err.startswith("error:")
+
+    def test_unwritable_gnuplot_script(self, capsys, tmp_path):
+        cfg, out_file = self.write_config(
+            tmp_path, extra=f"gnuplot_script = {tmp_path / 'no' / 'plot.gp'}\n"
+        )
+        code, _, err = invoke(capsys, "field", "--config", str(cfg))
+        assert code == 2
+        assert err.startswith("error:")
+        assert out_file.exists()  # the field itself was written first
 
 
 class TestVerify:

@@ -11,7 +11,7 @@ from airyflow import (
     ModelInvalidError,
     PoleError,
     SolutionConstants,
-    denominator_z,
+    airy_eval,
     derive_constants,
     exact_u1,
     exact_u1_derivative,
@@ -22,6 +22,7 @@ from airyflow import (
 )
 from airyflow import flow
 from airyflow.bvp import InitialData
+from airyflow.errors import FlowDomainError, NoConvergenceError
 
 # frozen from the arbitrary-precision oracle
 AI_0 = 0.35502805388781723926
@@ -107,24 +108,34 @@ class TestMapT:
         assert map_t(s, k) == pytest.approx(expected, rel=1e-14)
 
 
+def z_at(s, k):
+    """The denominator z(s) = c1 Ai(t(s)) + c2 Bi(t(s)), from airy_eval."""
+    q = airy_eval(map_t(s, k))
+    return k.c1 * q.ai + k.c2 * q.bi
+
+
 class TestDenominator:
     def test_pure_ai(self):
         k = SolutionConstants(a=-1.0, b=0.0, c=0.0, c1=1.0, c2=0.0)
-        assert denominator_z(0.0, k) == pytest.approx(AI_0, rel=1e-12)
+        assert z_at(0.0, k) == pytest.approx(AI_0, rel=1e-12)
 
     def test_pure_bi(self):
         # t(s) = s when a = -1, b = 0, so z(1) equals Bi(1)
         k = SolutionConstants(a=-1.0, b=0.0, c=0.0, c1=0.0, c2=1.0)
-        assert denominator_z(1.0, k) == pytest.approx(BI_1, rel=1e-12)
+        assert z_at(1.0, k) == pytest.approx(BI_1, rel=1e-12)
 
     def test_equal_combination(self):
         r = 1.0 / math.sqrt(2.0)
         k = SolutionConstants(a=-1.0, b=0.0, c=0.0, c1=r, c2=r)
-        assert denominator_z(0.0, k) == pytest.approx(COMBO_0, rel=1e-12)
+        assert z_at(0.0, k) == pytest.approx(COMBO_0, rel=1e-12)
 
     def test_requires_coefficients(self):
+        # everything that evaluates z needs (c1, c2)
+        partial = SolutionConstants(a=-1.0, b=0.0, c=0.0)
         with pytest.raises(ValueError):
-            denominator_z(0.0, SolutionConstants(a=-1.0, b=0.0, c=0.0))
+            exact_u1(0.0, make_params(), partial)
+        with pytest.raises(ValueError):
+            find_poles(partial, 0.0, 1.0)
 
 
 class TestExactU1:
@@ -302,3 +313,23 @@ class TestNewtonRoot:
         assert poles[4] == pytest.approx(0.93144826987591589, rel=1e-14)
         assert max(counts) <= 6
         assert sum(counts) <= 25
+
+    def test_unconverged_far_zero_raises(self):
+        # the one zero of z at t = 50, where the phase is flat to rounding:
+        # Newton creeps from the bracket's midpoint and used to return its
+        # 200th iterate, 45.83, as the pole
+        q = airy_eval(50.0)
+        k = SolutionConstants(a=-1.0, b=0.0, c=0.0, c1=1.0, c2=-q.ai / q.bi)
+        with pytest.raises(NoConvergenceError):
+            find_poles(k, -1.0, 60.0)
+        assert issubclass(NoConvergenceError, FlowDomainError)  # CLI exit 1
+
+    def test_pole_error_without_converged_nearest_pole(self, monkeypatch):
+        def stuck(f, lo, hi, x):
+            raise NoConvergenceError("stuck")
+
+        monkeypatch.setattr(flow, "_newton_root", stuck)
+        k = SolutionConstants(a=-1.0, b=0.0, c=0.0, c1=1.0, c2=0.0)
+        with pytest.raises(PoleError) as err:
+            exact_u1(FIRST_AI_ZERO, make_params(), k)
+        assert err.value.nearest_pole is None

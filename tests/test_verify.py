@@ -25,6 +25,7 @@ from airyflow import (
     solve_ivp,
 )
 from airyflow.bvp import InitialData
+from airyflow import verify
 from airyflow.field import FlowProfile, SampledField
 from airyflow.verify import BLOWUP_LIMIT, _grid
 from oracles import _reference_grid, reference_riccati, reference_second_order
@@ -322,8 +323,30 @@ class TestContinuityBracket:
             assert continuity_bracket(fam, 1.0, s) == 0.0
 
     def test_synthetic_family(self):
-        fam = StreamlineFamily.polynomial((0.0, 0.0, 1.0), dg_dy=1.0)
-        assert continuity_bracket(fam, 0.0, 1.0) == 2.0
+        fam = StreamlineFamily.polynomial((0.0, 0.0, 1.0))
+        assert continuity_bracket(fam, 0.0, 1.0, dg_dy=1.0) == 2.0
+
+
+class TestSharedChecks:
+    def test_perturbed_solution_fails_each_check(self, monkeypatch):
+        # the tolerances are run_verification's; a check that returned 0
+        # regardless of its input would pass the clean case and fail here
+        params, data, consts = random_flow_case(random.Random(0))
+        checks = {
+            "fd_riccati": (lambda d: verify.check_fd_riccati(params, consts), 1e-6),
+            "fd_second_order": (lambda d: verify.check_fd_second_order(params, consts), 1e-4),
+            "rk4": (lambda d: verify.check_rk4_closed_form(params, d, consts, 1e-4, 20), 1e-9),
+            "ode_forms": (lambda d: verify.check_ode_forms(params, d, consts, 1e-4), 1e-8),
+        }
+        for name, (check, tol) in checks.items():
+            assert check(data) <= tol, name
+        exact = verify.exact_u1
+        monkeypatch.setattr(verify, "exact_u1", lambda s, p, k: exact(s, p, k) * (1.0 + 1e-4))
+        # u1'(0) off by 1e-6 breaks the link c = nu u1'(0) - u1(0)**2/2
+        # between the two forms, which do not read the closed form
+        off = InitialData(u10=data.u10, u1dot0=data.u1dot0 + 1e-6)
+        for name, (check, tol) in checks.items():
+            assert check(off if name == "ode_forms" else data) > tol, name
 
 
 class TestVerificationReport:
