@@ -9,7 +9,7 @@ with independent numerical oracles (RK4 integration, finite
 differences).
 """
 
-from .airy import AiryQuartet, airy_eval, airy_ode_residual
+from .airy import AiryQuartet, airy_eval
 from .bvp import (
     BvpSolution,
     InitialData,
@@ -103,7 +103,6 @@ __all__ = [
     "VelocitySample",
     "VerificationReport",
     "airy_eval",
-    "airy_ode_residual",
     "c_from_initial",
     "check_prop1",
     "check_prop2_prop3",

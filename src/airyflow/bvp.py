@@ -100,11 +100,18 @@ def solve_ivp(data: InitialData, params: FlowParams) -> SolutionConstants:
     rather than later.
     """
     c = c_from_initial(data.u10, data.u1dot0, params.nu)
-    partial = derive_constants(params, c)
-    q0 = airy_eval(map_t(0.0, partial))
-    consts = partial.with_coefficients(*_coefficients_at(data.u10, params, partial, q0))
+    consts, q0 = _constants_from_u0(params, c, data.u10)
     _u1_at(0.0, params, consts, q0)  # raises PoleError on a degenerate origin
     return consts
+
+
+def _constants_from_u0(
+    params: FlowParams, c: float, u10: float
+) -> tuple[SolutionConstants, AiryQuartet]:
+    """Constants for c with u1(0) = u10, and the quartet at t(0)."""
+    partial = derive_constants(params, c)
+    q0 = airy_eval(map_t(0.0, partial))
+    return partial.with_coefficients(*_coefficients_at(u10, params, partial, q0)), q0
 
 
 @dataclass(frozen=True)
@@ -155,9 +162,7 @@ def solve_bvp(
 
     def shot(c: float) -> tuple[SolutionConstants, AiryQuartet, AiryQuartet]:
         """Constants for c with u1(0) = u10, and the quartets at t(0), t(L)."""
-        partial = derive_constants(params, c)
-        q0 = airy_eval(map_t(0.0, partial))
-        consts = partial.with_coefficients(*_coefficients_at(u10, params, partial, q0))
+        consts, q0 = _constants_from_u0(params, c, u10)
         return consts, q0, airy_eval(map_t(length, consts))
 
     def residual(consts, q0, qL) -> float | None:
@@ -202,7 +207,7 @@ def solve_bvp(
                 roots=(c,),
                 excluded_candidates=SCAN_POINTS - k,
             )
-    raise NoSignChangeError(residual(*shot(candidate(0))), residual(*shot(candidate(k - 1))))
+    raise NoSignChangeError(residual(*shot(candidate(0))), r_last)
 
 
 def _residual_and_slope(

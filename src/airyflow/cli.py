@@ -80,59 +80,50 @@ def parse_field_config(text: str) -> dict[str, str]:
     return entries
 
 
-def _family_from_config(entries: dict[str, str]) -> field_mod.StreamlineFamily:
-    kind = entries["family"]
-    if kind == "straight":
-        slope = _require_finite("slope", float(entries["slope"]))
-        return field_mod.StreamlineFamily.straight(slope)
-    if kind == "sinusoidal":
-        return field_mod.StreamlineFamily.sinusoidal(
-            _require_finite("amplitude", float(entries["amplitude"])),
-            _require_finite("wavenumber", float(entries["wavenumber"])),
-        )
-    if kind == "polynomial":
-        coeffs = [_require_finite("coeffs", float(tok))
-                  for tok in entries["coeffs"].split(",")]
-        return field_mod.StreamlineFamily.polynomial(coeffs)
-    raise ValueError(f"family must be straight|sinusoidal|polynomial, got {kind!r}")
-
-
 def config_from_file(path: Path):
     """(params, data, family, grid, pressure, output, format, gnuplot
     script path or None) from a field config file."""
     entries = parse_field_config(path.read_text())
-    params = FlowParams(
-        nu=_require_finite("nu", float(entries["nu"])),
-        grad_term=_require_finite("grad_term", float(entries["grad_term"])),
-        f1=_require_finite("f1", float(entries["f1"])),
-        length=_require_finite("length", float(entries["length"])),
-    )
-    data = InitialData(
-        u10=_require_finite("u10", float(entries["u10"])),
-        u1dot0=_require_finite("u1dot0", float(entries["u1dot0"])),
-    )
+
+    def text(key: str) -> str:
+        # parse_field_config checks only the required keys, not the family's
+        if key not in entries:
+            raise ValueError(f"missing key {key!r}")
+        return entries[key]
+
+    def num(key: str) -> float:
+        return _require_finite(key, float(text(key)))
+
+    params = FlowParams(nu=num("nu"), grad_term=num("grad_term"), f1=num("f1"),
+                        length=num("length"))
+    data = InitialData(u10=num("u10"), u1dot0=num("u1dot0"))
     grid = field_mod.GridSpec(
-        x_min=_require_finite("x_min", float(entries["x_min"])),
-        x_max=_require_finite("x_max", float(entries["x_max"])),
-        y_min=_require_finite("y_min", float(entries["y_min"])),
-        y_max=_require_finite("y_max", float(entries["y_max"])),
+        x_min=num("x_min"),
+        x_max=num("x_max"),
+        y_min=num("y_min"),
+        y_max=num("y_max"),
         nx=int(entries["nx"]),
         ny=int(entries["ny"]),
     )
     fmt = entries["format"]
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {fmt!r}")
-    pressure = None
     if ("pressure_q0" in entries) != ("pressure_qdot" in entries):
         raise ValueError("pressure_q0 and pressure_qdot must be given together")
-    if "pressure_q0" in entries:
-        pressure = (
-            _require_finite("pressure_q0", float(entries["pressure_q0"])),
-            _require_finite("pressure_qdot", float(entries["pressure_qdot"])),
-        )
+    pressure = (num("pressure_q0"), num("pressure_qdot")) if "pressure_q0" in entries else None
     gnuplot = Path(entries["gnuplot_script"]) if "gnuplot_script" in entries else None
-    return (params, data, _family_from_config(entries), grid, pressure,
-            Path(entries["output"]), fmt, gnuplot)
+    kind = entries["family"]
+    if kind == "straight":
+        family = field_mod.StreamlineFamily.straight(num("slope"))
+    elif kind == "sinusoidal":
+        family = field_mod.StreamlineFamily.sinusoidal(num("amplitude"), num("wavenumber"))
+    elif kind == "polynomial":
+        family = field_mod.StreamlineFamily.polynomial(
+            [_require_finite("coeffs", float(tok)) for tok in text("coeffs").split(",")]
+        )
+    else:
+        raise ValueError(f"family must be straight|sinusoidal|polynomial, got {kind!r}")
+    return params, data, family, grid, pressure, Path(entries["output"]), fmt, gnuplot
 
 
 # ---------------------------------------------------------------------------

@@ -249,20 +249,9 @@ def emit(sampled: SampledField, fmt: str = "csv") -> bytes:
                 lines.append(f"{_fmt(sm.s)},{_fmt(sm.x)},{_fmt(sm.y)},,,false")
         return ("\n".join(lines) + "\n").encode("ascii")
     if fmt == "json":
-        doc = {
-            "grid": asdict(sampled.grid),
-            "samples": [
-                {
-                    "s": sm.s,
-                    "x": sm.x,
-                    "y": sm.y,
-                    "u1": sm.u1,
-                    "u2": sm.u2,
-                    "valid": sm.valid,
-                }
-                for sm in sampled.samples
-            ],
-        }
+        # vars() lists a sample's fields in declaration order, as asdict()
+        # does, without asdict's recursive copy
+        doc = {"grid": asdict(sampled.grid), "samples": [vars(sm) for sm in sampled.samples]}
         return (json.dumps(doc, separators=(",", ":")) + "\n").encode("ascii")
     raise ValueError(f"unknown format {fmt!r}")
 
@@ -299,19 +288,8 @@ def parse(blob: bytes, fmt: str = "csv") -> SampledField:
         return SampledField(grid=grid, samples=tuple(samples))
     if fmt == "json":
         doc = json.loads(text)
-        g = doc["grid"]
-        grid = GridSpec(
-            x_min=g["x_min"], x_max=g["x_max"], y_min=g["y_min"], y_max=g["y_max"],
-            nx=g["nx"], ny=g["ny"],
-        )
-        samples = tuple(
-            VelocitySample(
-                s=sm["s"], x=sm["x"], y=sm["y"], u1=sm["u1"], u2=sm["u2"],
-                valid=sm["valid"],
-            )
-            for sm in doc["samples"]
-        )
-        return SampledField(grid=grid, samples=samples)
+        samples = tuple(VelocitySample(**sm) for sm in doc["samples"])
+        return SampledField(grid=GridSpec(**doc["grid"]), samples=samples)
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -325,6 +303,7 @@ plot '{csv}' every ::1 using 2:3:($4*{scale}):($5*{scale}) with vectors head fil
 """
 
 
-def gnuplot_script(csv_path: str, scale: float = 0.05) -> str:
-    """A small gnuplot script that renders the emitted CSV as vectors."""
-    return GNUPLOT_TEMPLATE.format(csv=csv_path, scale=_fmt(scale))
+def gnuplot_script(csv_path: str) -> str:
+    """A small gnuplot script that renders the emitted CSV as vectors
+    drawn at 0.05 of the velocity."""
+    return GNUPLOT_TEMPLATE.format(csv=csv_path, scale=_fmt(0.05))

@@ -72,10 +72,6 @@ class FlowParams:
         """grad_term - f1; must be negative for the Airy solution."""
         return self.grad_term - self.f1
 
-    @property
-    def supports_airy_solution(self) -> bool:
-        return self.forcing_gap < 0.0
-
 
 @dataclass(frozen=True)
 class SolutionConstants:

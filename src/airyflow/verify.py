@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import field as field_mod
-from .airy import airy_eval, airy_ode_residual
+from .airy import airy_eval
 from .bvp import InitialData, solve_bvp, solve_ivp
 from .errors import FlowDomainError, GridTooCoarseError
 from .flow import (
@@ -35,6 +35,11 @@ from .flow import (
 )
 
 BLOWUP_LIMIT = 1e10
+
+# the closed-form FD checks: points s = k L/FD_SAMPLES, step of each form
+FD_SAMPLES = 48
+RICCATI_FD_STEP = 1e-5
+SECOND_ORDER_FD_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -311,29 +316,54 @@ def check_wronskian() -> float:
     return worst
 
 
-def check_fd_riccati(params, consts, n_samples: int = 48, h: float = 1e-5) -> float:
-    """Max |central difference of u1 - Riccati right side| at
-    s = k L/n_samples, k = 1 .. n_samples - 1."""
+def check_airy_ode(ts) -> float:
+    """Max |y'' - t y| over t in ts for y = Ai, Bi, with y'' the central
+    second difference of fresh evaluations at t +- 1e-4."""
     worst = 0.0
-    length = params.length
-    for k in range(1, n_samples):
-        s = k * length / n_samples
-        du_fd = (exact_u1(s + h, params, consts) - exact_u1(s - h, params, consts)) / (
-            2.0 * h
-        )
-        u = exact_u1(s, params, consts)
-        rhs = u * u / (2.0 * params.nu) + (params.forcing_gap * s + consts.c) / params.nu
-        worst = max(worst, abs(du_fd - rhs))
+    h = 1e-4
+    for t in ts:
+        q, qp, qm = airy_eval(t), airy_eval(t + h), airy_eval(t - h)
+        for y, yp, ym in ((q.ai, qp.ai, qm.ai), (q.bi, qp.bi, qm.bi)):
+            worst = max(worst, abs((yp - 2.0 * y + ym) / (h * h) - t * y))
     return worst
 
 
-def check_fd_second_order(params, consts, n_samples: int = 48, h: float = 1e-4) -> float:
-    """Max |u1 u1' - f1 + grad_term - nu u1''| by central differences at
-    s = k L/n_samples, k = 2 .. n_samples - 2."""
+def check_airy_derivative_fd(ts) -> float:
+    """Max |central difference of y - y'| / (1 + |y'|) over t in ts for
+    y = Ai, Bi, at step 1e-5; relative to the derivative so that
+    exponentially large Bi does not mask the check."""
+    worst = 0.0
+    for t in ts:
+        qp, qm, q = airy_eval(t + 1e-5), airy_eval(t - 1e-5), airy_eval(t)
+        for yp, ym, dy in ((qp.ai, qm.ai, q.ai_prime), (qp.bi, qm.bi, q.bi_prime)):
+            worst = max(worst, abs((yp - ym) / 2e-5 - dy) / (1.0 + abs(dy)))
+    return worst
+
+
+def check_fd_riccati(params, consts) -> float:
+    """Max |central difference of u1 - Riccati right side| at
+    s = k L/FD_SAMPLES, k = 1 .. FD_SAMPLES - 1; the right side at the
+    closed form is exact_u1_derivative."""
     worst = 0.0
     length = params.length
-    for k in range(2, n_samples - 1):
-        s = k * length / n_samples
+    h = RICCATI_FD_STEP
+    for k in range(1, FD_SAMPLES):
+        s = k * length / FD_SAMPLES
+        du_fd = (exact_u1(s + h, params, consts) - exact_u1(s - h, params, consts)) / (
+            2.0 * h
+        )
+        worst = max(worst, abs(du_fd - exact_u1_derivative(s, params, consts)))
+    return worst
+
+
+def check_fd_second_order(params, consts) -> float:
+    """Max |u1 u1' - f1 + grad_term - nu u1''| by central differences at
+    s = k L/FD_SAMPLES, k = 2 .. FD_SAMPLES - 2."""
+    worst = 0.0
+    length = params.length
+    h = SECOND_ORDER_FD_STEP
+    for k in range(2, FD_SAMPLES - 1):
+        s = k * length / FD_SAMPLES
         um = exact_u1(s - h, params, consts)
         u0 = exact_u1(s, params, consts)
         up = exact_u1(s + h, params, consts)
@@ -402,23 +432,10 @@ def run_verification(seed: int = 0) -> VerificationReport:
     # the evaluated quartets satisfy the defining equation; arguments
     # stay where the values are O(1) since the truncation term carries
     # the function magnitude
-    worst = 0.0
-    for t0 in (0.0, 2.0, -3.0, -7.0, -12.0):
-        res_ai, res_bi = airy_ode_residual(t0, airy_eval(t0), 1e-4)
-        worst = max(worst, abs(res_ai), abs(res_bi))
+    worst = check_airy_ode((0.0, 2.0, -3.0, -7.0, -12.0))
     checks.append(CheckResult("airy_ode_residual", worst, 1e-6))
 
-    # first derivatives agree with central differences (scaled by the
-    # derivative so exponentially large Bi does not mask the check)
-    worst = 0.0
-    for t0 in (0.0, 1.5, -2.6, 4.2, -6.1, 8.5, -8.8, 11.0, -14.0):
-        qp, qm = airy_eval(t0 + 1e-5), airy_eval(t0 - 1e-5)
-        q = airy_eval(t0)
-        worst = max(
-            worst,
-            abs((qp.ai - qm.ai) / 2e-5 - q.ai_prime) / (1.0 + abs(q.ai_prime)),
-            abs((qp.bi - qm.bi) / 2e-5 - q.bi_prime) / (1.0 + abs(q.bi_prime)),
-        )
+    worst = check_airy_derivative_fd((0.0, 1.5, -2.6, 4.2, -6.1, 8.5, -8.8, 11.0, -14.0))
     checks.append(CheckResult("airy_derivative_fd", worst, 1e-7))
 
     cases = [random_flow_case(rng) for _ in range(8)]

@@ -16,14 +16,17 @@ specialised integrators replaced: a nested right-hand side, a list grid
 and an isfinite/abs blow-up test.  The library's loops must reproduce
 their output bit for bit.  In the same way, reference_taylor runs the
 unit-solution recurrence on every call, where airy._taylor reads it from
-a table, and reference_solve_bvp makes each shot from the public
+a table, reference_solve_bvp makes each shot from the public
 per-step functions, four Airy evaluations per candidate, where
-solve_bvp reuses two quartets.
+solve_bvp reuses two quartets, and reference_reduced_phase reduces the
+phase of the t < -9 branch in 45-digit decimal arithmetic, where
+airy._reduced_phase reduces it in integers scaled by 2**128.
 """
 
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 from mpmath import mp, mpf, sqrt, gamma, workdps
@@ -230,6 +233,22 @@ def reference_taylor(t: float) -> tuple[float, float, float, float]:
         ai0 * fp + aip0 * gp,
         bi0 * fp + bip0 * gp,
     )
+
+
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097")
+
+
+def reference_reduced_phase(t: float) -> float:
+    # theta = (2/3)(-t)^{3/2} - pi/4 mod 2*pi; double rounding of zeta
+    # alone would cost ~zeta*eps of phase, so reduce in decimal.
+    with localcontext() as ctx:
+        ctx.prec = 45
+        x = -Decimal(t)
+        zeta = 2 * (x * x * x).sqrt() / 3
+        theta = zeta - _PI / 4
+        twopi = 2 * _PI
+        theta -= (theta / twopi).to_integral_value() * twopi
+        return float(theta)
 
 
 def reference_solve_bvp(u10: float, u1L: float, params, c_bracket=None):

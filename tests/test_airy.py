@@ -8,11 +8,12 @@ from pathlib import Path
 import pytest
 from mpmath import mpf, workdps
 
-from airyflow import AiryOverflowError, airy_eval, airy_ode_residual
-from airyflow.airy import GAMMA_ONE_THIRD, GAMMA_TWO_THIRDS, _taylor
+from airyflow import AiryOverflowError, airy_eval
+from airyflow.airy import _reduced_phase, _taylor
+from airyflow.verify import check_airy_derivative_fd, check_airy_ode
 
 from make_airy_anchors import TABLE, table_text
-from oracles import airy_reference, airy_rel_err, reference_taylor
+from oracles import airy_reference, airy_rel_err, reference_reduced_phase, reference_taylor
 
 HERE = Path(__file__).parent
 
@@ -31,7 +32,6 @@ AI_M1 = 0.53556088329235211880
 BI_M1 = 0.10399738949694461189
 FIRST_AI_ZERO = -2.33810741045976703849
 FIRST_BI_ZERO = -1.17371322270912792492
-INV_PI = 0.31830988618379067154
 
 
 def test_values_at_zero():
@@ -51,21 +51,6 @@ def test_values_at_unit_arguments(t, ai, bi):
     q = airy_eval(t)
     assert q.ai == pytest.approx(ai, rel=1e-12)
     assert q.bi == pytest.approx(bi, rel=1e-12)
-
-
-def test_gamma_constants_product():
-    # Gamma(1/3) Gamma(2/3) = 2 pi / sqrt(3), reflection at 1/3
-    product = float(GAMMA_ONE_THIRD) * float(GAMMA_TWO_THIRDS)
-    assert product == pytest.approx(2.0 * math.pi / math.sqrt(3.0), rel=1e-15)
-
-
-def test_wronskian_across_branches():
-    t = -50.0
-    while t <= 50.0:
-        q = airy_eval(t)
-        w = q.ai * q.bi_prime - q.ai_prime * q.bi
-        assert abs(w - INV_PI) <= 1e-10, f"Wronskian off at t={t}"
-        t += 0.25
 
 
 def test_positive_argument_signs():
@@ -98,29 +83,12 @@ def test_bi_overflow_raises():
 
 @pytest.mark.parametrize("t", [0.0, 2.0, -3.0])
 def test_ode_residual_examples(t):
-    res_ai, res_bi = airy_ode_residual(t, airy_eval(t), 1e-4)
-    assert abs(res_ai) < 1e-6
-    assert abs(res_bi) < 1e-6
-
-
-def test_ode_residual_rejects_bad_step():
-    q = airy_eval(1.0)
-    with pytest.raises(ValueError):
-        airy_ode_residual(1.0, q, 0.0)
-    with pytest.raises(ValueError):
-        airy_ode_residual(1.0, q, -1e-3)
+    assert check_airy_ode([t]) < 1e-6
 
 
 def test_derivatives_match_central_differences():
-    # tolerance scales with the derivative since the O(h^2) truncation
-    # term carries the (exponentially growing) function magnitude
-    h = 1e-5
-    for t in (-8.5, -6.0, -2.2, 0.0, 1.7, 3.3, 6.0, 8.5, 12.0, -14.0):
-        qp, qm, q = airy_eval(t + h), airy_eval(t - h), airy_eval(t)
-        fd_ai = (qp.ai - qm.ai) / (2 * h)
-        fd_bi = (qp.bi - qm.bi) / (2 * h)
-        assert abs(fd_ai - q.ai_prime) <= 1e-7 * (1.0 + abs(q.ai_prime))
-        assert abs(fd_bi - q.bi_prime) <= 1e-7 * (1.0 + abs(q.bi_prime))
+    ts = (-8.5, -6.0, -2.2, 0.0, 1.7, 3.3, 6.0, 8.5, 12.0, -14.0)
+    assert check_airy_derivative_fd(ts) <= 1e-7
 
 
 def test_oscillation_sign_changes_match_bisected_zeros():
@@ -227,3 +195,15 @@ def test_taylor_table_matches_per_call_recurrence():
         points += [mid - 1e-12, mid, mid + 1e-12]
     for t in points:
         assert _taylor(t) == reference_taylor(t), t
+
+
+def test_reduced_phase_matches_decimal_reference():
+    # both reduce far below a double's rounding and round once to float,
+    # so they agree bit for bit
+    rng = random.Random(1)
+    points = [rng.uniform(-100.0, -9.0) for _ in range(10000)]
+    points += [-(10.0 ** rng.uniform(math.log10(9.0), 7.0)) for _ in range(10000)]
+    points += [-9.0 - k / 4 for k in range(1, 4001)]
+    points.append(math.nextafter(-9.0, -math.inf))
+    for t in points:
+        assert _reduced_phase(t) == reference_reduced_phase(t), t

@@ -163,11 +163,9 @@ def test_root_below_bracket_has_no_sign_change():
     assert 0.0 < err.value.residual_lo < err.value.residual_hi
 
 
-def test_readme_case_work_count(monkeypatch):
-    # Airy evaluations made through bvp and flow.  Building each shot from
-    # coefficients_from_u0, has_interior_pole and exact_u1 costs four per
-    # candidate and three per Newton step, 56 here; sharing the quartets
-    # at t(0) and t(L) costs two.
+@pytest.fixture
+def airy_calls(monkeypatch):
+    """Counts the Airy evaluations made through bvp and flow."""
     calls = [0]
 
     def counted(t):
@@ -176,9 +174,28 @@ def test_readme_case_work_count(monkeypatch):
 
     monkeypatch.setattr(bvp, "airy_eval", counted)
     monkeypatch.setattr(flow, "airy_eval", counted)
+    return calls
+
+
+def test_readme_case_work_count(airy_calls):
+    # Building each shot from coefficients_from_u0, has_interior_pole and
+    # exact_u1 costs four Airy evaluations per candidate and three per
+    # Newton step, 56 here; sharing the quartets at t(0) and t(L) costs two.
     sol = solve_bvp(0.0, 0.25, README_PARAMS)
     assert sol.excluded_candidates == 58
-    assert calls[0] <= 36
+    assert airy_calls[0] <= 36
+
+
+def test_no_root_reuses_last_usable_residual(airy_calls):
+    # the golden bvp_no_root case: eight shots of the binary search and
+    # one at candidate 0 for the error; the residual at the last usable
+    # candidate is the search's own, not a ninth shot
+    with pytest.raises(NoSignChangeError) as err:
+        solve_bvp(0.0, 0.25, README_PARAMS, (-1.0, 1.0))
+    assert airy_calls[0] == 18
+    grid = candidates((-1.0, 1.0))
+    assert err.value.residual_lo == endpoint_residual(README_PARAMS, 0.0, 0.25, grid[0])
+    assert err.value.residual_hi == endpoint_residual(README_PARAMS, 0.0, 0.25, grid[-1])
 
 
 def test_solve_bvp_matches_public_function_reference():

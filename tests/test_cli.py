@@ -195,6 +195,24 @@ class TestField:
         assert code == 2
         assert "missing" in err
 
+    @pytest.mark.parametrize(
+        "family, missing",
+        [
+            ("family = straight\n", "slope"),
+            ("family = sinusoidal\namplitude = 0.1\n", "wavenumber"),
+            ("family = polynomial\n", "coeffs"),
+        ],
+        ids=["straight", "sinusoidal", "polynomial"],
+    )
+    def test_missing_family_key_rejected(self, capsys, tmp_path, family, missing):
+        cfg, out_file = self.write_config(tmp_path)
+        sinusoidal = "family = sinusoidal\namplitude = 0.1\nwavenumber = 3.141592653589793\n"
+        cfg.write_text(cfg.read_text().replace(sinusoidal, family))
+        code, out, err = invoke(capsys, "field", "--config", str(cfg))
+        assert code == 2
+        assert err.startswith("error:") and "missing" in err and missing in err
+        assert out == "" and not out_file.exists()
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "field", "--config", str(tmp_path / "nope.cfg"))
         assert code == 2
@@ -240,14 +258,15 @@ class TestUsage:
 
 
 def test_import_leaves_numpy_unloaded():
-    # numpy (most of the import time) comes in only with the verify module
+    # numpy (most of the import time) comes in only with the verify module,
+    # and decimal never: the Airy kernel reduces its phase in integers
     probe = (
         "import sys, airyflow, airyflow.cli\n"
         "print('numpy' in sys.modules, 'airyflow.verify' in sys.modules)\n"
         "airyflow.run_verification\n"
-        "print('numpy' in sys.modules)\n"
+        "print('numpy' in sys.modules, 'decimal' in sys.modules)\n"
     )
     src = str(Path(airyflow.__file__).resolve().parent.parent)
     out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True, timeout=60).stdout
-    assert out.split() == ["False", "False", "True"]
+    assert out.split() == ["False", "False", "True", "False"]

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -122,12 +123,7 @@ class TestIntegrateSecondOrder:
         rng = random.Random(5)
         for _ in range(3):
             params, data, consts = random_flow_case(rng)
-            t1 = integrate_riccati(params, consts.c, data.u10, params.length, 1e-4)
-            t2 = integrate_second_order(
-                params, data.u10, data.u1dot0, params.length, 1e-4
-            )
-            n = min(len(t1), len(t2))
-            assert float(np.max(np.abs(t1.u1[:n] - t2.u1[:n]))) <= 1e-8
+            assert verify.check_ode_forms(params, data, consts, 1e-4) <= 1e-8
 
     def test_agrees_with_closed_form(self):
         p, consts = pole_free_case()
@@ -347,6 +343,27 @@ class TestSharedChecks:
         off = InitialData(u10=data.u10, u1dot0=data.u1dot0 + 1e-6)
         for name, (check, tol) in checks.items():
             assert check(off if name == "ode_forms" else data) > tol, name
+
+    def test_perturbed_quartet_fails_each_airy_check(self, monkeypatch):
+        # Ai + 1e-3 t**2 adds 2e-3 - 1e-3 t**3 to y'' - t y and 2e-3 t to
+        # the difference quotient; the points and tolerances are
+        # run_verification's
+        checks = {
+            "ode": (verify.check_airy_ode, (0.0, 2.0, -3.0, -7.0, -12.0), 1e-6),
+            "derivative_fd": (
+                verify.check_airy_derivative_fd,
+                (0.0, 1.5, -2.6, 4.2, -6.1, 8.5, -8.8, 11.0, -14.0),
+                1e-7,
+            ),
+        }
+        for name, (check, ts, tol) in checks.items():
+            assert check(ts) <= tol, name
+        exact = verify.airy_eval
+        monkeypatch.setattr(
+            verify, "airy_eval", lambda t: replace(exact(t), ai=exact(t).ai + 1e-3 * t * t)
+        )
+        for name, (check, ts, tol) in checks.items():
+            assert check(ts) > tol, name
 
 
 class TestVerificationReport:
