@@ -11,9 +11,10 @@ Evaluation is self-contained (no special-function library):
   depend on t_k alone, so they are built once per anchor at import and a
   call only sums powers of d.  Plain float arithmetic throughout.
 * Asymptotic expansions in zeta = (2/3)*|t|**1.5 for |t| > 9, truncated
-  at the smallest term.  The oscillatory phase for t < 0 is reduced
-  modulo 2*pi in integers scaled by 2**128 and rounded once, so very
-  negative arguments keep near-full double accuracy.
+  at the smallest term; both tails sum one series, with their own signs.
+  The oscillatory phase for t < 0 is reduced modulo 2*pi in integers,
+  with pi carried 128 bits past the quotient, and rounded once, so every
+  finite t < -9 keeps near-full double accuracy.
 
 Measured against mpmath on 2,000 random points of [-9, 9] plus every
 anchor midpoint, the Taylor branch is within 3.1e-16 of the envelope
@@ -30,9 +31,6 @@ from dataclasses import dataclass
 from ._airy_anchors import ANCHORS
 from .errors import AiryOverflowError
 
-# floor(pi * 2**128), the hex digits of pi 3.243F6A8885A308D3...
-_PI_2_128 = 0x3243F6A8885A308D313198A2E03707344
-
 # the Taylor window; the anchors t_k = k/4 run over k = -36 .. 36
 _SERIES_BOUND = 9.0
 _K_MAX = 36
@@ -46,6 +44,23 @@ _TAYLOR_STEPS = tuple((n, 1.0 / (n * (n - 1))) for n in range(2, 16))
 
 _SQRT_PI = math.sqrt(math.pi)
 _LOG_DBL_MAX = 709.78
+_T_FAR = 1e3  # far past Bi' overflowing at t ~ 104.2, far below t ** 1.5 at ~3e205
+
+
+def _pi_scaled(bits: int) -> int:
+    """floor(pi * 2**bits) by the Gauss-Legendre iteration in integers;
+    each step doubles the correct bits, and 8 already give 1,700."""
+    one = 1 << (bits + 32)  # 32 guard bits
+    a, b, t, p = one, math.isqrt(one * one // 2), one // 4, 1
+    for _ in range(10):
+        a, b, t, p = (a + b) // 2, math.isqrt(a * b), t - p * ((a - b) // 2) ** 2 // one, 2 * p
+    return ((a + b) ** 2 // (4 * t)) >> 32
+
+
+# pi to 128 bits past the phase quotient of the most negative double
+# (zeta < 2**1536), for the t < -9 phase reduction
+_PI_BITS = 1700
+_PI_SCALED = _pi_scaled(_PI_BITS)
 
 
 @dataclass(frozen=True)
@@ -63,7 +78,7 @@ def airy_eval(t: float) -> AiryQuartet:
     """Evaluate Ai(t), Bi(t), Ai'(t), Bi'(t) for finite real t.
 
     Raises ValueError for non-finite input and AiryOverflowError once
-    Bi or Bi' leaves the double range (t around 105).
+    Bi or Bi' leaves the double range (every t past about 104.2).
     """
     t = float(t)
     if not math.isfinite(t):
@@ -137,8 +152,9 @@ def _taylor(t: float) -> tuple[float, float, float, float]:
 # via the ratio u_{k+1}/u_k = (6k+1)(6k+5)/(72(k+1)).  The series
 # diverge; truncation stops at the smallest term.
 
-def _asymptotic_sums_positive(zeta: float) -> tuple[float, float, float, float]:
-    su_alt = su = sv_alt = sv = 1.0
+def _asymptotic_terms(zeta: float):
+    """(k, u_k/zeta^k, v_k/zeta^k) for k = 1, 2, ... up to the smallest
+    term, or to the first term below 1e-17."""
     u = 1.0
     powz = 1.0
     last = math.inf
@@ -148,9 +164,20 @@ def _asymptotic_sums_positive(zeta: float) -> tuple[float, float, float, float]:
         powz *= zeta
         tu = u / powz
         if tu >= last:
-            break  # optimal truncation reached
+            return  # optimal truncation reached
         last = tu
-        tv = v / powz
+        yield k, tu, v / powz
+        if tu < 1e-17:
+            return
+
+
+def _asymptotic_positive(t: float) -> tuple[float, float, float, float]:
+    if t > _T_FAR:
+        raise AiryOverflowError(t)
+    zeta = (2.0 / 3.0) * t ** 1.5
+    xq = t ** 0.25
+    su_alt = su = sv_alt = sv = 1.0  # sums with signs (-1)^k and with +1
+    for k, tu, tv in _asymptotic_terms(zeta):
         if k % 2:
             su_alt -= tu
             sv_alt -= tv
@@ -159,18 +186,8 @@ def _asymptotic_sums_positive(zeta: float) -> tuple[float, float, float, float]:
             sv_alt += tv
         su += tu
         sv += tv
-        if tu < 1e-17 * su:
-            break
-    return su_alt, su, sv_alt, sv
-
-
-def _asymptotic_positive(t: float) -> tuple[float, float, float, float]:
-    zeta = (2.0 / 3.0) * t ** 1.5
-    xq = t ** 0.25
-    su_alt, su, sv_alt, sv = _asymptotic_sums_positive(zeta)
-    log_bi = zeta + math.log(su / (_SQRT_PI * xq))
-    log_bip = zeta + math.log(sv * xq / _SQRT_PI)
-    if max(log_bi, log_bip) > _LOG_DBL_MAX:
+    # Bi' overflows first, as Bi'/Bi ~ sqrt(t) > 3
+    if zeta + math.log(sv * xq / _SQRT_PI) > _LOG_DBL_MAX:
         raise AiryOverflowError(t)
     em = math.exp(-zeta)
     ep = math.exp(zeta)
@@ -184,41 +201,35 @@ def _asymptotic_positive(t: float) -> tuple[float, float, float, float]:
 def _reduced_phase(t: float) -> float:
     # theta = (2/3)(-t)^{3/2} - pi/4 mod 2*pi; double rounding of zeta
     # alone would cost ~zeta*eps of phase, so reduce in integers scaled
-    # by 2**128.  -t = m/d with d = 2**j, j <= 49 as |t| > 9, so the
-    # division by d**3 is exact; the final int quotient rounds correctly.
+    # by 2**s, 128 bits more than zeta < 2**(1.5 e) has for |t| < 2**e.
+    # -t = m/d with d = 2**j, j <= 49 as |t| > 9, so the division by d**3
+    # is exact; the final int quotient rounds correctly.
     m, d = (-t).as_integer_ratio()
-    zeta = 2 * math.isqrt((m ** 3 << 256) // d ** 3) // 3
+    s = 128 + 3 * math.frexp(t)[1] // 2
+    zeta = 2 * math.isqrt((m ** 3 << 2 * s) // d ** 3) // 3
+    pi_s = _PI_SCALED >> (_PI_BITS - s)
     # theta + pi reduced into [0, 2 pi), then shifted back to [-pi, pi)
-    theta = (zeta - _PI_2_128 // 4 + _PI_2_128) % (2 * _PI_2_128) - _PI_2_128
-    return theta / (1 << 128)
+    theta = (zeta - pi_s // 4 + pi_s) % (2 * pi_s) - pi_s
+    return theta / (1 << s)
 
 
 def _asymptotic_negative(t: float) -> tuple[float, float, float, float]:
     x = -t
-    zeta = (2.0 / 3.0) * x ** 1.5
+    try:
+        zeta = (2.0 / 3.0) * x ** 1.5
+    except OverflowError:  # x past ~3e205: every correction term is 0
+        zeta = math.inf
     xq = x ** 0.25
     pu = pv = 1.0  # even-index sums, k = 0 term
     qu = qv = 0.0  # odd-index sums
-    u = 1.0
-    powz = 1.0
-    last = math.inf
-    for k in range(1, _MAX_TERMS):
-        u = u * (6 * k - 5) * (6 * k - 1) / (72.0 * k)
-        v = u * (6 * k + 1) / (1.0 - 6 * k)
-        powz *= zeta
-        mag = u / powz
-        if mag >= last:
-            break
-        last = mag
+    for k, tu, tv in _asymptotic_terms(zeta):
         sgn = -1.0 if (k // 2) % 2 else 1.0
-        if k % 2 == 0:
-            pu += sgn * u / powz
-            pv += sgn * v / powz
+        if k % 2:
+            qu += sgn * tu
+            qv += sgn * tv
         else:
-            qu += sgn * u / powz
-            qv += sgn * v / powz
-        if mag < 1e-17:
-            break
+            pu += sgn * tu
+            pv += sgn * tv
     theta = _reduced_phase(t)
     ct = math.cos(theta)
     st = math.sin(theta)
@@ -227,4 +238,3 @@ def _asymptotic_negative(t: float) -> tuple[float, float, float, float]:
     aip = xq * (st * pv - ct * qv) / _SQRT_PI
     bip = xq * (ct * pv + st * qv) / _SQRT_PI
     return ai, bi, aip, bip
-

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import suppress
 from pathlib import Path
 
 from . import field as field_mod
@@ -270,10 +271,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """`--flag -1e5` as `--flag=-1e5`: argparse takes a negative number for
+    a value only as -1 or -.5.  Every long flag but --help takes a value."""
+    out: list[str] = []
+    for tok in argv:
+        flag = out[-1] if out and out[-1].startswith("--") else ""
+        if tok.startswith("-") and flag not in ("", "--", "--help") and "=" not in flag:
+            with suppress(ValueError):  # join only tokens that read as a float
+                float(tok)
+                out[-1] = f"{flag}={tok}"
+                continue
+        out.append(tok)
+    return out
+
+
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # argparse exits 2 on usage errors
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
     try:

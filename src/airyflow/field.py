@@ -1,9 +1,9 @@
 """Streamline families, 2D field reconstruction, and serialization.
 
 Families are vertical translates: phi1(s) = s and phi2(s; y0) = y0 +
-psi(s), so the inverse map is simply g(x, y) = x and a grid point (x, y)
-belongs to the streamline with offset y0 = y - psi(x).  The cross-stream
-velocity follows the streamline tangent: u2 = phi2' * u1.
+psi(s), so the inverse map is simply g(x, y) = x.  The cross-stream
+velocity follows the streamline tangent, u2 = phi2' * u1, and all
+streamlines share one closed form, so u1 and u2 depend on x alone.
 """
 
 from __future__ import annotations
@@ -192,37 +192,33 @@ def reconstruct_field(
     params: FlowParams,
     consts: SolutionConstants,
     grid: GridSpec,
-    per_streamline: Callable[[float], tuple[FlowParams, SolutionConstants]] | None = None,
     pressure: tuple[float, float] | None = None,
 ) -> SampledField:
-    """Sample the 2D velocity field on the grid.
-
-    Every grid point maps to s = x and streamline offset y0 = y - psi(x);
-    u1 comes from the shared closed form (or from the per-streamline map
-    when given) and u2 = phi2'(s) * u1.  Points on a pole are flagged
+    """Sample the 2D velocity field on the grid, evaluating u1 and
+    u2 = phi2'(x) * u1 once per column.  A column on a pole is flagged
     invalid rather than failing the whole reconstruction.
     """
     if grid.x_min < 0.0 or grid.x_max > params.length:
         raise GridDomainError(
             f"grid x-range [{grid.x_min!r}, {grid.x_max!r}] leaves [0, {params.length!r}]"
         )
-    samples: list[VelocitySample] = []
-    for y in grid.ys():
-        for x in grid.xs():
-            y0 = y - family.psi(x)
-            p, k = (params, consts) if per_streamline is None else per_streamline(y0)
-            try:
-                u1 = exact_u1(x, p, k)
-            except PoleError:
-                samples.append(VelocitySample(s=x, x=x, y=y, u1=None, u2=None, valid=False))
-            else:
-                u2 = family.phi2_dot(x) * u1
-                samples.append(VelocitySample(s=x, x=x, y=y, u1=u1, u2=u2))
+    columns = []  # (x, u1, u2, valid) per column
+    for x in grid.xs():
+        try:
+            u1 = exact_u1(x, params, consts)
+        except PoleError:
+            columns.append((x, None, None, False))
+        else:
+            columns.append((x, u1, family.phi2_dot(x) * u1, True))
+    samples = tuple(
+        VelocitySample(s=x, x=x, y=y, u1=u1, u2=u2, valid=valid)
+        for y in grid.ys() for x, u1, u2, valid in columns
+    )
     return SampledField(
         grid=grid,
-        samples=tuple(samples),
+        samples=samples,
         family=family,
-        profile=FlowProfile.from_solution(params, consts) if per_streamline is None else None,
+        profile=FlowProfile.from_solution(params, consts),
         pressure_affine=pressure,
     )
 

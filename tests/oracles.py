@@ -7,6 +7,11 @@ positive axis, exp(zeta) on the negative), so it is accurate for any
 argument the tests use.  It shares no code or branch logic with the
 implementation under test: one method, one arithmetic, no asymptotics.
 
+u1_propagator is the closed-form velocity of an initial-value problem
+evaluated the same way, in mpmath at 40 digits, but carried by the
+initial data through the Wronskian instead of through (c1, c2), so it
+stays accurate where c2/c1 leaves the double range.
+
 The pole oracle is a dense sign scan, independent of the library's
 phase count: z = c1 Ai + c2 Bi sampled with scipy's Airy functions on a
 grid fine enough to separate neighbouring zeros.
@@ -18,9 +23,11 @@ their output bit for bit.  In the same way, reference_taylor runs the
 unit-solution recurrence on every call, where airy._taylor reads it from
 a table, reference_solve_bvp makes each shot from the public
 per-step functions, four Airy evaluations per candidate, where
-solve_bvp reuses two quartets, and reference_reduced_phase reduces the
+solve_bvp reuses two quartets, reference_reduced_phase reduces the
 phase of the t < -9 branch in 45-digit decimal arithmetic, where
-airy._reduced_phase reduces it in integers scaled by 2**128.
+airy._reduced_phase reduces it in integers scaled by 2**128, and
+reference_asymptotic_positive/_negative each run their own copy of the
+asymptotic series loop, where airy's two tails share one.
 """
 
 from __future__ import annotations
@@ -88,6 +95,37 @@ def airy_rel_err(quartet, t: float) -> float:
                 continue
             worst = max(worst, float(abs((mpf(g) - r) / r)))
     return worst
+
+
+def u1_propagator(params, u10: float, u1dot0: float, s: float) -> tuple[float, float]:
+    """(u1(s), cond) of the IVP u1(0) = u10, u1'(0) = u1dot0, from mpmath's
+    Airy functions at 40 digits in the propagator form, with no (c1, c2).
+
+    With w0 = z_t/z at t0 = t(0), which is -u10/(2 nu kappa), the
+    Wronskian 1/pi gives z(t) proportional to P Ai(t) + Q Bi(t), where
+    P = Bi'(t0) - w0 Bi(t0) and Q = w0 Ai(t0) - Ai'(t0).  cond is the
+    envelope |P|(|Ai| + |Ai'|) + |Q|(|Bi| + |Bi'|) over |z| at t(s).
+    """
+    from mpmath import airyai, airybi, cbrt
+
+    with workdps(40):
+        nu, u10 = mpf(params.nu), mpf(u10)
+        c = nu * mpf(u1dot0) - u10 * u10 / 2
+        a = (mpf(params.grad_term) - mpf(params.f1)) / (2 * nu * nu)
+        b = c / (2 * nu * nu)
+        kappa = cbrt(-a)
+
+        def quartet(t):
+            return airyai(t), airybi(t), airyai(t, derivative=1), airybi(t, derivative=1)
+
+        ai0, bi0, aip0, bip0 = quartet(-b / kappa**2)
+        w0 = -u10 / (2 * nu * kappa)
+        p, q = bip0 - w0 * bi0, w0 * ai0 - aip0
+        ai, bi, aip, bip = quartet(-(a * mpf(s) + b) / kappa**2)
+        z = p * ai + q * bi
+        envelope = abs(p) * (abs(ai) + abs(aip)) + abs(q) * (abs(bi) + abs(bip))
+        u1 = -2 * nu * kappa * (p * aip + q * bip) / z
+        return float(u1), float(envelope / abs(z))
 
 
 def sign_scan_cells(consts, s_lo: float, s_hi: float) -> list[tuple[float, float]]:
@@ -249,6 +287,96 @@ def reference_reduced_phase(t: float) -> float:
         twopi = 2 * _PI
         theta -= (theta / twopi).to_integral_value() * twopi
         return float(theta)
+
+
+def reference_asymptotic_sums_positive(zeta: float) -> tuple[float, float, float, float]:
+    """The t > 9 series loop of airy before both tails shared one series."""
+    from airyflow.airy import _MAX_TERMS
+
+    su_alt = su = sv_alt = sv = 1.0
+    u = 1.0
+    powz = 1.0
+    last = math.inf
+    for k in range(1, _MAX_TERMS):
+        u = u * (6 * k - 5) * (6 * k - 1) / (72.0 * k)
+        v = u * (6 * k + 1) / (1.0 - 6 * k)
+        powz *= zeta
+        tu = u / powz
+        if tu >= last:
+            break  # optimal truncation reached
+        last = tu
+        tv = v / powz
+        if k % 2:
+            su_alt -= tu
+            sv_alt -= tv
+        else:
+            su_alt += tu
+            sv_alt += tv
+        su += tu
+        sv += tv
+        if tu < 1e-17 * su:
+            break
+    return su_alt, su, sv_alt, sv
+
+
+def reference_asymptotic_positive(t: float) -> tuple[float, float, float, float]:
+    """airy._asymptotic_positive on reference_asymptotic_sums_positive."""
+    from airyflow import AiryOverflowError
+    from airyflow.airy import _LOG_DBL_MAX, _SQRT_PI
+
+    zeta = (2.0 / 3.0) * t ** 1.5
+    xq = t ** 0.25
+    su_alt, su, sv_alt, sv = reference_asymptotic_sums_positive(zeta)
+    log_bi = zeta + math.log(su / (_SQRT_PI * xq))
+    log_bip = zeta + math.log(sv * xq / _SQRT_PI)
+    if max(log_bi, log_bip) > _LOG_DBL_MAX:
+        raise AiryOverflowError(t)
+    em = math.exp(-zeta)
+    ep = math.exp(zeta)
+    ai = em * su_alt / (2.0 * _SQRT_PI * xq)
+    aip = -xq * em * sv_alt / (2.0 * _SQRT_PI)
+    bi = ep * su / (_SQRT_PI * xq)
+    bip = xq * ep * sv / _SQRT_PI
+    return ai, bi, aip, bip
+
+
+def reference_asymptotic_negative(t: float) -> tuple[float, float, float, float]:
+    """airy._asymptotic_negative with its own copy of the series loop."""
+    from airyflow.airy import _MAX_TERMS, _SQRT_PI, _reduced_phase
+
+    x = -t
+    zeta = (2.0 / 3.0) * x ** 1.5
+    xq = x ** 0.25
+    pu = pv = 1.0  # even-index sums, k = 0 term
+    qu = qv = 0.0  # odd-index sums
+    u = 1.0
+    powz = 1.0
+    last = math.inf
+    for k in range(1, _MAX_TERMS):
+        u = u * (6 * k - 5) * (6 * k - 1) / (72.0 * k)
+        v = u * (6 * k + 1) / (1.0 - 6 * k)
+        powz *= zeta
+        mag = u / powz
+        if mag >= last:
+            break
+        last = mag
+        sgn = -1.0 if (k // 2) % 2 else 1.0
+        if k % 2 == 0:
+            pu += sgn * u / powz
+            pv += sgn * v / powz
+        else:
+            qu += sgn * u / powz
+            qv += sgn * v / powz
+        if mag < 1e-17:
+            break
+    theta = _reduced_phase(t)
+    ct = math.cos(theta)
+    st = math.sin(theta)
+    ai = (ct * pu + st * qu) / (_SQRT_PI * xq)
+    bi = (-st * pu + ct * qu) / (_SQRT_PI * xq)
+    aip = xq * (st * pv - ct * qv) / _SQRT_PI
+    bip = xq * (ct * pv + st * qv) / _SQRT_PI
+    return ai, bi, aip, bip
 
 
 def reference_solve_bvp(u10: float, u1L: float, params, c_bracket=None):

@@ -3,17 +3,25 @@
 import json
 import math
 import random
+import sys
 from pathlib import Path
 
 import pytest
-from mpmath import mpf, workdps
+from mpmath import cos, floor, mpf, pi, sin, sqrt, workdps
 
 from airyflow import AiryOverflowError, airy_eval
-from airyflow.airy import _reduced_phase, _taylor
+from airyflow.airy import _asymptotic_negative, _asymptotic_positive, _reduced_phase, _taylor
 from airyflow.verify import check_airy_derivative_fd, check_airy_ode
 
 from make_airy_anchors import TABLE, table_text
-from oracles import airy_reference, airy_rel_err, reference_reduced_phase, reference_taylor
+from oracles import (
+    airy_reference,
+    airy_rel_err,
+    reference_asymptotic_negative,
+    reference_asymptotic_positive,
+    reference_reduced_phase,
+    reference_taylor,
+)
 
 HERE = Path(__file__).parent
 
@@ -74,11 +82,67 @@ def test_nonfinite_input_rejected(bad):
 
 
 def test_bi_overflow_raises():
-    with pytest.raises(AiryOverflowError):
-        airy_eval(106.0)
-    with pytest.raises(AiryOverflowError):
-        airy_eval(250.0)
+    # past ~3e205 t ** 1.5 itself overflows; the error stays AiryOverflowError
+    for t in (106.0, 250.0, 1e206, 1e300, 1.7e308):
+        with pytest.raises(AiryOverflowError) as info:
+            airy_eval(t)
+        assert info.value.t == t
     airy_eval(104.0)  # still representable
+
+
+@pytest.mark.parametrize("t", [-1e206, -1e300, -1.7e308])
+def test_wronskian_far_negative(t):
+    # past t ~ -3e205, (-t) ** 1.5 overflows; the quartet stays finite and
+    # keeps pi (Ai Bi' - Ai' Bi) = 1
+    q = airy_eval(t)
+    w = math.pi * (q.ai * q.bi_prime - q.ai_prime * q.bi)
+    assert abs(w - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("t", [-1e20, -1e206, -1e300, -1.7e308])
+def test_far_negative_leading_order_against_mpmath(t):
+    # here the first correction term is below 1e-30, so the quartet is the
+    # leading-order formula in theta = (2/3) x^1.5 - pi/4, which 520
+    # digits resolve modulo 2 pi; each component is compared with the
+    # amplitude of its oscillation
+    q = airy_eval(t)
+    with workdps(520):
+        x = mpf(-t)
+        theta = 2 * x * sqrt(x) / 3 - pi / 4
+        amp, amp_prime = 1 / (sqrt(pi) * x ** 0.25), x ** 0.25 / sqrt(pi)
+        ref = ((q.ai, cos(theta) * amp, amp), (q.bi, -sin(theta) * amp, amp),
+               (q.ai_prime, sin(theta) * amp_prime, amp_prime),
+               (q.bi_prime, cos(theta) * amp_prime, amp_prime))
+        for got, want, scale in ref:
+            assert abs(mpf(got) - want) <= 4e-16 * scale
+
+
+def _quartet_or_overflow(tail, t):
+    try:
+        return tail(t)
+    except AiryOverflowError as exc:
+        return ("overflow", exc.t)
+
+
+def test_asymptotic_tails_match_per_tail_reference():
+    # both tails sum one shared series; their quartets, and past t ~ 104.2
+    # their overflow errors, are bit-identical to those of a copy of the
+    # series loop per tail
+    rng = random.Random(2)
+    positive = [rng.uniform(9.0, 104.8) for _ in range(40000)]
+    positive += [9.0 + k / 256 for k in range(1, 26000)]  # to 110.6
+    negative = [rng.uniform(-300.0, -9.0) for _ in range(45000)]
+    negative += [-(10.0 ** rng.uniform(math.log10(9.0), 204.0)) for _ in range(45000)]
+    negative += [-9.0 - k / 256 for k in range(1, 45001)]
+    t = -50.0
+    while t <= 50.0:  # check_wronskian's grid
+        (positive if t > 9.0 else negative if t < -9.0 else []).append(t)
+        t += 0.25
+    assert len(positive) + len(negative) >= 200000
+    for points, tail, reference in ((positive, _asymptotic_positive, reference_asymptotic_positive),
+                                    (negative, _asymptotic_negative, reference_asymptotic_negative)):
+        for t in points:
+            assert _quartet_or_overflow(tail, t) == _quartet_or_overflow(reference, t), t
 
 
 @pytest.mark.parametrize("t", [0.0, 2.0, -3.0])
@@ -207,3 +271,16 @@ def test_reduced_phase_matches_decimal_reference():
     points.append(math.nextafter(-9.0, -math.inf))
     for t in points:
         assert _reduced_phase(t) == reference_reduced_phase(t), t
+
+
+def test_reduced_phase_correctly_rounded_to_most_negative_double():
+    # the reduction carries pi to 128 bits past the quotient, so the phase
+    # rounds correctly out to t = -1.8e308 (a 128-bit pi lost it past ~1e13)
+    rng = random.Random(3)
+    points = [-(10.0 ** rng.uniform(math.log10(9.0), 308.25)) for _ in range(500)]
+    points += [-19995672618034.797, -1e300, -sys.float_info.max]
+    with workdps(520):
+        for t in points:
+            x = mpf(-t)
+            theta = 2 * x * sqrt(x) / 3 - pi / 4
+            assert _reduced_phase(t) == float(theta - 2 * pi * floor(theta / (2 * pi) + 0.5)), t

@@ -46,6 +46,44 @@ class TestAiry:
         assert code == 1
         assert "overflow" in err.lower() or "Bi" in err
 
+    def test_far_positive_overflow_is_domain_error(self, capsys):
+        code, _, err = invoke(capsys, "airy", "--t=1e300")
+        assert code == 1
+        assert err == "error: Bi overflows double range at t = 1e+300\n"
+
+    def test_far_negative_argument_evaluates(self, capsys):
+        code, out, _ = invoke(capsys, "airy", "--t=-1e300")
+        assert code == 0
+        assert out.startswith("t        = -1.0000000000000001e+300\n")
+
+
+class TestNegativeExponentValues:
+    """`--flag -1e5` reads as `--flag=-1e5`, though argparse alone takes a
+    negative number for a value only as -1 or -.5."""
+
+    FLOW = ["--nu", "1", "--grad-term", "-2", "--f1", "0", "--L", "2", "--u10", "0"]
+
+    @pytest.mark.parametrize("spaced,joined", [
+        (["airy", "--t", "-1e5"], ["airy", "--t=-1e5"]),
+        (["ivp", *FLOW, "--u1dot0", "-1.595e2"], ["ivp", *FLOW, "--u1dot0=-1.595e2"]),
+        (["bvp", *FLOW, "--u1L", "0.2", "--c-min", "-1e1", "--c-max", "1e1"],
+         ["bvp", *FLOW, "--u1L", "0.2", "--c-min=-1e1", "--c-max", "1e1"]),
+    ])
+    def test_same_output_as_equals_form(self, capsys, spaced, joined):
+        code, out, err = invoke(capsys, *spaced)
+        assert (code, out, err) == invoke(capsys, *joined)
+        assert code == 0 and out
+
+    def test_negative_infinity_reaches_finiteness_check(self, capsys):
+        code, _, err = invoke(capsys, "airy", "--t", "-inf")
+        assert code == 2
+        assert err == "error: --t must be finite, got -inf\n"
+
+    def test_non_numeric_value_untouched(self, capsys):
+        code, _, err = invoke(capsys, "airy", "--t", "-x")
+        assert code == 2
+        assert "expected one argument" in err
+
 
 class TestIvp:
     ARGS = [

@@ -13,6 +13,7 @@ from airyflow import (
     SolutionConstants,
     StreamlineFamily,
     emit,
+    exact_u1,
     find_poles,
     gnuplot_script,
     parse,
@@ -116,23 +117,6 @@ class TestReconstruct:
         with pytest.raises(GridDomainError):
             reconstruct_field(StreamlineFamily.straight(0.0), p, consts, grid)
 
-    def test_per_streamline_override(self):
-        p, consts = solved_case()
-        p2 = FlowParams(nu=0.5, grad_term=-1.5, f1=0.5, length=1.5)
-        consts2 = solve_ivp(InitialData(u10=-0.3, u1dot0=0.2), p2)
-
-        def chooser(y0):
-            return (p, consts) if y0 >= 0.0 else (p2, consts2)
-
-        grid = GridSpec(x_min=0.1, x_max=1.2, y_min=-1.0, y_max=1.0, nx=3, ny=2)
-        fam = StreamlineFamily.straight(0.0)
-        field = reconstruct_field(fam, p, consts, grid, per_streamline=chooser)
-        lower = [sm for sm in field.samples if sm.y < 0.0]
-        upper = [sm for sm in field.samples if sm.y >= 0.0]
-        assert lower and upper
-        assert lower[0].u1 != upper[0].u1
-        assert field.profile is None  # no single shared profile
-
     def test_pole_samples_flagged_invalid(self):
         params = FlowParams(nu=1.0, grad_term=-2.0, f1=0.0, length=2.2)
         consts = SolutionConstants(a=-1.0, b=4.0, c=8.0, c1=1.0, c2=0.0)
@@ -147,6 +131,34 @@ class TestReconstruct:
         assert len(invalid) == 2  # one column, both rows
         assert all(sm.u1 is None and sm.u2 is None for sm in invalid)
         assert invalid[0].x == pytest.approx(pole, abs=1e-12)
+
+    def test_one_closed_form_evaluation_per_column(self, monkeypatch):
+        import airyflow.field as field_mod
+
+        calls = []
+
+        def counting_exact_u1(s, params, consts):
+            calls.append(s)
+            return exact_u1(s, params, consts)
+
+        monkeypatch.setattr(field_mod, "exact_u1", counting_exact_u1)
+        p, consts = solved_case()
+        grid = GridSpec(x_min=0.0, x_max=1.5, y_min=-2.0, y_max=2.0, nx=7, ny=5)
+        reconstruct_field(StreamlineFamily.sinusoidal(0.3, 1.5), p, consts, grid)
+        assert calls == grid.xs()
+        # the pole-column grid of test_pole_samples_flagged_invalid
+        calls.clear()
+        params = FlowParams(nu=1.0, grad_term=-2.0, f1=0.0, length=2.2)
+        consts = SolutionConstants(a=-1.0, b=4.0, c=8.0, c1=1.0, c2=0.0)
+        pole = find_poles(consts, 0.0, 2.2)[0]
+        dx = 0.02
+        grid = GridSpec(
+            x_min=pole - 24 * dx, x_max=pole + 25 * dx,
+            y_min=0.0, y_max=1.0, nx=50, ny=2,
+        )
+        field = reconstruct_field(StreamlineFamily.straight(0.0), params, consts, grid)
+        assert len(calls) == 50
+        assert sum(not sm.valid for sm in field.samples) == 2
 
 
 class TestSerialization:
