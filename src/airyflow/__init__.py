@@ -14,7 +14,6 @@ from .bvp import (
     BvpSolution,
     InitialData,
     c_from_initial,
-    coefficients_from_u0,
     default_c_bracket,
     solve_bvp,
     solve_ivp,
@@ -46,6 +45,7 @@ from .field import (
 from .flow import (
     FlowParams,
     SolutionConstants,
+    constants_from_u0,
     derive_constants,
     exact_u1,
     exact_u1_derivative,
@@ -106,7 +106,7 @@ __all__ = [
     "c_from_initial",
     "check_prop1",
     "check_prop2_prop3",
-    "coefficients_from_u0",
+    "constants_from_u0",
     "continuity_bracket",
     "default_c_bracket",
     "derive_constants",

@@ -10,7 +10,8 @@ class FlowDomainError(Exception):
 
 class ModelInvalidError(FlowDomainError):
     """The forcing balance gives a >= 0, where the Airy-based closed form
-    has no physical meaning.  Carries the offending value."""
+    has no physical meaning, or an a that is not a finite nonzero double.
+    Carries the offending value."""
 
     def __init__(self, a: float, message: str | None = None):
         self.a = a
@@ -26,11 +27,12 @@ class DegenerateModelError(ModelInvalidError):
 
 
 class AiryOverflowError(FlowDomainError, OverflowError):
-    """Bi(t) would exceed the double range (t around 105 and beyond)."""
+    """Bi'(t) would exceed the double range, which it leaves first, at
+    t ~ 104.21 (Bi follows at t ~ 104.44)."""
 
     def __init__(self, t: float):
         self.t = t
-        super().__init__(f"Bi overflows double range at t = {t!r}")
+        super().__init__(f"Bi' overflows double range at t = {t!r}")
 
 
 class PoleError(FlowDomainError):

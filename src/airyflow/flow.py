@@ -25,7 +25,8 @@ import math
 from dataclasses import dataclass
 
 from .airy import AiryQuartet, airy_eval
-from .errors import DegenerateModelError, ModelInvalidError, NoConvergenceError, PoleError
+from .errors import (DegenerateCoefficientsError, DegenerateModelError, ModelInvalidError,
+                     NoConvergenceError, PoleError)
 
 # |z| <= POLE_RTOL * scale counts as a pole, where scale is the local
 # envelope |c1|(|Ai| + |Ai'|) + |c2|(|Bi| + |Bi'|).  A relative test, so
@@ -123,20 +124,50 @@ def _require_coefficients(consts: SolutionConstants) -> None:
         raise ValueError("SolutionConstants has no (c1, c2) yet")
 
 
-def derive_constants(params: FlowParams, c: float) -> SolutionConstants:
-    """a and b from the flow parameters and the Riccati constant c.
-
-    Raises ModelInvalidError when a >= 0 (DegenerateModelError for the
-    exact a == 0 case), since the Airy form needs a < 0.
-    """
+def _derive_ab(params: FlowParams, c: float) -> tuple[float, float, float]:
+    """(a, b, c) for the Riccati constant c.  grad_term == f1 alone decides
+    degeneracy (DegenerateModelError), since 2 nu**2 can round the a of a
+    nonzero gap to 0 or infinity; any other a that is not a finite
+    negative double raises ModelInvalidError."""
     c = _require_finite("c", c)
-    two_nu_sq = 2.0 * params.nu * params.nu
-    a = params.forcing_gap / two_nu_sq
-    if a == 0.0:
+    if params.grad_term == params.f1:
         raise DegenerateModelError()
+    two_nu_sq = 2.0 * params.nu * params.nu
+    a = params.forcing_gap / two_nu_sq if two_nu_sq else params.forcing_gap * math.inf
     if a > 0.0:
         raise ModelInvalidError(a)
-    return SolutionConstants(a=a, b=c / two_nu_sq, c=c)
+    if not -math.inf < a < 0.0:
+        raise ModelInvalidError(a, f"model requires a finite nonzero a, got a = {a!r}")
+    return a, _require_finite("b", c / two_nu_sq), c
+
+
+def derive_constants(params: FlowParams, c: float) -> SolutionConstants:
+    """a, b and c for the Riccati constant c, with (c1, c2) unset."""
+    a, b, c = _derive_ab(params, c)
+    return SolutionConstants(a=a, b=b, c=c)
+
+
+def constants_from_u0(
+    params: FlowParams, c: float, u10: float
+) -> tuple[SolutionConstants, AiryQuartet]:
+    """The constants for the Riccati constant c with u1(0) = u10, and the
+    Airy quartet at t(0).
+
+    The condition is one homogeneous linear equation in (c1, c2):
+        c1*[-2 nu k Ai'(t0) - u10 Ai(t0)] + c2*[-2 nu k Bi'(t0) - u10 Bi(t0)] = 0
+    with k = (-a)**(1/3) and t0 = t(0); the pair is its orthogonal-complement
+    solution.  It is normalized here and once more by SolutionConstants;
+    dropping either step moves the last bit of some pairs.
+    """
+    a, b, c = _derive_ab(params, c)
+    q0 = airy_eval(-b / (-a) ** (2.0 / 3.0))
+    two_nu_k = 2.0 * params.nu * (-a) ** (1.0 / 3.0)
+    bracket_ai = -two_nu_k * q0.ai_prime - u10 * q0.ai
+    bracket_bi = -two_nu_k * q0.bi_prime - u10 * q0.bi
+    if max(abs(bracket_ai), abs(bracket_bi)) < 1e-300:
+        raise DegenerateCoefficientsError("both coefficient brackets vanished")
+    c1, c2 = _normalize_pair(-bracket_bi, bracket_ai)
+    return SolutionConstants(a=a, b=b, c=c, c1=c1, c2=c2), q0
 
 
 def map_t(s: float, consts: SolutionConstants) -> float:
@@ -262,6 +293,42 @@ def has_interior_pole(consts: SolutionConstants, s_lo: float, s_hi: float) -> bo
     _require_coefficients(consts)
     hi = _half_turns(consts, airy_eval(map_t(s_hi, consts)))
     return hi > _half_turns(consts, airy_eval(map_t(s_lo, consts)))
+
+
+def endpoint_u1(params: FlowParams, consts: SolutionConstants, q0: AiryQuartet) -> float | None:
+    """u1(L) from the constants and the quartet q0 at t(0) that
+    constants_from_u0 returns, or None when z vanishes in (0, L]: the
+    half-turn count rises from t(0) to t(L), or z(L) is in the pole band.
+    One Airy evaluation, at t(L)."""
+    length = params.length
+    qL = airy_eval(map_t(length, consts))
+    if _half_turns(consts, qL) > _half_turns(consts, q0):
+        return None
+    try:
+        return _u1_at(length, params, consts, qL)
+    except PoleError:
+        return None
+
+
+def endpoint_slope(
+    params: FlowParams, consts: SolutionConstants, q0: AiryQuartet
+) -> tuple[float, float]:
+    """u1(L) and du1(L)/dc at fixed u1(0), from the constants and the
+    quartet q0 at t(0) that constants_from_u0 returns; no pole checks.
+    One Airy evaluation, at t(L).
+
+    v = du1/dc solves v' = (u1/nu) v + 1/nu with v(0) = 0, so
+    v(L) = int_0^L z**2 ds / (nu z(L)**2); with dt/ds = kappa and the
+    Airy integral int w**2 dt = t w**2 - w_t**2 (DLMF 9.11) this is
+    [t z**2 - z_t**2] from t(0) to t(L), over kappa nu z(L)**2.
+    """
+    qL = airy_eval(map_t(params.length, consts))
+    kappa = (-consts.a) ** (1.0 / 3.0)
+    c1, c2 = consts.c1, consts.c2
+    z0, zt0 = c1 * q0.ai + c2 * q0.bi, c1 * q0.ai_prime + c2 * q0.bi_prime
+    zL, ztL = c1 * qL.ai + c2 * qL.bi, c1 * qL.ai_prime + c2 * qL.bi_prime
+    integral = (qL.t * zL * zL - ztL * ztL) - (q0.t * z0 * z0 - zt0 * zt0)
+    return -2.0 * params.nu * kappa * ztL / zL, integral / (kappa * params.nu * zL * zL)
 
 
 def find_poles(consts: SolutionConstants, s_lo: float, s_hi: float) -> list[float]:

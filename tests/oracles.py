@@ -381,17 +381,16 @@ def reference_asymptotic_negative(t: float) -> tuple[float, float, float, float]
 
 def reference_solve_bvp(u10: float, u1L: float, params, c_bracket=None):
     """(c, excluded_candidates, endpoint_residual) by solve_bvp's search,
-    each shot built from derive_constants, coefficients_from_u0,
-    with_coefficients, has_interior_pole and exact_u1; raises the same
+    each shot built from constants_from_u0, has_interior_pole and
+    exact_u1, and the Newton slope written out here; raises the same
     errors with the same arguments."""
     from airyflow import (
         NoSignChangeError,
         PoleCrossingError,
         PoleError,
         airy_eval,
-        coefficients_from_u0,
+        constants_from_u0,
         default_c_bracket,
-        derive_constants,
         exact_u1,
         map_t,
     )
@@ -404,8 +403,7 @@ def reference_solve_bvp(u10: float, u1L: float, params, c_bracket=None):
     nu, length = params.nu, params.length
 
     def build(c):
-        partial = derive_constants(params, c)
-        return partial.with_coefficients(*coefficients_from_u0(u10, params, partial))
+        return constants_from_u0(params, c, u10)[0]
 
     def residual(c):
         consts = build(c)

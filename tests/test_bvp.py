@@ -12,7 +12,7 @@ from airyflow import (
     NoSignChangeError,
     PoleCrossingError,
     c_from_initial,
-    coefficients_from_u0,
+    constants_from_u0,
     default_c_bracket,
     derive_constants,
     exact_u1,
@@ -44,10 +44,9 @@ class TestCFromInitial:
 class TestCoefficients:
     def test_zero_velocity_gives_30_degree_pair(self):
         p = FlowParams(nu=1.0, grad_term=-2.0, f1=0.0, length=2.0)
-        partial = derive_constants(p, 0.0)
-        c1, c2 = coefficients_from_u0(0.0, p, partial)
-        assert c1 == pytest.approx(COEF_C1, rel=1e-12)
-        assert c2 == pytest.approx(COEF_C2, rel=1e-12)
+        consts, _ = constants_from_u0(p, 0.0, 0.0)
+        assert consts.c1 == pytest.approx(COEF_C1, rel=1e-12)
+        assert consts.c2 == pytest.approx(COEF_C2, rel=1e-12)
 
     def test_pure_ai_target(self):
         # choosing u10 equal to the pure-Ai start velocity zeroes the Bi
@@ -56,9 +55,9 @@ class TestCoefficients:
         partial = derive_constants(p, 0.0)
         pure_ai = partial.with_coefficients(1.0, 0.0)
         u10 = exact_u1(0.0, p, pure_ai)
-        c1, c2 = coefficients_from_u0(u10, p, partial)
-        assert c1 == pytest.approx(1.0, rel=1e-12)
-        assert abs(c2) <= 1e-12
+        consts, _ = constants_from_u0(p, 0.0, u10)
+        assert consts.c1 == pytest.approx(1.0, rel=1e-12)
+        assert abs(consts.c2) <= 1e-12
 
     def test_roundtrip_reproduces_u10(self):
         rng = random.Random(3)
@@ -71,9 +70,7 @@ class TestCoefficients:
                 length=1.0,
             )
             u10 = rng.uniform(-2.0, 2.0)
-            partial = derive_constants(p, rng.uniform(-2.0, 2.0))
-            c1, c2 = coefficients_from_u0(u10, p, partial)
-            consts = partial.with_coefficients(c1, c2)
+            consts, _ = constants_from_u0(p, rng.uniform(-2.0, 2.0), u10)
             assert exact_u1(0.0, p, consts) == pytest.approx(u10, rel=1e-10, abs=1e-10)
 
 

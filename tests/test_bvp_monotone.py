@@ -18,8 +18,9 @@ from airyflow import (
     FlowParams,
     NoSignChangeError,
     PoleError,
+    SolutionConstants,
     airy_eval,
-    coefficients_from_u0,
+    constants_from_u0,
     default_c_bracket,
     derive_constants,
     exact_u1,
@@ -27,8 +28,9 @@ from airyflow import (
     random_flow_case,
     solve_bvp,
 )
-from airyflow import bvp, flow
-from airyflow.bvp import SCAN_POINTS, _residual_and_slope
+from airyflow import flow
+from airyflow.bvp import SCAN_POINTS
+from airyflow.flow import endpoint_slope
 from oracles import reference_solve_bvp, sign_scan_cells
 
 N_DRAWS = 40
@@ -42,8 +44,7 @@ README_PARAMS = FlowParams(nu=1.0, grad_term=-2.0, f1=0.0, length=1.0)
 
 
 def constants_for(params, u10, c):
-    partial = derive_constants(params, c)
-    return partial.with_coefficients(*coefficients_from_u0(u10, params, partial))
+    return constants_from_u0(params, c, u10)[0]
 
 
 def candidates(bracket):
@@ -118,10 +119,7 @@ def test_closed_form_slope_matches_central_difference():
         params, data, consts = random_flow_case(rng)
 
         def residual_and_slope(c):
-            consts = constants_for(params, data.u10, c)
-            q0 = airy_eval(map_t(0.0, consts))
-            qL = airy_eval(map_t(params.length, consts))
-            return _residual_and_slope(consts, q0, qL, params, 0.0)
+            return endpoint_slope(params, *constants_from_u0(params, c, data.u10))
 
         c = consts.c
         h = 1e-5 * (1.0 + abs(c))
@@ -165,25 +163,37 @@ def test_root_below_bracket_has_no_sign_change():
 
 @pytest.fixture
 def airy_calls(monkeypatch):
-    """Counts the Airy evaluations made through bvp and flow."""
+    """Counts the Airy evaluations made through flow, where solve_bvp
+    makes all of them."""
     calls = [0]
 
     def counted(t):
         calls[0] += 1
         return airy_eval(t)
 
-    monkeypatch.setattr(bvp, "airy_eval", counted)
     monkeypatch.setattr(flow, "airy_eval", counted)
     return calls
 
 
-def test_readme_case_work_count(airy_calls):
-    # Building each shot from coefficients_from_u0, has_interior_pole and
+def test_readme_case_work_count(airy_calls, monkeypatch):
+    # Building each shot from derive_constants, has_interior_pole and
     # exact_u1 costs four Airy evaluations per candidate and three per
     # Newton step, 56 here; sharing the quartets at t(0) and t(L) costs two.
+    # 17 shots: 8 of the binary search, 8 Newton steps and the final one,
+    # each constructing SolutionConstants once (building the partial
+    # constants first and then the pair made 34).
+    built = [0]
+    post_init = SolutionConstants.__post_init__
+
+    def counted(self):
+        built[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(SolutionConstants, "__post_init__", counted)
     sol = solve_bvp(0.0, 0.25, README_PARAMS)
     assert sol.excluded_candidates == 58
-    assert airy_calls[0] <= 36
+    assert built[0] == 17
+    assert airy_calls[0] == 34
 
 
 def test_no_root_reuses_last_usable_residual(airy_calls):

@@ -47,9 +47,11 @@ class TestAiry:
         assert "overflow" in err.lower() or "Bi" in err
 
     def test_far_positive_overflow_is_domain_error(self, capsys):
-        code, _, err = invoke(capsys, "airy", "--t=1e300")
-        assert code == 1
-        assert err == "error: Bi overflows double range at t = 1e+300\n"
+        # Bi' leaves the double range first: Bi(104.3) = 4.47e307 is finite
+        for t in ("1e+300", "104.3"):
+            code, _, err = invoke(capsys, "airy", f"--t={t}")
+            assert code == 1
+            assert err == f"error: Bi' overflows double range at t = {t}\n"
 
     def test_far_negative_argument_evaluates(self, capsys):
         code, out, _ = invoke(capsys, "airy", "--t=-1e300")
@@ -108,6 +110,22 @@ class TestIvp:
         )
         assert code == 1
         assert "a" in err and "0" in err
+
+    @pytest.mark.parametrize("mode,flow,a", [
+        # 2 nu**2 underflows to 0
+        ("ivp", ["--nu", "1e-200", "--grad-term", "-1", "--f1", "0"], "-inf"),
+        ("bvp", ["--nu", "1e-200", "--grad-term", "-1", "--f1", "0"], "-inf"),
+        # a overflows
+        ("ivp", ["--nu", "1e-160", "--grad-term", "-1", "--f1", "0"], "-inf"),
+        ("ivp", ["--nu", "1", "--grad-term", "-1e308", "--f1", "1e308"], "-inf"),
+        # 2 nu**2 overflows and a rounds to -0.0, though grad_term != f1
+        ("ivp", ["--nu", "1e200", "--grad-term", "-1", "--f1", "0"], "-0.0"),
+    ])
+    def test_unrepresentable_a_is_domain_error(self, capsys, mode, flow, a):
+        last = ["--u1dot0", "0"] if mode == "ivp" else ["--u1L", "0"]
+        code, out, err = invoke(capsys, mode, *flow, "--L", "1", "--u10", "0", *last)
+        assert (code, out) == (1, "")
+        assert err == f"error: model requires a finite nonzero a, got a = {a}\n"
 
     def test_emits_profile(self, capsys, tmp_path):
         out_path = tmp_path / "profile.csv"

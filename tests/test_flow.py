@@ -67,8 +67,10 @@ class TestDeriveConstants:
         assert err.value.a == pytest.approx(0.5)
 
     def test_degenerate_model(self):
-        with pytest.raises(DegenerateModelError):
-            derive_constants(make_params(grad_term=0.5, f1=0.5), 0.0)
+        # at nu = 1e-200 and 1e200, 2 nu**2 rounds to 0 and to infinity
+        for nu in (1.0, 1e-200, 1e200):
+            with pytest.raises(DegenerateModelError):
+                derive_constants(make_params(nu=nu, grad_term=0.5, f1=0.5), 0.0)
 
 
 class TestSolutionConstants:
