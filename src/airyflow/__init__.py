@@ -28,6 +28,7 @@ from .errors import (
     ModelInvalidError,
     NoConvergenceError,
     NoSignChangeError,
+    PhaseRangeError,
     PoleCrossingError,
     PoleError,
 )
@@ -94,6 +95,7 @@ __all__ = [
     "ModelInvalidError",
     "NoConvergenceError",
     "NoSignChangeError",
+    "PhaseRangeError",
     "PoleCrossingError",
     "PoleError",
     "SampledField",

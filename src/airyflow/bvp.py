@@ -19,6 +19,7 @@ deliberately unsupported.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import NoSignChangeError, PoleCrossingError
@@ -26,6 +27,7 @@ from .flow import (
     FlowParams,
     SolutionConstants,
     _newton_root,
+    _require_derived,
     _require_finite,
     constants_from_u0,
     endpoint_slope,
@@ -64,7 +66,7 @@ def solve_ivp(data: InitialData, params: FlowParams) -> SolutionConstants:
     the origin is performed once so a degenerate z(0) surfaces here
     rather than later.
     """
-    c = c_from_initial(data.u10, data.u1dot0, params.nu)
+    c = _require_derived("c", c_from_initial(data.u10, data.u1dot0, params.nu))
     consts, _ = constants_from_u0(params, c, data.u10)
     exact_u1(0.0, params, consts)  # raises PoleError on a degenerate origin
     return consts
@@ -85,7 +87,7 @@ class BvpSolution:
 def default_c_bracket(u10: float, u1L: float, nu: float) -> tuple[float, float]:
     """c scales like a velocity squared, so bracket by the boundary data."""
     v = max(abs(u10), abs(u1L), 1.0)
-    half = 10.0 * nu * v * v
+    half = _require_derived("default c bracket half-width", 10.0 * nu * v * v)
     return -half, half
 
 
@@ -111,16 +113,16 @@ def solve_bvp(
     u1L = _require_finite("u1L", u1L)
     if c_bracket is None:
         c_bracket = default_c_bracket(u10, u1L, params.nu)
-    c_lo, c_hi = (float(c_bracket[0]), float(c_bracket[1]))
+    c_lo, c_hi = (_require_finite("c_lo", c_bracket[0]), _require_finite("c_hi", c_bracket[1]))
     if not c_lo < c_hi:
         raise ValueError(f"need c_lo < c_hi, got ({c_lo!r}, {c_hi!r})")
+    _require_derived("c grid span (c_hi - c_lo) * 255", (c_hi - c_lo) * (SCAN_POINTS - 1))
 
-    def shot(c: float) -> tuple[SolutionConstants, float | None]:
-        """Constants for c with u1(0) = u10, and u1(L) - u1L, or None when
-        there is no usable endpoint (pole inside (0, L) or at L)."""
+    def shot(c: float) -> tuple[SolutionConstants, float]:
+        """Constants for c with u1(0) = u10, and u1(L) - u1L, +inf when z
+        vanishes in (0, L]."""
         consts, q0 = constants_from_u0(params, c, u10)
-        u1_end = endpoint_u1(params, consts, q0)
-        return consts, None if u1_end is None else u1_end - u1L
+        return consts, endpoint_u1(params, consts, q0) - u1L
 
     def residual_and_slope(c: float) -> tuple[float, float]:
         u1_end, slope = endpoint_slope(params, *constants_from_u0(params, c, u10))
@@ -135,7 +137,7 @@ def solve_bvp(
     while k < end:
         mid = (k + end) // 2
         r = shot(candidate(mid))[1]
-        if r is None:
+        if r == math.inf:
             end = mid
         else:
             k, r_last = mid + 1, r
@@ -146,7 +148,7 @@ def solve_bvp(
         lo, hi = c_lo, candidate(k - 1)
         c = _newton_root(residual_and_slope, lo, hi, 0.5 * (lo + hi))
         consts, r = shot(c)
-        if r is not None and abs(r) <= ENDPOINT_RTOL * (1.0 + abs(u1L)):
+        if abs(r) <= ENDPOINT_RTOL * (1.0 + abs(u1L)):
             return BvpSolution(
                 constants=consts,
                 c=c,

@@ -49,6 +49,16 @@ class PoleError(FlowDomainError):
         super().__init__(f"denominator vanishes near s = {s!r}{where}")
 
 
+class PhaseRangeError(FlowDomainError):
+    """The Airy phase cannot be placed within its turn at t, because t lies
+    below -PHASE_T_MAX (flow), where rounding in zeta = (2/3)(-t)**1.5
+    reaches a half-turn; pole counts are refused there."""
+
+    def __init__(self, t: float):
+        self.t = t
+        super().__init__(f"Airy phase cannot be resolved to its turn at t = {t!r}")
+
+
 class NoConvergenceError(FlowDomainError):
     """The safeguarded Newton iteration ran out of iterations before its
     step or bracket shrank to the stopping tolerance."""
@@ -63,7 +73,7 @@ class NoSignChangeError(FlowDomainError):
     """The endpoint residual has no root on the pole-free candidates of
     the bracket.  Carries the residuals at the outermost usable ones."""
 
-    def __init__(self, residual_lo: float | None, residual_hi: float | None):
+    def __init__(self, residual_lo: float, residual_hi: float):
         self.residual_lo = residual_lo
         self.residual_hi = residual_hi
         super().__init__(

@@ -18,10 +18,11 @@ from .flow import FlowParams, SolutionConstants, exact_u1, exact_u1_derivative
 
 
 class StreamlineFamily:
-    """Analytic description of phi2(s; y0) = y0 + psi(s) and derivatives.
+    """The streamlines phi1(s) = s, phi2(s; y0) = y0 + psi(s): psi and its
+    first two derivatives, and the tangent slope phi2' = psi'.
 
     Each shape of psi is its own frozen subclass, made by the
-    constructors below; phi1(s) = s for every family here.
+    constructors below.
     """
 
     @staticmethod
@@ -36,20 +37,8 @@ class StreamlineFamily:
     def polynomial(coefficients) -> "StreamlineFamily":
         return PolynomialFamily(tuple(float(c) for c in coefficients))
 
-    def phi1_dot(self, s: float) -> float:
-        return 1.0
-
-    def phi1_ddot(self, s: float) -> float:
-        return 0.0
-
-    def phi2(self, s: float, y0: float) -> float:
-        return y0 + self.psi(s)
-
     def phi2_dot(self, s: float) -> float:
         return self.psi_dot(s)
-
-    def phi2_ddot(self, s: float) -> float:
-        return self.psi_ddot(s)
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,8 @@ import math
 from dataclasses import dataclass
 
 from .airy import AiryQuartet, airy_eval
-from .errors import (DegenerateCoefficientsError, DegenerateModelError, ModelInvalidError,
-                     NoConvergenceError, PoleError)
+from .errors import (DegenerateCoefficientsError, DegenerateModelError, FlowDomainError,
+                     ModelInvalidError, NoConvergenceError, PhaseRangeError, PoleError)
 
 # |z| <= POLE_RTOL * scale counts as a pole, where scale is the local
 # envelope |c1|(|Ai| + |Ai'|) + |c2|(|Bi| + |Bi'|).  A relative test, so
@@ -35,6 +35,16 @@ from .errors import (DegenerateCoefficientsError, DegenerateModelError, ModelInv
 # pure-Ai combination still gets a pole neighborhood around each zero.
 POLE_RTOL = 1e-13
 
+# _phase unwraps theta against its asymptote pi/4 - zeta, within pi/12 of
+# it, where zeta = (2/3)(-t)**1.5; round() picks the right turn while the
+# float error of the unwrapping stays under pi - pi/12.  The power, the
+# factor 2/3, the two subtractions and the division by 2 pi each add about
+# half an ulp of zeta or less, so zeta <= 2**52 (ulp at most 1) keeps it
+# well under that (at most pi/4 against mpmath on 3,000 random t in
+# [-3.57e10, -1e10]).  Past it turns are miscounted (128 of 3,000 random t in
+# [-1e11, -3.57e10]), so pole counts are refused below t = -PHASE_T_MAX.
+PHASE_T_MAX = (1.5 * 2.0**52) ** (2.0 / 3.0)  # ~3.57e10, where zeta = 2**52
+
 _TWO_PI = 2.0 * math.pi
 
 
@@ -42,6 +52,14 @@ def _require_finite(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def _require_derived(name: str, value: float) -> float:
+    """value, derived from finite inputs: leaving the double range is a
+    domain error, where a non-finite input is a usage error (ValueError)."""
+    if not math.isfinite(value):
+        raise FlowDomainError(f"{name} leaves the double range: {value!r}")
     return value
 
 
@@ -138,7 +156,7 @@ def _derive_ab(params: FlowParams, c: float) -> tuple[float, float, float]:
         raise ModelInvalidError(a)
     if not -math.inf < a < 0.0:
         raise ModelInvalidError(a, f"model requires a finite nonzero a, got a = {a!r}")
-    return a, _require_finite("b", c / two_nu_sq), c
+    return a, _require_derived("b", c / two_nu_sq), c
 
 
 def derive_constants(params: FlowParams, c: float) -> SolutionConstants:
@@ -160,7 +178,7 @@ def constants_from_u0(
     dropping either step moves the last bit of some pairs.
     """
     a, b, c = _derive_ab(params, c)
-    q0 = airy_eval(-b / (-a) ** (2.0 / 3.0))
+    q0 = airy_eval(_require_derived("t(0)", -b / (-a) ** (2.0 / 3.0)))
     two_nu_k = 2.0 * params.nu * (-a) ** (1.0 / 3.0)
     bracket_ai = -two_nu_k * q0.ai_prime - u10 * q0.ai
     bracket_bi = -two_nu_k * q0.bi_prime - u10 * q0.bi
@@ -183,11 +201,14 @@ def exact_u1(s: float, params: FlowParams, consts: SolutionConstants) -> float:
     the phase nearest s.
     """
     _require_coefficients(consts)
-    return _u1_at(s, params, consts, airy_eval(map_t(s, consts)))
+    u1 = _u1_at(params, consts, airy_eval(map_t(s, consts)))
+    if u1 == math.inf:
+        raise PoleError(s, nearest_pole=_nearest_pole(consts, s))
+    return u1
 
 
-def _u1_at(s: float, params: FlowParams, consts: SolutionConstants, q: AiryQuartet) -> float:
-    """exact_u1 from the quartet q at t(s), for callers that hold it."""
+def _u1_at(params: FlowParams, consts: SolutionConstants, q: AiryQuartet) -> float:
+    """u1 from the quartet q at t(s); +inf, its value at a pole, in the band."""
     c1, c2 = consts.c1, consts.c2
     z = c1 * q.ai + c2 * q.bi
     scale = (
@@ -196,7 +217,7 @@ def _u1_at(s: float, params: FlowParams, consts: SolutionConstants, q: AiryQuart
         + 1e-300
     )
     if abs(z) <= POLE_RTOL * scale:
-        raise PoleError(s, nearest_pole=_nearest_pole(consts, s))
+        return math.inf
     num = c1 * q.ai_prime + c2 * q.bi_prime
     kappa = (-consts.a) ** (1.0 / 3.0)
     return -2.0 * params.nu * kappa * num / z
@@ -223,8 +244,11 @@ def _phase(consts: SolutionConstants, q: AiryQuartet) -> float:
 
     atan2 gives theta modulo 2 pi; the turn comes from the asymptote
     theta ~ pi/4 - zeta (zeta = (2/3)(-t)**1.5 on t < 0), which stays
-    within pi/12 of theta for every t <= 0.
+    within pi/12 of theta for every t <= 0.  Raises PhaseRangeError for
+    t below -PHASE_T_MAX.
     """
+    if q.t < -PHASE_T_MAX:
+        raise PhaseRangeError(q.t)
     theta = math.atan2(q.bi, q.ai)
     zeta = (2.0 / 3.0) * max(-q.t, 0.0) ** 1.5
     theta += _TWO_PI * round((0.25 * math.pi - zeta - theta) / _TWO_PI)
@@ -295,27 +319,26 @@ def has_interior_pole(consts: SolutionConstants, s_lo: float, s_hi: float) -> bo
     return hi > _half_turns(consts, airy_eval(map_t(s_lo, consts)))
 
 
-def endpoint_u1(params: FlowParams, consts: SolutionConstants, q0: AiryQuartet) -> float | None:
+def endpoint_u1(params: FlowParams, consts: SolutionConstants, q0: AiryQuartet) -> float:
     """u1(L) from the constants and the quartet q0 at t(0) that
-    constants_from_u0 returns, or None when z vanishes in (0, L]: the
-    half-turn count rises from t(0) to t(L), or z(L) is in the pole band.
-    One Airy evaluation, at t(L)."""
-    length = params.length
-    qL = airy_eval(map_t(length, consts))
+    constants_from_u0 returns, or +inf, the value u1(L) reaches as c
+    rises to a pole crossing, when z vanishes in (0, L]: the half-turn
+    count rises from t(0) to t(L), or z(L) is in the pole band.  One
+    Airy evaluation, at t(L)."""
+    qL = airy_eval(map_t(params.length, consts))
     if _half_turns(consts, qL) > _half_turns(consts, q0):
-        return None
-    try:
-        return _u1_at(length, params, consts, qL)
-    except PoleError:
-        return None
+        return math.inf
+    return _u1_at(params, consts, qL)
 
 
 def endpoint_slope(
     params: FlowParams, consts: SolutionConstants, q0: AiryQuartet
 ) -> tuple[float, float]:
     """u1(L) and du1(L)/dc at fixed u1(0), from the constants and the
-    quartet q0 at t(0) that constants_from_u0 returns; no pole checks.
-    One Airy evaluation, at t(L).
+    quartet q0 at t(0) that constants_from_u0 returns; no pole count.
+    One Airy evaluation, at t(L).  The slope is nan where it is
+    undefined: z(L) in the pole band (u1(L) = +inf), or z(L) so small
+    that kappa nu z(L)**2 underflows to 0.
 
     v = du1/dc solves v' = (u1/nu) v + 1/nu with v(0) = 0, so
     v(L) = int_0^L z**2 ds / (nu z(L)**2); with dt/ds = kappa and the
@@ -323,12 +346,17 @@ def endpoint_slope(
     [t z**2 - z_t**2] from t(0) to t(L), over kappa nu z(L)**2.
     """
     qL = airy_eval(map_t(params.length, consts))
+    u1 = _u1_at(params, consts, qL)
     kappa = (-consts.a) ** (1.0 / 3.0)
     c1, c2 = consts.c1, consts.c2
+    zL = c1 * qL.ai + c2 * qL.bi
+    denominator = kappa * params.nu * zL * zL
+    if u1 == math.inf or denominator == 0.0:
+        return u1, math.nan
     z0, zt0 = c1 * q0.ai + c2 * q0.bi, c1 * q0.ai_prime + c2 * q0.bi_prime
-    zL, ztL = c1 * qL.ai + c2 * qL.bi, c1 * qL.ai_prime + c2 * qL.bi_prime
+    ztL = c1 * qL.ai_prime + c2 * qL.bi_prime
     integral = (qL.t * zL * zL - ztL * ztL) - (q0.t * z0 * z0 - zt0 * zt0)
-    return -2.0 * params.nu * kappa * ztL / zL, integral / (kappa * params.nu * zL * zL)
+    return u1, integral / denominator
 
 
 def find_poles(consts: SolutionConstants, s_lo: float, s_hi: float) -> list[float]:
@@ -368,14 +396,14 @@ def _nearest_pole(consts: SolutionConstants, s: float) -> float | None:
     """The zero at the half-turn nearest the phase at s, searched within
     the distance over which the phase moves a quarter turn at its rate
     at s (s itself where that rate underflows); None when the search
-    does not converge."""
-    delta = _phase(consts, airy_eval(map_t(s, consts)))
-    f = _zero_residual(consts, round(delta / math.pi - 0.5))
-    half_width = 0.5 * math.pi / f(s)[1]
-    if not math.isfinite(half_width):
-        return s
-    lo, hi = s - half_width, s + half_width
+    does not converge or the phase cannot be resolved (PhaseRangeError)."""
     try:
+        delta = _phase(consts, airy_eval(map_t(s, consts)))
+        f = _zero_residual(consts, round(delta / math.pi - 0.5))
+        half_width = 0.5 * math.pi / f(s)[1]
+        if not math.isfinite(half_width):
+            return s
+        lo, hi = s - half_width, s + half_width
         return _newton_root(f, lo, hi, 0.5 * (lo + hi))
-    except NoConvergenceError:
+    except (NoConvergenceError, PhaseRangeError):
         return None

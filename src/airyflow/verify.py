@@ -228,17 +228,14 @@ def check_prop2_prop3(field, h: float) -> tuple[float, float]:
 
 def continuity_bracket(family, y0: float, s: float, dg_dy: float = 0.0) -> float:
     """Coefficient [phi2'' - (phi2'/phi1') phi1''] * dg/dy of the
-    incompressible continuity equation written in u1 alone.
+    incompressible continuity equation written in u1 alone, which is
+    psi''(s) * dg/dy for the translate families (phi1 = s).
 
-    Vanishes identically for the translate families, whose inverse map
-    g(x, y) = x gives the default dg/dy = 0, reproducing the classical
-    constant-velocity result for rectilinear incompressible flow.
+    Vanishes identically for them, whose inverse map g(x, y) = x gives
+    the default dg/dy = 0, reproducing the classical constant-velocity
+    result for rectilinear incompressible flow.
     """
-    phi1_dot = family.phi1_dot(s)
-    if phi1_dot == 0.0:
-        raise ValueError(f"phi1'(s) must be nonzero, got 0 at s = {s!r}")
-    bracket = family.phi2_ddot(s) - family.phi2_dot(s) / phi1_dot * family.phi1_ddot(s)
-    return bracket * dg_dy
+    return family.psi_ddot(s) * dg_dy
 
 
 # ---------------------------------------------------------------------------

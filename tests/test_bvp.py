@@ -7,10 +7,14 @@ import pytest
 
 from airyflow import (
     DegenerateModelError,
+    FlowDomainError,
     FlowParams,
     InitialData,
     NoSignChangeError,
     PoleCrossingError,
+    PoleError,
+    SolutionConstants,
+    airy_eval,
     c_from_initial,
     constants_from_u0,
     default_c_bracket,
@@ -21,6 +25,7 @@ from airyflow import (
     solve_bvp,
     solve_ivp,
 )
+from airyflow.flow import endpoint_slope, endpoint_u1
 
 # frozen: normalized coefficients for u10 = 0 at t0 = 0 are exactly
 # (sqrt(3)/2, 1/2) because Bi'(0) = -sqrt(3) Ai'(0); asserted numerically
@@ -150,8 +155,46 @@ class TestSolveBvp:
         with pytest.raises(ValueError):
             solve_bvp(0.0, 0.0, p, (1.0, 1.0))
 
+    def test_nonfinite_bracket_is_usage_error(self):
+        p = FlowParams(nu=1.0, grad_term=-2.0, f1=0.0, length=1.0)
+        with pytest.raises(ValueError):
+            solve_bvp(0.0, 0.0, p, (-math.inf, 1.0))
+        # finite ends whose candidate grid overflows: derived, a domain error
+        with pytest.raises(FlowDomainError, match="c grid span"):
+            solve_bvp(0.0, 0.0, p, (-1e306, 1e306))
+
     def test_default_bracket_scales_with_data(self):
         lo, hi = default_c_bracket(2.0, -3.0, 0.5)
         assert lo == -45.0 and hi == 45.0
         lo, hi = default_c_bracket(0.1, 0.2, 1.0)
         assert lo == -10.0 and hi == 10.0
+
+
+class TestShotFinishers:
+    """A shot reports a pole one way: u1(L) = +inf, the value u1(L) reaches
+    as c rises to a pole crossing."""
+
+    P = FlowParams(nu=1.0, grad_term=-2.0, f1=0.0, length=1.0)
+
+    def test_pole_in_interval_reads_plus_infinity(self):
+        # README case: c = 10, the default bracket's top, is past the first
+        # pole crossing (58 of its 256 candidates are)
+        consts, q0 = constants_from_u0(self.P, 10.0, 0.0)
+        assert endpoint_u1(self.P, consts, q0) == math.inf
+
+    def test_pole_band_at_endpoint(self):
+        # z = Bi(1) Ai(t) - Ai(1) Bi(t) vanishes at t(L) = L = 1
+        q1 = airy_eval(1.0)
+        consts = SolutionConstants(a=-1.0, b=0.0, c=0.0, c1=q1.bi, c2=-q1.ai)
+        q0 = airy_eval(0.0)
+        assert endpoint_u1(self.P, consts, q0) == math.inf
+        u1, slope = endpoint_slope(self.P, consts, q0)
+        assert u1 == math.inf and math.isnan(slope)
+        with pytest.raises(PoleError):
+            exact_u1(1.0, self.P, consts)
+
+    def test_finishers_agree_off_poles(self):
+        consts, q0 = constants_from_u0(self.P, -0.5, 0.1)
+        u1, slope = endpoint_slope(self.P, consts, q0)
+        assert u1 == endpoint_u1(self.P, consts, q0) == exact_u1(1.0, self.P, consts)
+        assert slope > 0.0

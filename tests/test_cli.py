@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -188,6 +189,68 @@ class TestBvp:
         )
         assert code == 2
         assert "c-min" in err and "c-max" in err
+
+
+class TestDomainLimits:
+    """Inputs that are finite but take the model out of range exit 1 with
+    one `error:` line; only a non-finite flag is a usage error (exit 2)."""
+
+    FLOW = ["--nu", "1", "--grad-term", "-2", "--f1", "0", "--L", "1"]
+
+    @pytest.mark.parametrize("u1dot0", ["1e20", "1e250"])
+    def test_unresolvable_phase(self, capsys, u1dot0):
+        # t(0) = -u1dot0/2: z has ~2e9 zeros on [0, 1] at 1e20, where the
+        # pole count read "none"; 1e250 overflowed (-t)**1.5
+        code, _, err = invoke(capsys, "ivp", *self.FLOW, "--u10", "0", "--u1dot0", u1dot0)
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,name", [
+        (["ivp", *FLOW, "--u10", "1e200", "--u1dot0", "0"], "c"),
+        (["bvp", *FLOW, "--u10", "1e160", "--u1L", "0"], "default c bracket half-width"),
+        (["ivp", "--nu", "1e-150", "--grad-term", "-1e-300", "--f1", "0", "--L", "1",
+          "--u10", "1e10", "--u1dot0", "0"], "b"),
+        (["ivp", "--nu", "1", "--grad-term", "-2e-300", "--f1", "0", "--L", "1",
+          "--u10", "0", "--u1dot0", "1e200"], "t(0)"),
+    ])
+    def test_derived_value_out_of_range(self, capsys, argv, name):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {name} leaves the double range: ")
+        assert err.count("\n") == 1
+
+    def test_pole_band_inside_newton(self, capsys):
+        # a Newton shot with z(L) in the pole band used to divide by zero
+        code, out, err = invoke(capsys, "bvp", *self.FLOW, "--u10", "4", "--u1L", "-6")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def fuzz_value(rng, positive=False):
+    """Half the time uniform on [-5, 5], else +-m 10**e with m uniform on
+    [1, 10) and e on [-300, 300]."""
+    if rng.random() < 0.5:
+        value = rng.uniform(-5.0, 5.0)
+    else:
+        value = rng.choice((-1.0, 1.0)) * rng.uniform(1.0, 10.0) * 10.0 ** rng.randint(-300, 300)
+    return abs(value) if positive else value
+
+
+def test_fuzzed_solves_never_raise(capsys):
+    rng = random.Random(7)
+    for _ in range(1000):
+        mode = rng.choice(("ivp", "bvp"))
+        flags = ("--nu", "--grad-term", "--f1", "--L", "--u10",
+                 "--u1dot0" if mode == "ivp" else "--u1L")
+        argv = [mode]
+        for flag in flags:
+            argv += [flag, repr(fuzz_value(rng, positive=flag in ("--nu", "--L")))]
+        try:
+            code = run(argv)
+        except Exception as exc:  # any escape is the failure
+            pytest.fail(f"{' '.join(argv)} raised {exc!r}")
+        capsys.readouterr()
+        assert code in (0, 1, 2), argv
 
 
 FIELD_CONFIG = """\

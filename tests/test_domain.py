@@ -15,7 +15,7 @@ from functools import cache
 
 import pytest
 
-from airyflow import FlowParams, InitialData, exact_u1, solve_bvp, solve_ivp
+from airyflow import FlowDomainError, FlowParams, InitialData, exact_u1, solve_bvp, solve_ivp
 from airyflow.bvp import ENDPOINT_RTOL
 from airyflow.verify import random_flow_case
 
@@ -38,6 +38,18 @@ IVP_WRONG = {21, 121, 149, 230, 295}
 IVP_OVERFLOW = {88, 211}
 # AiryOverflowError: the default bracket reaches t(0) = 135
 BVP_OVERFLOW = {(11, 27)}
+
+# u1(L) of each IVP draw that solves, shifted by these, as BVP targets
+LOWVISC_SHIFTS = (0.0, 3.0, -3.0)
+# of the 894, 331 solve today; the rest raise NoSignChangeError (259),
+# AiryOverflowError (264) or PoleCrossingError (40) (ROADMAP item 1)
+LOWVISC_MIN_SOLVED = 331
+
+# bvp --nu 1 --grad-term -2 --f1 0 --L 1 --u10 4 --u1L -6: a benign root
+# at t(0) = 8.6 (the 40-digit oracle gives u1(L) = -6.0000000000000036),
+# but Newton on the default bracket starts at c = -183.5, t(0) = 91.8
+GATE_PARAMS = FlowParams(nu=1.0, grad_term=-2.0, f1=0.0, length=1.0)
+GATE_C = -17.23340320023033
 
 
 def _ivp_draws():
@@ -84,3 +96,35 @@ def test_bvp_recovers_generating_c(seed, index):
     u1L = exact_u1(params.length, params, consts)
     sol = solve_bvp(data.u10, u1L, params)
     assert abs(sol.c - consts.c) <= BVP_C_ATOL, (sol.c, consts.c)
+
+
+def test_lowvisc_bvps_solve_or_raise_domain_error():
+    solved = 0
+    for index, (params, u10, u1dot0) in enumerate(_ivp_draws()):
+        if index in IVP_OVERFLOW:
+            continue
+        consts = solve_ivp(InitialData(u10=u10, u1dot0=u1dot0), params)
+        u1L = exact_u1(params.length, params, consts)
+        for target in (u1L + shift for shift in LOWVISC_SHIFTS):
+            try:
+                sol = solve_bvp(u10, target, params)
+            except FlowDomainError:
+                continue
+            want, cond = u1_propagator(params, u10, sol.initial_slope, params.length)
+            if cond <= MAX_COND:
+                assert abs(target - want) <= ORACLE_RTOL * cond * (1.0 + abs(want)), (index, target)
+            solved += 1
+    assert solved >= LOWVISC_MIN_SOLVED
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_bvp_newton_start_past_item1_region():
+    sol = solve_bvp(4.0, -6.0, GATE_PARAMS)
+    assert abs(sol.c - GATE_C) <= BVP_C_ATOL
+
+
+def test_bvp_gate_root_on_narrow_bracket():
+    sol = solve_bvp(4.0, -6.0, GATE_PARAMS, (-60.0, 10.0))
+    assert abs(sol.c - GATE_C) <= BVP_C_ATOL
+    want, cond = u1_propagator(GATE_PARAMS, 4.0, sol.initial_slope, GATE_PARAMS.length)
+    assert abs(want + 6.0) <= ORACLE_RTOL * cond * (1.0 + abs(want))

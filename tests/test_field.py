@@ -33,7 +33,6 @@ class TestStreamlineFamily:
         assert fam.psi(1.5) == 3.0
         assert fam.psi_dot(7.0) == 2.0
         assert fam.psi_ddot(7.0) == 0.0
-        assert fam.phi2(1.5, 10.0) == 13.0
 
     def test_sinusoidal(self):
         fam = StreamlineFamily.sinusoidal(0.1, math.pi)
@@ -50,11 +49,6 @@ class TestStreamlineFamily:
         assert fam.psi(s) == pytest.approx(1.0 - 2.0 * s + 3.0 * s * s)
         assert fam.psi_dot(s) == pytest.approx(-2.0 + 6.0 * s)
         assert fam.psi_ddot(s) == pytest.approx(6.0)
-
-    def test_phi1_trivial(self):
-        fam = StreamlineFamily.straight(0.0)
-        assert fam.phi1_dot(3.0) == 1.0
-        assert fam.phi1_ddot(3.0) == 0.0
 
 
 class TestReconstruct:

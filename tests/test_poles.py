@@ -10,11 +10,15 @@ band set by |z|/M, then reports poles where z keeps one sign.
 import math
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from airyflow import (
+    FlowDomainError,
     FlowParams,
+    PhaseRangeError,
     SolutionConstants,
+    airy_eval,
     constants_from_u0,
     default_c_bracket,
     exact_u1,
@@ -131,3 +135,43 @@ def test_newton_from_left_end_takes_few_phase_evaluations(monkeypatch):
         find_poles(consts, -(t_lo * kappa_sq + b) / a, -(t_hi * kappa_sq + b) / a)
     assert len(counts) > 2000
     assert sum(counts) <= 5 * len(counts)
+
+
+def far_ai(t_far):
+    """Pure Ai along t(s) = s + t_far."""
+    return SolutionConstants(a=-1.0, b=-t_far, c=0.0, c1=1.0, c2=0.0)
+
+
+@pytest.mark.parametrize("fraction", [0.5, 0.9, 0.98, 0.999])
+def test_pole_count_exact_inside_phase_bound(fraction):
+    # 40 zeros of Ai below t = -fraction * PHASE_T_MAX, where a zero spacing
+    # is only 2 to 4 doubles of t: the half-turn count matches the sign
+    # changes of Ai over every double t in the window
+    t_far = -fraction * flow.PHASE_T_MAX
+    consts, width = far_ai(t_far), 40.0 * math.pi / math.sqrt(-t_far)
+    t, t_end = map_t(0.0, consts), map_t(width, consts)
+    count = flow._half_turns(consts, airy_eval(t_end)) - flow._half_turns(consts, airy_eval(t))
+    changes, negative = 0, airy_eval(t).ai < 0.0
+    while t < t_end:
+        t = math.nextafter(t, math.inf)
+        now = airy_eval(t).ai < 0.0
+        changes, negative = changes + (now != negative), now
+    assert count == changes >= 39
+
+
+def test_pole_count_refused_past_phase_bound():
+    # a window of 40 zero spacings at t ~ -1e12, where the unwrapped phase
+    # loses turns (the count read 33 where mpmath has 39): refused, not
+    # miscounted
+    consts = far_ai(-1e12)
+    with pytest.raises(PhaseRangeError) as err:
+        find_poles(consts, 0.0, 40.0 * math.pi * 1e-6)
+    assert err.value.t == -1e12
+    assert issubclass(PhaseRangeError, FlowDomainError)  # CLI exit 1
+    with pytest.raises(PhaseRangeError):
+        has_interior_pole(far_ai(-1.001 * flow.PHASE_T_MAX), 0.0, 1e-3)
+    has_interior_pole(far_ai(-0.999 * flow.PHASE_T_MAX), 0.0, 1e-3)
+    # u1 itself is still evaluated there; a pole error there names no pole
+    params = FlowParams(nu=0.5, grad_term=-1.0, f1=0.0, length=1.0)
+    assert math.isfinite(exact_u1(0.0, params, consts))
+    assert flow._nearest_pole(consts, 0.0) is None
