@@ -20,7 +20,6 @@ from .bvp import (
 )
 from .errors import (
     AiryOverflowError,
-    DegenerateCoefficientsError,
     DegenerateModelError,
     FlowDomainError,
     GridDomainError,
@@ -83,7 +82,6 @@ __all__ = [
     "AiryOverflowError",
     "BvpSolution",
     "CheckResult",
-    "DegenerateCoefficientsError",
     "DegenerateModelError",
     "FlowDomainError",
     "FlowParams",

@@ -15,6 +15,8 @@ Evaluation is self-contained (no special-function library):
   The oscillatory phase for t < 0 is reduced modulo 2*pi in integers,
   with pi carried 128 bits past the quotient, and rounded once, so every
   finite t < -9 keeps near-full double accuracy.
+* airy_scaled, the solver's entry, returns the t > 9 tail without its
+  exp(-+zeta) factors, with zeta as its scale, so it never overflows.
 
 Measured against mpmath on 2,000 random points of [-9, 9] plus every
 anchor midpoint, the Taylor branch is within 3.1e-16 of the envelope
@@ -90,6 +92,17 @@ def airy_eval(t: float) -> AiryQuartet:
     else:
         ai, bi, aip, bip = _asymptotic_negative(t)
     return AiryQuartet(ai=ai, bi=bi, ai_prime=aip, bi_prime=bip, t=t)
+
+
+def airy_scaled(t: float) -> tuple[AiryQuartet, float]:
+    """(Ai e**sigma, Bi e**-sigma and their t-derivatives likewise, sigma),
+    finite for every finite t: sigma = 0 for t <= 9 (airy_eval(t)), else zeta."""
+    if not t > _SERIES_BOUND or t == math.inf:
+        return airy_eval(t), 0.0
+    zeta = (2.0 / 3.0) * t * math.sqrt(t)  # inf, not OverflowError, past t ~ 3e205
+    xq, su_alt, su, sv_alt, sv = _positive_sums(t, zeta)
+    return AiryQuartet(su_alt / (2.0 * _SQRT_PI * xq), su / (_SQRT_PI * xq),
+                       -xq * sv_alt / (2.0 * _SQRT_PI), xq * sv / _SQRT_PI, t), zeta
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +184,9 @@ def _asymptotic_terms(zeta: float):
             return
 
 
-def _asymptotic_positive(t: float) -> tuple[float, float, float, float]:
-    if t > _T_FAR:
-        raise AiryOverflowError(t)
-    zeta = (2.0 / 3.0) * t ** 1.5
-    xq = t ** 0.25
-    su_alt = su = sv_alt = sv = 1.0  # sums with signs (-1)^k and with +1
+def _positive_sums(t: float, zeta: float) -> tuple[float, float, float, float, float]:
+    """t**(1/4) and the t > 9 sums, with signs (-1)^k (Ai, Ai') and +1 (Bi, Bi')."""
+    su_alt = su = sv_alt = sv = 1.0
     for k, tu, tv in _asymptotic_terms(zeta):
         if k % 2:
             su_alt -= tu
@@ -186,6 +196,14 @@ def _asymptotic_positive(t: float) -> tuple[float, float, float, float]:
             sv_alt += tv
         su += tu
         sv += tv
+    return t ** 0.25, su_alt, su, sv_alt, sv
+
+
+def _asymptotic_positive(t: float) -> tuple[float, float, float, float]:
+    if t > _T_FAR:
+        raise AiryOverflowError(t)
+    zeta = (2.0 / 3.0) * t ** 1.5
+    xq, su_alt, su, sv_alt, sv = _positive_sums(t, zeta)
     # Bi' overflows first, as Bi'/Bi ~ sqrt(t) > 3
     if zeta + math.log(sv * xq / _SQRT_PI) > _LOG_DBL_MAX:
         raise AiryOverflowError(t)

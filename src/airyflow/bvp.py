@@ -22,17 +22,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NoSignChangeError, PoleCrossingError
+from .errors import NoSignChangeError, PoleCrossingError, PoleError
 from .flow import (
     FlowParams,
     SolutionConstants,
+    _nearest_pole,
     _newton_root,
     _require_derived,
     _require_finite,
+    _u1_at,
     constants_from_u0,
     endpoint_slope,
     endpoint_u1,
-    exact_u1,
 )
 
 SCAN_POINTS = 256
@@ -62,13 +63,14 @@ def c_from_initial(u10: float, u1dot0: float, nu: float) -> float:
 def solve_ivp(data: InitialData, params: FlowParams) -> SolutionConstants:
     """Constants from u1(0) = u10 and u1'(0) = u1dot0.
 
-    The result reproduces both conditions by construction; evaluation at
-    the origin is performed once so a degenerate z(0) surfaces here
-    rather than later.
+    The result reproduces both conditions by construction.  A z(0) in the
+    pole band raises PoleError here, as exact_u1(0) would, read from the
+    quartet the constants were built on: one Airy evaluation in all.
     """
     c = _require_derived("c", c_from_initial(data.u10, data.u1dot0, params.nu))
-    consts, _ = constants_from_u0(params, c, data.u10)
-    exact_u1(0.0, params, consts)  # raises PoleError on a degenerate origin
+    consts, q0 = constants_from_u0(params, c, data.u10)
+    if _u1_at(params, consts, q0, consts.zeta0) == math.inf:
+        raise PoleError(0.0, nearest_pole=_nearest_pole(consts, 0.0))
     return consts
 
 

@@ -147,25 +147,27 @@ def _run_ivp(args) -> int:
     if args.samples < 2:
         raise ValueError(f"--samples must be at least 2, got {args.samples}")
     consts = solve_ivp(data, params)
-    print(f"a      = {_fmt(consts.a)}")
-    print(f"b      = {_fmt(consts.b)}")
-    print(f"c      = {_fmt(consts.c)}")
-    print(f"c1     = {_fmt(consts.c1)}")
-    print(f"c2     = {_fmt(consts.c2)}")
-    print(f"u1(0)  = {_fmt(exact_u1(0.0, params, consts))}")
-    print(f"u1'(0) = {_fmt(exact_u1_derivative(0.0, params, consts))}")
+    c1, c2 = consts.coefficients
     try:
-        print(f"u1(L)  = {_fmt(exact_u1(params.length, params, consts))}")
+        u1L = _fmt(exact_u1(params.length, params, consts))
     except PoleError:
-        print("u1(L)  = undefined (pole at L)")
+        u1L = "undefined (pole at L)"
     poles = find_poles(consts, 0.0, params.length)
-    if poles:
-        print("poles  = " + " ".join(_fmt(p) for p in poles))
-    else:
-        print("poles  = none")
+    lines = [
+        f"a      = {_fmt(consts.a)}",
+        f"b      = {_fmt(consts.b)}",
+        f"c      = {_fmt(consts.c)}",
+        f"c1     = {_fmt(c1)}",
+        f"c2     = {_fmt(c2)}",
+        f"u1(0)  = {_fmt(exact_u1(0.0, params, consts))}",
+        f"u1'(0) = {_fmt(exact_u1_derivative(0.0, params, consts))}",
+        f"u1(L)  = {u1L}",
+        "poles  = " + (" ".join(_fmt(p) for p in poles) if poles else "none"),
+    ]
     if args.emit is not None:
         _emit_profile(args.emit, params, consts, args.samples)
-        print(f"profile written to {args.emit}")
+        lines.append(f"profile written to {args.emit}")
+    print("\n".join(lines))  # every value first, so an error leaves no partial report
     return 0
 
 
@@ -193,8 +195,9 @@ def _run_bvp(args) -> int:
     print(f"c       = {_fmt(sol.c)}")
     print(f"u1'(0)  = {_fmt(sol.initial_slope)}")
     print(f"residual= {_fmt(sol.endpoint_residual)}")
-    print(f"c1      = {_fmt(sol.constants.c1)}")
-    print(f"c2      = {_fmt(sol.constants.c2)}")
+    c1, c2 = sol.constants.coefficients
+    print(f"c1      = {_fmt(c1)}")
+    print(f"c2      = {_fmt(c2)}")
     print("roots   = " + " ".join(_fmt(r) for r in sol.roots))
     print(f"excluded_candidates = {sol.excluded_candidates}")
     return 0

@@ -28,7 +28,8 @@ class DegenerateModelError(ModelInvalidError):
 
 class AiryOverflowError(FlowDomainError, OverflowError):
     """Bi'(t) would exceed the double range, which it leaves first, at
-    t ~ 104.21 (Bi follows at t ~ 104.44)."""
+    t ~ 104.21 (Bi follows at t ~ 104.44).  Raised only by the public
+    airy_eval; the solver reads airy_scaled, finite for every finite t."""
 
     def __init__(self, t: float):
         self.t = t
@@ -62,11 +63,6 @@ class PhaseRangeError(FlowDomainError):
 class NoConvergenceError(FlowDomainError):
     """The safeguarded Newton iteration ran out of iterations before its
     step or bracket shrank to the stopping tolerance."""
-
-
-class DegenerateCoefficientsError(FlowDomainError):
-    """Both coefficient brackets vanished; cannot happen for finite data
-    (the Wronskian forbids it) but guarded against anyway."""
 
 
 class NoSignChangeError(FlowDomainError):

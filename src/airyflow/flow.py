@@ -15,8 +15,11 @@ and the velocity is u1 = -2 nu (-a)**(1/3) z_t / z evaluated along t(s).
 (The minus sign comes from the substitution; dropping it breaks the
 Riccati identity, as the verification suite demonstrates.)
 
-u1 is scale-free in (c1, c2), so the pair is stored normalized: unit
-Euclidean norm, first nonzero component positive.
+u1 is scale-free in (c1, c2), so the pair is stored normalized (unit
+Euclidean norm, first nonzero component positive) and anchored at the
+scale zeta0 of t(0) (airy_scaled: sigma = (2/3) t**1.5 past t = 9, else
+0): z is proportional to c1 e**(2 zeta0) Ai + c2 Bi.  Elsewhere only
+D = sigma - zeta0 enters, so no value leaves the double range.
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .airy import AiryQuartet, airy_eval
-from .errors import (DegenerateCoefficientsError, DegenerateModelError, FlowDomainError,
-                     ModelInvalidError, NoConvergenceError, PhaseRangeError, PoleError)
+from .airy import AiryQuartet, airy_scaled
+from .errors import (DegenerateModelError, FlowDomainError, ModelInvalidError,
+                     NoConvergenceError, PhaseRangeError, PoleError)
 
 # |z| <= POLE_RTOL * scale counts as a pole, where scale is the local
 # envelope |c1|(|Ai| + |Ai'|) + |c2|(|Bi| + |Bi'|).  A relative test, so
@@ -98,7 +101,8 @@ class SolutionConstants:
 
     a and b come from the owning FlowParams and the Riccati constant c;
     (c1, c2) select the Airy combination and may be left unset while the
-    boundary data that determine them is still being processed.
+    boundary data that determine them is still being processed.  zeta0,
+    the anchor (module docstring), is 0 for a pair given directly.
     """
 
     a: float
@@ -106,6 +110,7 @@ class SolutionConstants:
     c: float
     c1: float | None = None
     c2: float | None = None
+    zeta0: float = 0.0
 
     def __post_init__(self):
         for name in ("a", "b", "c"):
@@ -122,6 +127,13 @@ class SolutionConstants:
     def with_coefficients(self, c1: float, c2: float) -> "SolutionConstants":
         return SolutionConstants(a=self.a, b=self.b, c=self.c, c1=c1, c2=c2)
 
+    @property
+    def coefficients(self) -> tuple[float, float]:
+        """The normalized (c1, c2) of z = c1 Ai + c2 Bi; c2 may round to 0."""
+        if not (self.zeta0 and self.c1):
+            return self.c1, self.c2
+        return _normalize_pair(self.c1, self.c2 * math.exp(-2.0 * self.zeta0))
+
 
 def _normalize_pair(c1: float, c2: float) -> tuple[float, float]:
     # unit norm, first nonzero component positive
@@ -135,11 +147,6 @@ def _normalize_pair(c1: float, c2: float) -> tuple[float, float]:
     if lead < 0.0:
         c1, c2 = -c1, -c2
     return c1, c2
-
-
-def _require_coefficients(consts: SolutionConstants) -> None:
-    if consts.c1 is None or consts.c2 is None:
-        raise ValueError("SolutionConstants has no (c1, c2) yet")
 
 
 def _derive_ab(params: FlowParams, c: float) -> tuple[float, float, float]:
@@ -169,23 +176,24 @@ def constants_from_u0(
     params: FlowParams, c: float, u10: float
 ) -> tuple[SolutionConstants, AiryQuartet]:
     """The constants for the Riccati constant c with u1(0) = u10, and the
-    Airy quartet at t(0).
+    scaled Airy quartet at t(0), whose scale is the anchor zeta0.
 
     The condition is one homogeneous linear equation in (c1, c2):
         c1*[-2 nu k Ai'(t0) - u10 Ai(t0)] + c2*[-2 nu k Bi'(t0) - u10 Bi(t0)] = 0
-    with k = (-a)**(1/3) and t0 = t(0); the pair is its orthogonal-complement
-    solution.  It is normalized here and once more by SolutionConstants;
-    dropping either step moves the last bit of some pairs.
+    with k = (-a)**(1/3) and t0 = t(0), on the scaled quartet; the pair is its
+    orthogonal-complement solution (never 0: Wronskian), normalized here and once
+    more by SolutionConstants; dropping either step moves the last bit of some pairs.
     """
     a, b, c = _derive_ab(params, c)
-    q0 = airy_eval(_require_derived("t(0)", -b / (-a) ** (2.0 / 3.0)))
+    kappa_sq = (-a) ** (2.0 / 3.0)
+    q0, zeta0 = airy_scaled(_require_derived("t(0)", -b / kappa_sq))
+    _require_derived("t(L)", -(a * params.length + b) / kappa_sq)
     two_nu_k = 2.0 * params.nu * (-a) ** (1.0 / 3.0)
     bracket_ai = -two_nu_k * q0.ai_prime - u10 * q0.ai
     bracket_bi = -two_nu_k * q0.bi_prime - u10 * q0.bi
-    if max(abs(bracket_ai), abs(bracket_bi)) < 1e-300:
-        raise DegenerateCoefficientsError("both coefficient brackets vanished")
     c1, c2 = _normalize_pair(-bracket_bi, bracket_ai)
-    return SolutionConstants(a=a, b=b, c=c, c1=c1, c2=c2), q0
+    zeta0 = _require_derived("zeta(t(0))", zeta0)
+    return SolutionConstants(a=a, b=b, c=c, c1=c1, c2=c2, zeta0=zeta0), q0
 
 
 def map_t(s: float, consts: SolutionConstants) -> float:
@@ -200,27 +208,40 @@ def exact_u1(s: float, params: FlowParams, consts: SolutionConstants) -> float:
     band POLE_RTOL; the error carries the zero of z at the half-turn of
     the phase nearest s.
     """
-    _require_coefficients(consts)
-    u1 = _u1_at(params, consts, airy_eval(map_t(s, consts)))
+    u1 = _u1_at(params, consts, *airy_scaled(map_t(s, consts)))
     if u1 == math.inf:
         raise PoleError(s, nearest_pole=_nearest_pole(consts, s))
     return u1
 
 
-def _u1_at(params: FlowParams, consts: SolutionConstants, q: AiryQuartet) -> float:
-    """u1 from the quartet q at t(s); +inf, its value at a pole, in the band."""
+def _z(consts: SolutionConstants, q: AiryQuartet,
+       sigma: float) -> tuple[float, float, float, float]:
+    """(w1, w2, z, z_t) at q of scale sigma, up to a positive factor: the pair
+    weighted by e**(-2D) on c1 for D = sigma - zeta0 > 0, by e**(2D) on c2 for D < 0,
+    unless the other component is 0 (then the weight is moot, and could underflow)."""
     c1, c2 = consts.c1, consts.c2
-    z = c1 * q.ai + c2 * q.bi
+    if c1 is None:
+        raise ValueError("SolutionConstants has no (c1, c2) yet")
+    d = sigma - consts.zeta0
+    if d > 0.0 and c2:
+        c1 *= math.exp(-2.0 * d)
+    elif d < 0.0 and c1:
+        c2 *= math.exp(2.0 * d)
+    return c1, c2, c1 * q.ai + c2 * q.bi, c1 * q.ai_prime + c2 * q.bi_prime
+
+
+def _u1_at(params: FlowParams, consts: SolutionConstants, q: AiryQuartet, sigma: float) -> float:
+    """u1 from the quartet q (scale sigma) at t(s); +inf, its value at a pole, in the band."""
+    w1, w2, z, z_t = _z(consts, q, sigma)
     scale = (
-        abs(c1) * (abs(q.ai) + abs(q.ai_prime))
-        + abs(c2) * (abs(q.bi) + abs(q.bi_prime))
+        abs(w1) * (abs(q.ai) + abs(q.ai_prime))
+        + abs(w2) * (abs(q.bi) + abs(q.bi_prime))
         + 1e-300
     )
     if abs(z) <= POLE_RTOL * scale:
         return math.inf
-    num = c1 * q.ai_prime + c2 * q.bi_prime
     kappa = (-consts.a) ** (1.0 / 3.0)
-    return -2.0 * params.nu * kappa * num / z
+    return -2.0 * params.nu * kappa * z_t / z
 
 
 def exact_u1_derivative(s: float, params: FlowParams, consts: SolutionConstants) -> float:
@@ -239,8 +260,8 @@ def exact_u1_derivative(s: float, params: FlowParams, consts: SolutionConstants)
 # theta strictly increasing, theta' = 1/(pi M**2) (DLMF 9.8), so the zeros
 # are where theta - phi crosses pi/2 + k pi, one half-turn at a time.
 
-def _phase(consts: SolutionConstants, q: AiryQuartet) -> float:
-    """theta - phi at q.t, unwrapped.
+def _phase(consts: SolutionConstants, q: AiryQuartet, sigma: float) -> float:
+    """theta - phi at q.t (quartet q of scale sigma), unwrapped.
 
     atan2 gives theta modulo 2 pi; the turn comes from the asymptote
     theta ~ pi/4 - zeta (zeta = (2/3)(-t)**1.5 on t < 0), which stays
@@ -249,13 +270,14 @@ def _phase(consts: SolutionConstants, q: AiryQuartet) -> float:
     """
     if q.t < -PHASE_T_MAX:
         raise PhaseRangeError(q.t)
-    theta = math.atan2(q.bi, q.ai)
+    theta = math.atan2(q.bi, q.ai * math.exp(-2.0 * sigma) if sigma else q.ai)
     zeta = (2.0 / 3.0) * max(-q.t, 0.0) ** 1.5
     theta += _TWO_PI * round((0.25 * math.pi - zeta - theta) / _TWO_PI)
-    return theta - math.atan2(consts.c2, consts.c1)
+    c1, c2 = consts.coefficients
+    return theta - math.atan2(c2, c1)
 
 
-def _half_turns(consts: SolutionConstants, q: AiryQuartet) -> int:
+def _half_turns(consts: SolutionConstants, q: AiryQuartet, sigma: float) -> int:
     """How many half-turns pi/2 + k pi the phase has passed at q.t, i.e.
     floor((theta - phi)/pi - 1/2).  Its parity is the sign of z there
     (odd where z > 0), so it is read off the sign of z, and the phase,
@@ -265,26 +287,42 @@ def _half_turns(consts: SolutionConstants, q: AiryQuartet) -> int:
     comparison of the signs of z at the two ends; the phase, flat to
     within rounding of pi/2 once t > 9, never decides it.
     """
-    odd = consts.c1 * q.ai + consts.c2 * q.bi > 0.0
-    return odd + 2 * round((_phase(consts, q) / math.pi - 1.0 - odd) / 2.0)
+    odd = _z(consts, q, sigma)[2] > 0.0
+    return odd + 2 * round((_phase(consts, q, sigma) / math.pi - 1.0 - odd) / 2.0)
 
 
 def _zero_residual(consts: SolutionConstants, k: int):
     """s -> (phase past the k-th half-turn, its s-derivative), increasing
-    in s.  The angle is atan2 of (-1)**(k+1) z and (-1)**k (c1 Bi - c2 Ai),
-    so it is as accurate as z itself near the zero."""
-    c1, c2 = consts.c1, consts.c2
+    in s, for a zero on t <= 0.  The angle is atan2 of (-1)**(k+1) z and
+    (-1)**k (c1 Bi - c2 Ai), so it is as accurate as z itself near the
+    zero; past t = 9 (flat phase) the phase itself, slope 0: bisect."""
     kappa = (-consts.a) ** (1.0 / 3.0)
     sign = 1.0 if k % 2 else -1.0
     target = (k + 0.5) * math.pi
 
     def residual(s: float) -> tuple[float, float]:
-        q = airy_eval(map_t(s, consts))
-        delta = _phase(consts, q)
-        z, w = c1 * q.ai + c2 * q.bi, c1 * q.bi - c2 * q.ai
-        angle = math.atan2(sign * z, -sign * w)
+        q, sigma = airy_scaled(map_t(s, consts))
+        delta = _phase(consts, q, sigma)
+        if sigma:
+            return delta - target, 0.0
+        c1, c2, z, _ = _z(consts, q, sigma)
+        angle = math.atan2(sign * z, -sign * (c1 * q.bi - c2 * q.ai))
         angle += _TWO_PI * round((delta - target - angle) / _TWO_PI)
         return angle, kappa / (math.pi * (q.ai * q.ai + q.bi * q.bi))
+
+    return residual
+
+
+def _ratio_residual(consts: SolutionConstants):
+    """s -> (log(Bi/Ai) - 2 zeta0 - log(-c1/c2), kappa/(pi Ai Bi)): its root is
+    the zero of z on t > -1.17 (Ai, Bi > 0); convex on t > 0, nearly linear in zeta."""
+    kappa = (-consts.a) ** (1.0 / 3.0)
+    offset = math.log(abs(consts.c1)) - math.log(abs(consts.c2))
+
+    def residual(s: float) -> tuple[float, float]:
+        q, sigma = airy_scaled(map_t(s, consts))
+        return (math.log(q.bi / q.ai) + 2.0 * (sigma - consts.zeta0) - offset,
+                kappa / (math.pi * q.ai * q.bi))
 
     return residual
 
@@ -314,9 +352,8 @@ def _newton_root(f, lo: float, hi: float, x: float) -> float:
 def has_interior_pole(consts: SolutionConstants, s_lo: float, s_hi: float) -> bool:
     """True when z has a zero in (s_lo, s_hi]: the phase half-turn count
     rises between the ends (two Airy evaluations, no scan)."""
-    _require_coefficients(consts)
-    hi = _half_turns(consts, airy_eval(map_t(s_hi, consts)))
-    return hi > _half_turns(consts, airy_eval(map_t(s_lo, consts)))
+    hi = _half_turns(consts, *airy_scaled(map_t(s_hi, consts)))
+    return hi > _half_turns(consts, *airy_scaled(map_t(s_lo, consts)))
 
 
 def endpoint_u1(params: FlowParams, consts: SolutionConstants, q0: AiryQuartet) -> float:
@@ -325,10 +362,10 @@ def endpoint_u1(params: FlowParams, consts: SolutionConstants, q0: AiryQuartet) 
     rises to a pole crossing, when z vanishes in (0, L]: the half-turn
     count rises from t(0) to t(L), or z(L) is in the pole band.  One
     Airy evaluation, at t(L)."""
-    qL = airy_eval(map_t(params.length, consts))
-    if _half_turns(consts, qL) > _half_turns(consts, q0):
+    qL, sigma = airy_scaled(map_t(params.length, consts))
+    if _half_turns(consts, qL, sigma) > _half_turns(consts, q0, consts.zeta0):
         return math.inf
-    return _u1_at(params, consts, qL)
+    return _u1_at(params, consts, qL, sigma)
 
 
 def endpoint_slope(
@@ -343,19 +380,21 @@ def endpoint_slope(
     v = du1/dc solves v' = (u1/nu) v + 1/nu with v(0) = 0, so
     v(L) = int_0^L z**2 ds / (nu z(L)**2); with dt/ds = kappa and the
     Airy integral int w**2 dt = t w**2 - w_t**2 (DLMF 9.11) this is
-    [t z**2 - z_t**2] from t(0) to t(L), over kappa nu z(L)**2.
+    [t z**2 - z_t**2] from t(0) to t(L), over kappa nu z(L)**2; in _z's
+    scaled values the t(0) end carries e**(-2|D|) with D at t(L).
     """
-    qL = airy_eval(map_t(params.length, consts))
-    u1 = _u1_at(params, consts, qL)
+    qL, sigma = airy_scaled(map_t(params.length, consts))
+    u1 = _u1_at(params, consts, qL, sigma)
     kappa = (-consts.a) ** (1.0 / 3.0)
-    c1, c2 = consts.c1, consts.c2
-    zL = c1 * qL.ai + c2 * qL.bi
+    _, _, zL, ztL = _z(consts, qL, sigma)
     denominator = kappa * params.nu * zL * zL
     if u1 == math.inf or denominator == 0.0:
         return u1, math.nan
-    z0, zt0 = c1 * q0.ai + c2 * q0.bi, c1 * q0.ai_prime + c2 * q0.bi_prime
-    ztL = c1 * qL.ai_prime + c2 * qL.bi_prime
-    integral = (qL.t * zL * zL - ztL * ztL) - (q0.t * z0 * z0 - zt0 * zt0)
+    _, _, z0, zt0 = _z(consts, q0, consts.zeta0)
+    start = q0.t * z0 * z0 - zt0 * zt0
+    if sigma != consts.zeta0:
+        start *= math.exp(-2.0 * abs(sigma - consts.zeta0))
+    integral = (qL.t * zL * zL - ztL * ztL) - start
     return u1, integral / denominator
 
 
@@ -363,46 +402,48 @@ def find_poles(consts: SolutionConstants, s_lo: float, s_hi: float) -> list[floa
     """All zeros of z in (s_lo, s_hi], ascending.
 
     The half-turn count at the ends gives how many there are; each is
-    then solved for as the root of its increasing phase residual by the
+    then solved for as the root of an increasing residual by the
     safeguarded Newton iteration that solve_bvp also uses, to well inside
     1e-12*(1+|s|), so evaluating exact_u1 at a returned location lands in
     its pole band.  M**2 = Ai**2 + Bi**2 increases, so the phase is
     concave as well as increasing, and Newton started at the left end of
     each bracket (s_lo, then the previous zero) climbs to a zero on t <= 0
-    from below without overshooting.
+    from below without overshooting.  The one zero on t > 0 (flat phase)
+    is the root of the convex _ratio_residual, Newton from s_hi.
     """
-    _require_coefficients(consts)
     s_lo, s_hi = float(s_lo), float(s_hi)
     if not s_lo < s_hi:
         raise ValueError(f"need s_lo < s_hi, got [{s_lo!r}, {s_hi!r}]")
-    q_lo, q_hi = airy_eval(map_t(s_lo, consts)), airy_eval(map_t(s_hi, consts))
-    first, last = _half_turns(consts, q_lo) + 1, _half_turns(consts, q_hi)
+    q_lo, q_hi = airy_scaled(map_t(s_lo, consts)), airy_scaled(map_t(s_hi, consts))
+    first, last = _half_turns(consts, *q_lo) + 1, _half_turns(consts, *q_hi)
     if first > last:
         return []
-    # the zeros up to the count at t = 0 lie on t <= 0; past it the phase
-    # nears pi/2 exponentially, Newton from the left would creep, and the
-    # one zero there keeps its bracket's midpoint as the start
-    q_0 = q_hi if q_hi.t <= 0.0 else q_lo if q_lo.t >= 0.0 else airy_eval(0.0)
-    on_negative = _half_turns(consts, q_0)
+    # the zeros up to the count at t = 0 lie on t <= 0
+    q_0 = q_hi if q_hi[0].t <= 0.0 else q_lo if q_lo[0].t >= 0.0 else airy_scaled(0.0)
+    on_negative = _half_turns(consts, *q_0)
     poles, lo = [], s_lo
     for k in range(first, last + 1):
-        x = lo if k <= on_negative else 0.5 * (lo + s_hi)
-        lo = _newton_root(_zero_residual(consts, k), lo, s_hi, x)
+        if k <= on_negative:
+            lo = _newton_root(_zero_residual(consts, k), lo, s_hi, lo)
+        else:  # on [t = 0, s_hi], from s_hi
+            lo = _newton_root(_ratio_residual(consts), max(lo, -consts.b / consts.a), s_hi, s_hi)
         poles.append(lo)
     return poles
 
 
 def _nearest_pole(consts: SolutionConstants, s: float) -> float | None:
-    """The zero at the half-turn nearest the phase at s, searched within
-    the distance over which the phase moves a quarter turn at its rate
-    at s (s itself where that rate underflows); None when the search
-    does not converge or the phase cannot be resolved (PhaseRangeError)."""
+    """The zero at the half-turn nearest the phase at s, or on t > 0 the
+    root of _ratio_residual (None if c1 c2 >= 0: z has none
+    there), searched within the distance over which the residual moves by
+    a quarter turn at its rate at s; None when the search does not
+    converge or the phase cannot be resolved (PhaseRangeError)."""
     try:
-        delta = _phase(consts, airy_eval(map_t(s, consts)))
-        f = _zero_residual(consts, round(delta / math.pi - 0.5))
+        q, sigma = airy_scaled(map_t(s, consts))
+        if q.t > 0.0 and consts.c1 * consts.c2 >= 0.0:
+            return None
+        f = (_ratio_residual(consts) if q.t > 0.0
+             else _zero_residual(consts, round(_phase(consts, q, sigma) / math.pi - 0.5)))
         half_width = 0.5 * math.pi / f(s)[1]
-        if not math.isfinite(half_width):
-            return s
         lo, hi = s - half_width, s + half_width
         return _newton_root(f, lo, hi, 0.5 * (lo + hi))
     except (NoConvergenceError, PhaseRangeError):

@@ -260,7 +260,7 @@ def random_flow_case(
         pad = 0.05 * length
         if find_poles(consts, -pad, length + pad):
             continue
-        c1, c2 = consts.c1, consts.c2
+        c1, c2 = consts.coefficients
         for k in range(49):
             q = airy_eval(map_t(k * length / 48.0, consts))
             z1, z2 = c1 * q.ai, c2 * q.bi

@@ -13,8 +13,9 @@ initial data through the Wronskian instead of through (c1, c2), so it
 stays accurate where c2/c1 leaves the double range.
 
 The pole oracle is a dense sign scan, independent of the library's
-phase count: z = c1 Ai + c2 Bi sampled with scipy's Airy functions on a
-grid fine enough to separate neighbouring zeros.
+phase count: z = c1 Ai + c2 Bi, with the pair of z itself
+(SolutionConstants.coefficients), sampled with scipy's Airy functions on
+a grid fine enough to separate neighbouring zeros.
 
 The RK4 references are the plain textbook loops the library's
 specialised integrators replaced: a nested right-hand side, a list grid
@@ -144,7 +145,8 @@ def sign_scan_cells(consts, s_lo: float, s_hi: float) -> list[tuple[float, float
         step = min(step, 0.25 * math.pi / (kappa * math.sqrt(-t_min)))
     s = np.linspace(s_lo, s_hi, int(math.ceil((s_hi - s_lo) / step)) + 1)
     ai, _, bi, _ = airy(-(consts.a * s + consts.b) / (-consts.a) ** (2.0 / 3.0))
-    z = consts.c1 * ai + consts.c2 * bi
+    c1, c2 = consts.coefficients
+    z = c1 * ai + c2 * bi
     neg = z < 0.0
     cells = np.flatnonzero((z[:-1] == 0.0) | (neg[:-1] != neg[1:]))
     return [(float(s[i]), float(s[i + 1])) for i in cells]
@@ -388,12 +390,12 @@ def reference_solve_bvp(u10: float, u1L: float, params, c_bracket=None):
         NoSignChangeError,
         PoleCrossingError,
         PoleError,
-        airy_eval,
         constants_from_u0,
         default_c_bracket,
         exact_u1,
         map_t,
     )
+    from airyflow.airy import airy_scaled
     from airyflow.bvp import ENDPOINT_RTOL, SCAN_POINTS
     from airyflow.flow import _newton_root, has_interior_pole
 
@@ -415,13 +417,24 @@ def reference_solve_bvp(u10: float, u1L: float, params, c_bracket=None):
             return None
 
     def residual_and_slope(c):
+        # the anchored form: the pair is stored in the scale zeta0 of t(0),
+        # and t(L)'s scale sigma differs by d; the weight exp(-2|d|) goes on
+        # the term that shrinks, and on the t(0) end of the Airy integral
         consts = build(c)
         kappa = (-consts.a) ** (1.0 / 3.0)
         c1, c2 = consts.c1, consts.c2
-        q0, qL = airy_eval(map_t(0.0, consts)), airy_eval(map_t(length, consts))
+        q0 = airy_scaled(map_t(0.0, consts))[0]
+        qL, sigma = airy_scaled(map_t(length, consts))
+        d = sigma - consts.zeta0
+        w1, w2 = c1, c2
+        if d > 0.0 and c2:
+            w1 = c1 * math.exp(-2.0 * d)
+        elif d < 0.0 and c1:
+            w2 = c2 * math.exp(2.0 * d)
         z0, zt0 = c1 * q0.ai + c2 * q0.bi, c1 * q0.ai_prime + c2 * q0.bi_prime
-        zL, ztL = c1 * qL.ai + c2 * qL.bi, c1 * qL.ai_prime + c2 * qL.bi_prime
-        integral = (qL.t * zL * zL - ztL * ztL) - (q0.t * z0 * z0 - zt0 * zt0)
+        zL, ztL = w1 * qL.ai + w2 * qL.bi, w1 * qL.ai_prime + w2 * qL.bi_prime
+        start = math.exp(-2.0 * abs(d)) * (q0.t * z0 * z0 - zt0 * zt0)
+        integral = (qL.t * zL * zL - ztL * ztL) - start
         return -2.0 * nu * kappa * ztL / zL - u1L, integral / (kappa * nu * zL * zL)
 
     def candidate(i):

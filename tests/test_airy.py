@@ -10,7 +10,8 @@ import pytest
 from mpmath import cos, floor, mpf, pi, sin, sqrt, workdps
 
 from airyflow import AiryOverflowError, airy_eval
-from airyflow.airy import _asymptotic_negative, _asymptotic_positive, _reduced_phase, _taylor
+from airyflow.airy import (_asymptotic_negative, _asymptotic_positive, _reduced_phase, _taylor,
+                           airy_scaled)
 from airyflow.verify import check_airy_derivative_fd, check_airy_ode
 
 from make_airy_anchors import TABLE, table_text
@@ -88,6 +89,39 @@ def test_bi_overflow_raises():
             airy_eval(t)
         assert info.value.t == t
     airy_eval(104.0)  # still representable
+
+
+def test_scaled_tail_matches_scipy_airye():
+    # airye is Ai e**zeta, Ai' e**zeta, Bi e**-zeta, Bi' e**-zeta on t > 0,
+    # from AMOS, an independent implementation; it returns nan past t ~ 1e6
+    from scipy.special import airye
+
+    rng = random.Random(5)
+    for t in [9.0 + 1e-9, 9.5, 104.3, 1e3, 1e6] + [math.exp(rng.uniform(2.2, 13.8)) for _ in range(300)]:
+        q, sigma = airy_scaled(t)
+        assert sigma == pytest.approx((2.0 / 3.0) * t ** 1.5, rel=1e-15)
+        for got, want in zip((q.ai, q.ai_prime, q.bi, q.bi_prime), airye(t)):
+            assert abs(got - want) <= 5e-14 * abs(want), t
+
+
+@pytest.mark.parametrize("t", [1e10, 1e100, 1e300, 1.7e308])
+def test_scaled_tail_finite_far_out(t):
+    # every correction term is below rounding: the leading terms, and the
+    # scaled Wronskian Ai Bi' - Ai' Bi = 1/pi
+    q, sigma = airy_scaled(t)
+    xq = t ** 0.25
+    assert q.ai == pytest.approx(1.0 / (2.0 * math.sqrt(math.pi) * xq), rel=1e-14)
+    assert q.bi_prime == pytest.approx(xq / math.sqrt(math.pi), rel=1e-14)
+    assert q.ai * q.bi_prime - q.ai_prime * q.bi == pytest.approx(1.0 / math.pi, rel=1e-14)
+    if t < 3e205:
+        assert sigma == pytest.approx((2.0 / 3.0) * t ** 1.5)
+    else:  # zeta itself leaves the double range
+        assert sigma == math.inf
+
+
+@pytest.mark.parametrize("t", [-1e300, -20.0, -9.0, 0.0, 5.0, 9.0])
+def test_scaled_is_airy_eval_up_to_9(t):
+    assert airy_scaled(t) == (airy_eval(t), 0.0)
 
 
 @pytest.mark.parametrize("t", [-1e206, -1e300, -1.7e308])

@@ -16,17 +16,16 @@ import pytest
 from airyflow import (
     FlowDomainError,
     FlowParams,
+    InitialData,
     NoSignChangeError,
     PoleError,
     SolutionConstants,
-    airy_eval,
     constants_from_u0,
     default_c_bracket,
-    derive_constants,
     exact_u1,
-    map_t,
     random_flow_case,
     solve_bvp,
+    solve_ivp,
 )
 from airyflow import flow
 from airyflow.bvp import SCAN_POINTS
@@ -34,10 +33,6 @@ from airyflow.flow import endpoint_slope
 from oracles import reference_solve_bvp, sign_scan_cells
 
 N_DRAWS = 40
-
-# The closed form is wrong past t(0) ~ 66, where c2/c1 underflows
-# (ROADMAP item 1); residual monotonicity is asserted below that.
-T0_TRUSTED = 64.0
 
 # README case: nu=1, grad_term=-2, f1=0, L=1, u10=0, u1L=0.25
 README_PARAMS = FlowParams(nu=1.0, grad_term=-2.0, f1=0.0, length=1.0)
@@ -91,14 +86,11 @@ def test_usable_residuals_strictly_increase(dense_draws):
             r0, r1 = residuals[i], residuals[i + 1]
             if r0 is None or r1 is None:
                 continue
-            if map_t(0.0, derive_constants(params, grid[i])) > T0_TRUSTED:
-                continue
             assert r1 > r0, (params, u10, grid[i])
             checked += 1
     assert checked > 100 * N_DRAWS
 
 
-@pytest.mark.xfail(strict=True, reason="closed form wrong past t(0) ~ 66 (ROADMAP item 1)")
 def test_usable_residuals_increase_on_whole_grid(dense_draws):
     for *_, residuals in dense_draws:
         usable = [r for r in residuals if r is not None]
@@ -163,15 +155,16 @@ def test_root_below_bracket_has_no_sign_change():
 
 @pytest.fixture
 def airy_calls(monkeypatch):
-    """Counts the Airy evaluations made through flow, where solve_bvp
-    makes all of them."""
+    """Counts the Airy evaluations made through flow's one kernel entry,
+    where solve_bvp and solve_ivp make all of them."""
     calls = [0]
+    airy_scaled = flow.airy_scaled
 
     def counted(t):
         calls[0] += 1
-        return airy_eval(t)
+        return airy_scaled(t)
 
-    monkeypatch.setattr(flow, "airy_eval", counted)
+    monkeypatch.setattr(flow, "airy_scaled", counted)
     return calls
 
 
@@ -194,6 +187,14 @@ def test_readme_case_work_count(airy_calls, monkeypatch):
     assert sol.excluded_candidates == 58
     assert built[0] == 17
     assert airy_calls[0] == 34
+
+
+def test_solve_ivp_is_one_airy_evaluation(airy_calls):
+    # the pole band at the origin is read from the quartet at t(0) that the
+    # constants were built on, not from a second evaluation there
+    consts = solve_ivp(InitialData(u10=0.3, u1dot0=-0.7), README_PARAMS)
+    assert airy_calls[0] == 1
+    assert abs(exact_u1(0.0, README_PARAMS, consts) - 0.3) <= 1e-12
 
 
 def test_no_root_reuses_last_usable_residual(airy_calls):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import airyflow
+from airyflow.bvp import ENDPOINT_RTOL
 from airyflow.cli import run
 
 # 17-significant-digit renderings of the correctly-rounded doubles
@@ -212,6 +213,8 @@ class TestDomainLimits:
           "--u10", "1e10", "--u1dot0", "0"], "b"),
         (["ivp", "--nu", "1", "--grad-term", "-2e-300", "--f1", "0", "--L", "1",
           "--u10", "0", "--u1dot0", "1e200"], "t(0)"),
+        (["ivp", "--nu", "4.574", "--grad-term", "-2.34e203", "--f1", "0", "--L", "3.42e277",
+          "--u10", "-2.35", "--u1dot0", "0"], "t(L)"),
     ])
     def test_derived_value_out_of_range(self, capsys, argv, name):
         code, out, err = invoke(capsys, *argv)
@@ -220,8 +223,27 @@ class TestDomainLimits:
         assert err.count("\n") == 1
 
     def test_pole_band_inside_newton(self, capsys):
-        # a Newton shot with z(L) in the pole band used to divide by zero
+        # a Newton shot with z(L) in the pole band used to divide by zero,
+        # and then met AiryOverflowError from its start at t(0) = 91.8; the
+        # root is c = -17.23340320023033 (tests/test_domain.py GATE_C)
         code, out, err = invoke(capsys, "bvp", *self.FLOW, "--u10", "4", "--u1L", "-6")
+        assert (code, err) == (0, "")
+        c = float(out.splitlines()[0].split("=")[1])
+        assert abs(c - -17.23340320023033) <= 1e-8
+
+    def test_t0_past_unscaled_range(self, capsys):
+        # t(0) = 80: the plain (c1, c2) pair has c2 = 0 there, and u1(0)
+        # printed 17.894788372255412; the 40-digit oracle gives u1(L)
+        code, out, err = invoke(capsys, "ivp", *self.FLOW, "--u10", "1", "--u1dot0", "-159.5")
+        assert (code, err) == (0, "")
+        fields = {k.strip(): v for k, _, v in (ln.partition("=") for ln in out.splitlines())}
+        assert abs(float(fields["u1(0)"]) - 1.0) <= ENDPOINT_RTOL * 2.0
+        assert float(fields["u1(L)"]) == pytest.approx(-17.993821209491927, rel=1e-12, abs=0.0)
+
+    def test_domain_error_leaves_no_partial_report(self, capsys):
+        # find_poles meets NoConvergenceError on ~5e5 zeros of z in [0, 1]
+        # (ROADMAP item 3) after every other value of the report is known
+        code, out, err = invoke(capsys, "ivp", *self.FLOW, "--u10", "0", "--u1dot0", "1e6")
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 

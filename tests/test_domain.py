@@ -2,11 +2,12 @@
 40-digit oracle over the low-viscosity domain, and the BVP against the
 constants that generated its data.
 
-The draws reach t(0) far beyond what random_flow_case covers.  Where the
-unscaled (c1, c2) representation breaks down (c2/c1 underflows past
-t(0) ~ 66, the Airy quartet overflows past t ~ 104.2) a draw fails
-today; those draws are strict expected failures, so the fix turns them
-into XPASS failures that force the markers off.
+The draws reach t(0) far beyond what random_flow_case covers: up to
+t(0) ~ 230 in the seeded draws, and over +-1e3 in the Hypothesis
+property.  An unscaled (c1, c2) pair breaks down there (c2/c1 underflows
+past t(0) ~ 66, Bi' overflows past t ~ 104.2); the pair anchored at
+t(0) on scaled Airy values must match the oracle throughout, and no
+AiryOverflowError may leave the solver for any finite t(s).
 """
 
 import math
@@ -14,8 +15,11 @@ import random
 from functools import cache
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from airyflow import FlowDomainError, FlowParams, InitialData, exact_u1, solve_bvp, solve_ivp
+from airyflow import (AiryOverflowError, FlowDomainError, FlowParams, InitialData,
+                      NoSignChangeError, derive_constants, exact_u1, find_poles, solve_bvp,
+                      solve_ivp)
 from airyflow.bvp import ENDPOINT_RTOL
 from airyflow.verify import random_flow_case
 
@@ -30,26 +34,26 @@ BVP_SEEDS = (0, 7, 11)
 BVP_DRAWS = 40
 BVP_C_ATOL = 1e-8
 
-KNOWN = "unscaled (c1, c2) representation (ROADMAP item 1)"
-# u1 with its sign flipped (u1(0) missed as well), t(0) between 78 and 89;
-# every passing draw has t(0) below 66
-IVP_WRONG = {21, 121, 149, 230, 295}
-# AiryOverflowError from solve_ivp, t(0) = 230 and 132
-IVP_OVERFLOW = {88, 211}
-# AiryOverflowError: the default bracket reaches t(0) = 135
-BVP_OVERFLOW = {(11, 27)}
+# the root c = 0.687 lies past the last pole-free candidate of the
+# default bracket +-130.2 (ROADMAP item 2's grid quirk)
+BVP_GRID_QUIRK = {(11, 27)}
 
 # u1(L) of each IVP draw that solves, shifted by these, as BVP targets
 LOWVISC_SHIFTS = (0.0, 3.0, -3.0)
-# of the 894, 331 solve today; the rest raise NoSignChangeError (259),
-# AiryOverflowError (264) or PoleCrossingError (40) (ROADMAP item 1)
-LOWVISC_MIN_SOLVED = 331
+# of the 900, 542 solve; the rest raise NoSignChangeError or
+# PoleCrossingError (ROADMAP item 2)
+LOWVISC_MIN_SOLVED = 542
 
 # bvp --nu 1 --grad-term -2 --f1 0 --L 1 --u10 4 --u1L -6: a benign root
 # at t(0) = 8.6 (the 40-digit oracle gives u1(L) = -6.0000000000000036),
 # but Newton on the default bracket starts at c = -183.5, t(0) = 91.8
 GATE_PARAMS = FlowParams(nu=1.0, grad_term=-2.0, f1=0.0, length=1.0)
 GATE_C = -17.23340320023033
+
+# t(0) = -c/2 for nu = 1, grad_term = -2, f1 = 0, u10 = 1, L = 1: c2/c1 of
+# the plain pair is subnormal at 64 and 0 from 68, and Bi' overflows past
+# 104.2; t(0) = 80 is `ivp ... --u10 1 --u1dot0 -159.5`
+REGRESSION_T0 = (64.0, 68.0, 80.0, 103.0, 110.0, 350.0)
 
 
 def _ivp_draws():
@@ -65,22 +69,66 @@ def _ivp_draws():
     return draws
 
 
-def _cases(cases, known):
-    xfail = pytest.mark.xfail(strict=True, reason=KNOWN)
-    return [pytest.param(*case, marks=xfail if case in known else ()) for case in cases]
-
-
-@pytest.mark.parametrize("index", _cases(
-    [(i,) for i in range(IVP_DRAWS)], {(i,) for i in IVP_WRONG | IVP_OVERFLOW}))
-def test_ivp_draw_matches_oracle(index):
-    params, u10, u1dot0 = _ivp_draws()[index]
-    want, cond = u1_propagator(params, u10, u1dot0, params.length)
-    if cond > MAX_COND:
-        pytest.skip(f"u1(L) conditioned at {cond:.3g}")
+def assert_ivp_matches(params, u10, u1dot0, want, cond):
+    """The IVP hits u1(0) and the oracle's u1(L) = want, conditioned at cond."""
     consts = solve_ivp(InitialData(u10=u10, u1dot0=u1dot0), params)
     assert abs(exact_u1(0.0, params, consts) - u10) <= ENDPOINT_RTOL * (1.0 + abs(u10))
     got = exact_u1(params.length, params, consts)
     assert abs(got - want) <= ORACLE_RTOL * cond * (1.0 + abs(want)), (got, want, cond)
+
+
+def assert_ivp_matches_oracle(params, u10, u1dot0):
+    want, cond = u1_propagator(params, u10, u1dot0, params.length)
+    if cond > MAX_COND:
+        pytest.skip(f"u1(L) conditioned at {cond:.3g}")
+    assert_ivp_matches(params, u10, u1dot0, want, cond)
+
+
+@pytest.mark.parametrize("index", range(IVP_DRAWS))
+def test_ivp_draw_matches_oracle(index):
+    assert_ivp_matches_oracle(*_ivp_draws()[index])
+
+
+@pytest.mark.parametrize("t0", REGRESSION_T0)
+def test_ivp_past_unscaled_range_matches_oracle(t0):
+    assert_ivp_matches_oracle(GATE_PARAMS, 1.0, 0.5 - 2.0 * t0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    nu=st.floats(0.02, 2.0),
+    u10=st.floats(-5.0, 5.0),
+    ta=st.floats(-1e3, 1e3),
+    tb=st.floats(-1e3, 1e3),
+)
+def test_ivp_over_wide_t_matches_oracle(nu, u10, ta, tb):
+    # a = -1, so t(s) = t0 + s and L = tL - t0
+    t0, tL = min(ta, tb), max(ta, tb)
+    assume(tL - t0 >= 1e-3)
+    params = FlowParams(nu=nu, grad_term=-2.0 * nu * nu, f1=0.0, length=tL - t0)
+    u1dot0 = (-2.0 * nu * nu * t0 + 0.5 * u10 * u10) / nu
+    want, cond = u1_propagator(params, u10, u1dot0, params.length)
+    assume(cond <= MAX_COND)  # oracle z not within 1e-8 of a zero
+    assert_ivp_matches(params, u10, u1dot0, want, cond)
+
+
+@pytest.mark.parametrize("t0", [-30.0, 0.0, 9.5, 104.3, 1e3, 1e10, 1e100, 1e200, 1e250])
+@pytest.mark.parametrize("span", [1e-3, 1.0, 1e3, 1e100])
+def test_no_airy_overflow_for_finite_t(t0, span):
+    # t(s) = t0 + s on [0, span] (nu = 1, c = -2 t0): whatever else they
+    # raise, the solver's entry points never let the kernel's overflow out
+    params = FlowParams(nu=1.0, grad_term=-2.0, f1=0.0, length=span)
+    consts = derive_constants(params, -2.0 * t0).with_coefficients(0.6, -0.8)
+    for call in (
+        lambda: solve_ivp(InitialData(u10=0.5, u1dot0=0.125 - 2.0 * t0), params),
+        lambda: solve_bvp(0.5, 1.0, params),
+        lambda: [exact_u1(s, params, consts) for s in (0.0, span)],
+        lambda: find_poles(consts, 0.0, span),
+    ):
+        try:
+            call()
+        except FlowDomainError as err:
+            assert not isinstance(err, AiryOverflowError), err
 
 
 @cache
@@ -89,8 +137,12 @@ def _bvp_cases(seed):
     return [random_flow_case(rng) for _ in range(BVP_DRAWS)]
 
 
-@pytest.mark.parametrize("seed,index", _cases(
-    [(seed, i) for seed in BVP_SEEDS for i in range(BVP_DRAWS)], BVP_OVERFLOW))
+@pytest.mark.parametrize("seed,index", [
+    pytest.param(seed, i, marks=pytest.mark.xfail(
+        strict=True, raises=NoSignChangeError, reason="ROADMAP item 2"
+    ) if (seed, i) in BVP_GRID_QUIRK else ())
+    for seed in BVP_SEEDS for i in range(BVP_DRAWS)
+])
 def test_bvp_recovers_generating_c(seed, index):
     params, data, consts = _bvp_cases(seed)[index]
     u1L = exact_u1(params.length, params, consts)
@@ -101,8 +153,6 @@ def test_bvp_recovers_generating_c(seed, index):
 def test_lowvisc_bvps_solve_or_raise_domain_error():
     solved = 0
     for index, (params, u10, u1dot0) in enumerate(_ivp_draws()):
-        if index in IVP_OVERFLOW:
-            continue
         consts = solve_ivp(InitialData(u10=u10, u1dot0=u1dot0), params)
         u1L = exact_u1(params.length, params, consts)
         for target in (u1L + shift for shift in LOWVISC_SHIFTS):
@@ -117,8 +167,8 @@ def test_lowvisc_bvps_solve_or_raise_domain_error():
     assert solved >= LOWVISC_MIN_SOLVED
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
 def test_bvp_newton_start_past_item1_region():
+    # Newton on the default bracket starts at t(0) = 91.8
     sol = solve_bvp(4.0, -6.0, GATE_PARAMS)
     assert abs(sol.c - GATE_C) <= BVP_C_ATOL
 

@@ -65,6 +65,17 @@ def test_pure_ai_has_no_pole_on_positive_axis():
         assert abs(exact_u1(float(s), params, consts) - want) <= 1e-3 * want
 
 
+def test_pure_ai_far_out_on_positive_axis():
+    # the Ai weight e**(-2 zeta) would underflow past t ~ 66; with c2 = 0
+    # there is no Bi term to weigh it against, so none is applied
+    consts = SolutionConstants(a=-1.0, b=0.0, c=0.0, c1=1.0, c2=0.0)
+    params = FlowParams(nu=1.0, grad_term=-2.0, f1=0.0, length=1.0)
+    assert find_poles(consts, 8.0, 1e3) == []
+    for s in (70.0, 100.0, 1e3, 1e6):
+        want = 2.0 * math.sqrt(s) + 0.5 / s
+        assert abs(exact_u1(s, params, consts) - want) <= 1e-6 * want
+
+
 def test_ai_dominated_bvp_candidate_has_no_pole():
     # candidate 36 of the default bracket for the second seed-7 draw
     rng = random.Random(7)
@@ -75,7 +86,8 @@ def test_ai_dominated_bvp_candidate_has_no_pole():
     consts, _ = constants_from_u0(params, c, data.u10)
     length = params.length
     assert 9.1 < map_t(0.0, consts) < map_t(length, consts) < 10.5
-    assert 0.0 < consts.c2 / consts.c1 < 1e-15
+    c1, c2 = consts.coefficients  # the displayed pair; the stored one is anchored at t(0)
+    assert 0.0 < c2 / c1 < 1e-15
     assert sign_scan_cells(consts, 0.0, length) == []
     assert not has_interior_pole(consts, 0.0, length)
     assert find_poles(consts, 0.0, length) == []
@@ -89,10 +101,10 @@ def test_pole_check_is_two_airy_evaluations(monkeypatch):
 
     def counted(t):
         calls.append(t)
-        return airy_eval(t)
+        return airy_scaled(t)
 
-    airy_eval = flow.airy_eval
-    monkeypatch.setattr(flow, "airy_eval", counted)
+    airy_scaled = flow.airy_scaled
+    monkeypatch.setattr(flow, "airy_scaled", counted)
     # 25 zeros of z on [-6, 0]
     consts = SolutionConstants(a=-64.0, b=0.0, c=0.0, c1=1.0, c2=0.3)
     assert has_interior_pole(consts, -6.0, 0.0)
@@ -107,6 +119,17 @@ def test_zero_far_out_on_positive_axis():
     ((lo, hi),) = sign_scan_cells(consts, -1.0, 29.0)
     (pole,) = find_poles(consts, -1.0, 29.0)
     assert lo <= pole <= hi
+
+
+@pytest.mark.parametrize("t_star", range(20, 60))
+def test_far_zero_on_positive_axis_located(t_star):
+    # z = Ai - (Ai/Bi)(t*) Bi vanishes once, at t*, where the phase is flat
+    # to rounding: the zero is the root of a residual nearly linear in zeta
+    q = airy_eval(float(t_star))
+    consts = SolutionConstants(a=-1.0, b=0.0, c=0.0, c1=1.0, c2=-q.ai / q.bi)
+    (pole,) = find_poles(consts, -1.0, 60.0)
+    assert abs(pole - t_star) <= 1e-12 * t_star
+    assert flow._nearest_pole(consts, pole) == pytest.approx(t_star, rel=1e-12)
 
 
 def test_newton_from_left_end_takes_few_phase_evaluations(monkeypatch):
@@ -150,7 +173,7 @@ def test_pole_count_exact_inside_phase_bound(fraction):
     t_far = -fraction * flow.PHASE_T_MAX
     consts, width = far_ai(t_far), 40.0 * math.pi / math.sqrt(-t_far)
     t, t_end = map_t(0.0, consts), map_t(width, consts)
-    count = flow._half_turns(consts, airy_eval(t_end)) - flow._half_turns(consts, airy_eval(t))
+    count = flow._half_turns(consts, airy_eval(t_end), 0.0) - flow._half_turns(consts, airy_eval(t), 0.0)
     changes, negative = 0, airy_eval(t).ai < 0.0
     while t < t_end:
         t = math.nextafter(t, math.inf)
