@@ -5,13 +5,13 @@ c and the ratio c2/c1, so two well-posed modes are offered:
 
 * IVP mode: u1(0) and u1'(0) fix c algebraically and then the ratio.
 * BVP mode: u1(0) and u1(L) are enforced by shooting on c; u1'(0) is an
-  output, recoverable from c = nu*u1'(0) - u1(0)**2/2.  u1(L) increases
-  strictly in c up to the first pole crossing c*, so the root is unique:
-  a binary search over a SCAN_POINTS grid locates c*, and Newton with
-  the closed-form slope du1(L)/dc refines the root below it.  One shot
-  at a given c costs two Airy evaluations, both in flow: at t(0) for
-  constants_from_u0, and at t(L) for endpoint_u1 (the pole count on
-  (0, L] and u1(L)) or endpoint_slope (u1(L) and its slope).
+  output, recoverable from c = nu*u1'(0) - u1(0)**2/2.  The Pruefer angle
+  n pi - arccot u1(L) (n poles in (0, L]) is continuous and increasing in
+  c, so the root is unique: a binary search over a SCAN_POINTS grid counts
+  the candidates past the first pole crossing c*, and Newton on the angle
+  refines the root.  One shot at a given c costs two Airy evaluations,
+  both in flow: at t(0) for constants_from_u0, and at t(L) for
+  endpoint_angle (u1(L), the angle and its slope).
 
 Imposing all three conditions at once is generically unsatisfiable and
 deliberately unsupported.
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NoSignChangeError, PoleCrossingError, PoleError
+from .errors import FlowDomainError, NoSignChangeError, PoleCrossingError, PoleError
 from .flow import (
     FlowParams,
     SolutionConstants,
@@ -32,12 +32,13 @@ from .flow import (
     _require_finite,
     _u1_at,
     constants_from_u0,
-    endpoint_slope,
-    endpoint_u1,
+    endpoint_angle,
 )
 
 SCAN_POINTS = 256
 ENDPOINT_RTOL = 1e-9
+# an angle residual within its own rounding (a few ulp of pi) counts as 0
+ANGLE_NOISE = 4.0 * math.ulp(math.pi)
 
 
 @dataclass(frozen=True)
@@ -101,63 +102,68 @@ def solve_bvp(
 ) -> BvpSolution:
     """Find c such that the solution with u1(0) = u10 reaches u1(L) = u1L.
 
-    With u1(0) fixed, u1(L) strictly increases in c on the pole-free set
-    c < c* (comparison theorem; blow-up is always to +infinity), so there
-    is at most one root.  A binary search over SCAN_POINTS grid candidates
-    finds the first one whose z vanishes in (0, L]; it and every later
-    candidate are excluded.  Safeguarded Newton then refines the root on
-    the pole-free candidates; each candidate or iterate is one shot of
-    two Airy evaluations.  Raises NoSignChangeError when they hold no
-    root (also when the root lies between the last of them and c*) and
-    PoleCrossingError when every candidate is excluded.  Deterministic.
+    With u1(0) fixed, the angle A(c) of endpoint_angle is continuous and
+    strictly increasing, so A(c) = -arccot(u1L) has one root, below the
+    first pole crossing c*.  A binary search over SCAN_POINTS grid
+    candidates counts those with a pole in (0, L] (excluded); safeguarded
+    Newton on A refines the root between the nearest shots on either side.
+    The default bracket doubles its width outward until it holds the root;
+    an explicit one raises PoleCrossingError when every candidate is
+    excluded and NoSignChangeError when the root lies outside it.  A root
+    no double reaches to ENDPOINT_RTOL (u1(L) jumps to +inf within rounding
+    of c*) raises FlowDomainError.  Deterministic; a shot is two Airy calls.
     """
     u10 = _require_finite("u10", u10)
     u1L = _require_finite("u1L", u1L)
-    if c_bracket is None:
+    grow = c_bracket is None
+    if grow:
         c_bracket = default_c_bracket(u10, u1L, params.nu)
     c_lo, c_hi = (_require_finite("c_lo", c_bracket[0]), _require_finite("c_hi", c_bracket[1]))
     if not c_lo < c_hi:
         raise ValueError(f"need c_lo < c_hi, got ({c_lo!r}, {c_hi!r})")
     _require_derived("c grid span (c_hi - c_lo) * 255", (c_hi - c_lo) * (SCAN_POINTS - 1))
+    target, shots = -math.atan2(1.0, u1L), {}
 
-    def shot(c: float) -> tuple[SolutionConstants, float]:
-        """Constants for c with u1(0) = u10, and u1(L) - u1L, +inf when z
-        vanishes in (0, L]."""
-        consts, q0 = constants_from_u0(params, c, u10)
-        return consts, endpoint_u1(params, consts, q0) - u1L
-
-    def residual_and_slope(c: float) -> tuple[float, float]:
-        u1_end, slope = endpoint_slope(params, *constants_from_u0(params, c, u10))
-        return u1_end - u1L, slope
+    def shot(c: float) -> tuple[SolutionConstants, float, float, float]:
+        """Constants for c with u1(0) = u10, u1(L), A - target (0 within
+        ANGLE_NOISE) and dA/dc; each c is shot once."""
+        if c not in shots:
+            consts, q0 = constants_from_u0(params, c, u10)
+            u1, angle, slope = endpoint_angle(params, consts, q0)
+            r = angle - target
+            shots[c] = consts, u1, 0.0 if abs(r) <= ANGLE_NOISE else r, slope
+        return shots[c]
 
     def candidate(i: int) -> float:
         return c_lo + (c_hi - c_lo) * i / (SCAN_POINTS - 1)
 
-    # binary search for k, the first unusable candidate; k only moves past
-    # a candidate it evaluated, so r_last is the residual at k - 1
-    k, end, r_last = 0, SCAN_POINTS, -1.0
+    # binary search for k, the first candidate with a pole in (0, L]
+    k, end = 0, SCAN_POINTS
     while k < end:
         mid = (k + end) // 2
-        r = shot(candidate(mid))[1]
-        if r == math.inf:
+        if shot(candidate(mid))[1] == math.inf:
             end = mid
         else:
-            k, r_last = mid + 1, r
-    if k == 0:
+            k = mid + 1
+    if k == 0 and not grow:
         raise PoleCrossingError(SCAN_POINTS)
 
-    if r_last >= 0.0:  # else u1(L) < u1L on every usable candidate
-        lo, hi = c_lo, candidate(k - 1)
-        c = _newton_root(residual_and_slope, lo, hi, 0.5 * (lo + hi))
-        consts, r = shot(c)
-        if abs(r) <= ENDPOINT_RTOL * (1.0 + abs(u1L)):
-            return BvpSolution(
-                constants=consts,
-                c=c,
-                initial_slope=(c + 0.5 * u10 * u10) / params.nu,
-                endpoint_residual=r,
-                roots=(c,),
-                excluded_candidates=SCAN_POINTS - k,
-            )
-    raise NoSignChangeError(shot(candidate(0))[1], r_last)
+    # when every shot lies on one side of the root, shoot the bracket's end
+    # there; the default bracket doubles its width outward past the root
+    for side, c, far in ((1.0, c_lo, c_hi), (-1.0, candidate(SCAN_POINTS - 1), c_lo)):
+        if all(side * s[2] > 0.0 for s in shots.values()):
+            while side * shot(c)[2] > 0.0 and grow:
+                c = _require_derived("c", c - (far - c))
+    lo = max((c for c, s in shots.items() if s[2] <= 0.0), default=None)
+    hi = min((c for c, s in shots.items() if s[2] >= 0.0), default=None)
+    if lo is None or hi is None:
+        raise NoSignChangeError(shot(c_lo)[1] - u1L, shot(candidate(k - 1))[1] - u1L)
 
+    # Newton starts from the end nearer the root, whose shot it reuses
+    c = _newton_root(lambda c: shot(c)[2:], lo, hi, min((lo, hi), key=lambda c: abs(shots[c][2])))
+    consts, u1 = shot(c)[:2]
+    if not abs(u1 - u1L) <= ENDPOINT_RTOL * (1.0 + abs(u1L)):
+        raise FlowDomainError(f"no c reaches u1(L) = {u1L!r}: Newton ends at c = {c!r}, "
+                              f"where u1(L) = {u1!r}")
+    return BvpSolution(constants=consts, c=c, initial_slope=(c + 0.5 * u10 * u10) / params.nu,
+                       endpoint_residual=u1 - u1L, roots=(c,), excluded_candidates=SCAN_POINTS - k)

@@ -66,8 +66,8 @@ class NoConvergenceError(FlowDomainError):
 
 
 class NoSignChangeError(FlowDomainError):
-    """The endpoint residual has no root on the pole-free candidates of
-    the bracket.  Carries the residuals at the outermost usable ones."""
+    """The root lies outside an explicit c bracket.  Carries the endpoint
+    residuals u1(L) - u1L at its lower end and last pole-free candidate."""
 
     def __init__(self, residual_lo: float, residual_hi: float):
         self.residual_lo = residual_lo
@@ -79,8 +79,8 @@ class NoSignChangeError(FlowDomainError):
 
 
 class PoleCrossingError(FlowDomainError):
-    """Every grid candidate produced a pole before the far boundary, so
-    the endpoint condition is undefined throughout the bracket."""
+    """Every grid candidate of an explicit c bracket produced a pole
+    before the far boundary, so the root lies below the bracket."""
 
     def __init__(self, excluded: int):
         self.excluded = excluded

@@ -356,46 +356,40 @@ def has_interior_pole(consts: SolutionConstants, s_lo: float, s_hi: float) -> bo
     return hi > _half_turns(consts, *airy_scaled(map_t(s_lo, consts)))
 
 
-def endpoint_u1(params: FlowParams, consts: SolutionConstants, q0: AiryQuartet) -> float:
-    """u1(L) from the constants and the quartet q0 at t(0) that
-    constants_from_u0 returns, or +inf, the value u1(L) reaches as c
-    rises to a pole crossing, when z vanishes in (0, L]: the half-turn
-    count rises from t(0) to t(L), or z(L) is in the pole band.  One
-    Airy evaluation, at t(L)."""
-    qL, sigma = airy_scaled(map_t(params.length, consts))
-    if _half_turns(consts, qL, sigma) > _half_turns(consts, q0, consts.zeta0):
-        return math.inf
-    return _u1_at(params, consts, qL, sigma)
-
-
-def endpoint_slope(
+def endpoint_angle(
     params: FlowParams, consts: SolutionConstants, q0: AiryQuartet
-) -> tuple[float, float]:
-    """u1(L) and du1(L)/dc at fixed u1(0), from the constants and the
-    quartet q0 at t(0) that constants_from_u0 returns; no pole count.
-    One Airy evaluation, at t(L).  The slope is nan where it is
-    undefined: z(L) in the pole band (u1(L) = +inf), or z(L) so small
-    that kappa nu z(L)**2 underflows to 0.
+) -> tuple[float, float, float]:
+    """u1(L), the Pruefer angle A = n pi - arccot u1(L) and dA/dc at fixed
+    u1(0), from the constants and the quartet q0 at t(0) that
+    constants_from_u0 returns.  One Airy evaluation, at t(L).
 
-    v = du1/dc solves v' = (u1/nu) v + 1/nu with v(0) = 0, so
-    v(L) = int_0^L z**2 ds / (nu z(L)**2); with dt/ds = kappa and the
-    Airy integral int w**2 dt = t w**2 - w_t**2 (DLMF 9.11) this is
-    [t z**2 - z_t**2] from t(0) to t(L), over kappa nu z(L)**2; in _z's
-    scaled values the t(0) end carries e**(-2|D|) with D at t(L).
+    n counts the zeros of z in (0, L] (the rise in the half-turn count), and
+    u1(L) is +inf, the value it reaches as c rises to a pole crossing, when
+    n > 0 or z(L) is in the pole band.  Past a crossing u1(L) restarts from
+    -inf as n gains one, so A is continuous and increasing in c.  arccot is
+    atan2 of |z(L)| and -2 nu kappa z_t(L), signed by the parity of the
+    count at t(L) (odd where z > 0): a z(L) that rounds to 0 keeps its side.
+
+    v = du1/dc solves v' = (u1/nu) v + 1/nu with v(0) = 0, so v(L) =
+    int_0^L z**2 ds / (nu z(L)**2); by dt/ds = kappa and the Airy integral
+    int w**2 dt = t w**2 - w_t**2 (DLMF 9.11), dA/dc = v(L)/(1 + u1(L)**2)
+    is [t z**2 - z_t**2] from t(0) to t(L) over kappa nu (z(L)**2 +
+    (2 nu kappa z_t(L))**2), finite through a pole (nan where that
+    underflows); in _z's scaled values the t(0) end carries e**(-2|D|).
     """
     qL, sigma = airy_scaled(map_t(params.length, consts))
-    u1 = _u1_at(params, consts, qL, sigma)
+    turns = _half_turns(consts, qL, sigma)
+    n = turns - _half_turns(consts, q0, consts.zeta0)
+    u1 = math.inf if n > 0 else _u1_at(params, consts, qL, sigma)
     kappa = (-consts.a) ** (1.0 / 3.0)
     _, _, zL, ztL = _z(consts, qL, sigma)
-    denominator = kappa * params.nu * zL * zL
-    if u1 == math.inf or denominator == 0.0:
-        return u1, math.nan
     _, _, z0, zt0 = _z(consts, q0, consts.zeta0)
-    start = q0.t * z0 * z0 - zt0 * zt0
-    if sigma != consts.zeta0:
-        start *= math.exp(-2.0 * abs(sigma - consts.zeta0))
+    x = 2.0 * params.nu * kappa * ztL
+    start = (q0.t * z0 * z0 - zt0 * zt0) * math.exp(-2.0 * abs(sigma - consts.zeta0))
     integral = (qL.t * zL * zL - ztL * ztL) - start
-    return u1, integral / denominator
+    denominator = kappa * params.nu * (zL * zL + x * x)
+    return (u1, n * math.pi - math.atan2(abs(zL), -x if turns % 2 else x),
+            integral / denominator if denominator else math.nan)
 
 
 def find_poles(consts: SolutionConstants, s_lo: float, s_hi: float) -> list[float]:

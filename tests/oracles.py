@@ -383,44 +383,47 @@ def reference_asymptotic_negative(t: float) -> tuple[float, float, float, float]
 
 def reference_solve_bvp(u10: float, u1L: float, params, c_bracket=None):
     """(c, excluded_candidates, endpoint_residual) by solve_bvp's search,
-    each shot built from constants_from_u0, has_interior_pole and
-    exact_u1, and the Newton slope written out here; raises the same
+    each shot built from constants_from_u0, find_poles and exact_u1, with
+    the Pruefer angle and its slope written out here; raises the same
     errors with the same arguments."""
     from airyflow import (
+        FlowDomainError,
         NoSignChangeError,
         PoleCrossingError,
         PoleError,
         constants_from_u0,
         default_c_bracket,
         exact_u1,
+        find_poles,
         map_t,
     )
     from airyflow.airy import airy_scaled
-    from airyflow.bvp import ENDPOINT_RTOL, SCAN_POINTS
-    from airyflow.flow import _newton_root, has_interior_pole
+    from airyflow.bvp import ANGLE_NOISE, ENDPOINT_RTOL, SCAN_POINTS
+    from airyflow.flow import _newton_root
 
-    if c_bracket is None:
+    grow = c_bracket is None
+    if grow:
         c_bracket = default_c_bracket(u10, u1L, params.nu)
     c_lo, c_hi = c_bracket
     nu, length = params.nu, params.length
+    target = -math.atan2(1.0, u1L)
+    shots = {}
 
-    def build(c):
-        return constants_from_u0(params, c, u10)[0]
-
-    def residual(c):
-        consts = build(c)
-        if has_interior_pole(consts, 0.0, length):
-            return None
+    def shot(c):
+        """(constants, u1(L) or +inf past a pole, A - target, dA/dc)."""
+        if c in shots:
+            return shots[c]
+        if not math.isfinite(c):
+            raise FlowDomainError(f"c leaves the double range: {c!r}")
+        consts = constants_from_u0(params, c, u10)[0]
+        n = len(find_poles(consts, 0.0, length))
         try:
-            return exact_u1(length, params, consts) - u1L
+            u1 = math.inf if n else exact_u1(length, params, consts)
         except PoleError:
-            return None
-
-    def residual_and_slope(c):
+            u1 = math.inf
         # the anchored form: the pair is stored in the scale zeta0 of t(0),
         # and t(L)'s scale sigma differs by d; the weight exp(-2|d|) goes on
         # the term that shrinks, and on the t(0) end of the Airy integral
-        consts = build(c)
         kappa = (-consts.a) ** (1.0 / 3.0)
         c1, c2 = consts.c1, consts.c2
         q0 = airy_scaled(map_t(0.0, consts))[0]
@@ -433,27 +436,47 @@ def reference_solve_bvp(u10: float, u1L: float, params, c_bracket=None):
             w2 = c2 * math.exp(2.0 * d)
         z0, zt0 = c1 * q0.ai + c2 * q0.bi, c1 * q0.ai_prime + c2 * q0.bi_prime
         zL, ztL = w1 * qL.ai + w2 * qL.bi, w1 * qL.ai_prime + w2 * qL.bi_prime
+        # u1 = -x/z with x = 2 nu kappa z_t; z changes sign at each of the n
+        # zeros, so z(L) > 0 when z(0) > 0 and n is even, or the reverse
+        x = 2.0 * nu * kappa * ztL
+        positive = (z0 > 0.0) != (n % 2 == 1)
+        angle = n * math.pi - math.atan2(abs(zL), -x if positive else x)
         start = math.exp(-2.0 * abs(d)) * (q0.t * z0 * z0 - zt0 * zt0)
         integral = (qL.t * zL * zL - ztL * ztL) - start
-        return -2.0 * nu * kappa * ztL / zL - u1L, integral / (kappa * nu * zL * zL)
+        denominator = kappa * nu * (zL * zL + x * x)
+        r = angle - target
+        shots[c] = (consts, u1, 0.0 if abs(r) <= ANGLE_NOISE else r,
+                    integral / denominator if denominator else math.nan)
+        return shots[c]
 
     def candidate(i):
         return c_lo + (c_hi - c_lo) * i / (SCAN_POINTS - 1)
 
-    k, end, r_last = 0, SCAN_POINTS, -1.0
+    k, end = 0, SCAN_POINTS
     while k < end:
         mid = (k + end) // 2
-        r = residual(candidate(mid))
-        if r is None:
+        if shot(candidate(mid))[1] == math.inf:
             end = mid
         else:
-            k, r_last = mid + 1, r
-    if k == 0:
+            k = mid + 1
+    if k == 0 and not grow:
         raise PoleCrossingError(SCAN_POINTS)
-    if r_last >= 0.0:
-        lo, hi = c_lo, candidate(k - 1)
-        c = _newton_root(residual_and_slope, lo, hi, 0.5 * (lo + hi))
-        r = residual(c)
-        if r is not None and abs(r) <= ENDPOINT_RTOL * (1.0 + abs(u1L)):
-            return c, SCAN_POINTS - k, r
-    raise NoSignChangeError(residual(candidate(0)), residual(candidate(k - 1)))
+    if all(s[2] > 0.0 for s in shots.values()):
+        c = candidate(0)
+        while shot(c)[2] > 0.0 and grow:
+            c -= c_hi - c
+    elif all(s[2] < 0.0 for s in shots.values()):
+        c = candidate(SCAN_POINTS - 1)
+        while shot(c)[2] < 0.0 and grow:
+            c += c - c_lo
+    lo = max((c for c, s in shots.items() if s[2] <= 0.0), default=None)
+    hi = min((c for c, s in shots.items() if s[2] >= 0.0), default=None)
+    if lo is None or hi is None:
+        raise NoSignChangeError(shot(c_lo)[1] - u1L, shot(candidate(k - 1))[1] - u1L)
+    start = min((lo, hi), key=lambda c: abs(shots[c][2]))
+    c = _newton_root(lambda c: shot(c)[2:], lo, hi, start)
+    u1 = shot(c)[1]
+    if not abs(u1 - u1L) <= ENDPOINT_RTOL * (1.0 + abs(u1L)):
+        raise FlowDomainError(f"no c reaches u1(L) = {u1L!r}: Newton ends at c = {c!r}, "
+                              f"where u1(L) = {u1!r}")
+    return c, SCAN_POINTS - k, u1 - u1L

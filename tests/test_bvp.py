@@ -25,7 +25,7 @@ from airyflow import (
     solve_bvp,
     solve_ivp,
 )
-from airyflow.flow import endpoint_slope, endpoint_u1
+from airyflow.flow import endpoint_angle
 
 # frozen: normalized coefficients for u10 = 0 at t0 = 0 are exactly
 # (sqrt(3)/2, 1/2) because Bi'(0) = -sqrt(3) Ai'(0); asserted numerically
@@ -171,8 +171,9 @@ class TestSolveBvp:
 
 
 class TestShotFinishers:
-    """A shot reports a pole one way: u1(L) = +inf, the value u1(L) reaches
-    as c rises to a pole crossing."""
+    """A shot has one finisher, endpoint_angle.  It reports a pole one way,
+    u1(L) = +inf, the value u1(L) reaches as c rises to a pole crossing,
+    while the angle and its slope stay finite through the pole."""
 
     P = FlowParams(nu=1.0, grad_term=-2.0, f1=0.0, length=1.0)
 
@@ -180,21 +181,25 @@ class TestShotFinishers:
         # README case: c = 10, the default bracket's top, is past the first
         # pole crossing (58 of its 256 candidates are)
         consts, q0 = constants_from_u0(self.P, 10.0, 0.0)
-        assert endpoint_u1(self.P, consts, q0) == math.inf
+        u1, angle, slope = endpoint_angle(self.P, consts, q0)
+        assert u1 == math.inf
+        assert angle > 0.0 and slope > 0.0
 
     def test_pole_band_at_endpoint(self):
         # z = Bi(1) Ai(t) - Ai(1) Bi(t) vanishes at t(L) = L = 1
         q1 = airy_eval(1.0)
         consts = SolutionConstants(a=-1.0, b=0.0, c=0.0, c1=q1.bi, c2=-q1.ai)
         q0 = airy_eval(0.0)
-        assert endpoint_u1(self.P, consts, q0) == math.inf
-        u1, slope = endpoint_slope(self.P, consts, q0)
-        assert u1 == math.inf and math.isnan(slope)
+        u1, angle, slope = endpoint_angle(self.P, consts, q0)
+        assert u1 == math.inf
+        assert abs(angle) <= 1e-15
+        assert math.isfinite(slope) and slope > 0.0
         with pytest.raises(PoleError):
             exact_u1(1.0, self.P, consts)
 
     def test_finishers_agree_off_poles(self):
         consts, q0 = constants_from_u0(self.P, -0.5, 0.1)
-        u1, slope = endpoint_slope(self.P, consts, q0)
-        assert u1 == endpoint_u1(self.P, consts, q0) == exact_u1(1.0, self.P, consts)
+        u1, angle, slope = endpoint_angle(self.P, consts, q0)
+        assert u1 == exact_u1(1.0, self.P, consts)
+        assert angle == pytest.approx(-math.atan2(1.0, u1), rel=1e-15, abs=0.0)
         assert slope > 0.0

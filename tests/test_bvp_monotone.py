@@ -3,12 +3,15 @@
 With u1(0) fixed, u1(L) strictly increases in c on the pole-free set,
 and that set is a half-line c < c*.  So the candidates with a pole in
 (0, L] form a suffix of the SCAN_POINTS grid, the usable residuals
-increase along it, and a binary search plus Newton can replace the full
-scan.  The dense oracle below is that full scan, kept only here; its
-pole predicate is the test-side sign scan of oracles.py, not the
-library's phase count that solve_bvp uses.
+increase along it, and a binary search can count them without the full
+scan.  Through c* and beyond, the Pruefer angle A = n pi - arccot u1(L)
+stays continuous and increasing, so Newton on A finds the one root
+wherever it lies.  The dense oracle below is that full scan, kept only
+here; its pole predicate is the test-side sign scan of oracles.py, not
+the library's phase count that solve_bvp uses.
 """
 
+import math
 import random
 
 import pytest
@@ -29,7 +32,7 @@ from airyflow import (
 )
 from airyflow import flow
 from airyflow.bvp import SCAN_POINTS
-from airyflow.flow import endpoint_slope
+from airyflow.flow import endpoint_angle
 from oracles import reference_solve_bvp, sign_scan_cells
 
 N_DRAWS = 40
@@ -105,25 +108,102 @@ def test_excluded_candidates_match_dense_count(dense_draws):
         assert abs(sol.c - c) <= 1e-12 * (1.0 + abs(c))
 
 
+def angle_and_slope(params, u10, c):
+    return endpoint_angle(params, *constants_from_u0(params, c, u10))[1:]
+
+
 def test_closed_form_slope_matches_central_difference():
     rng = random.Random(3)
     for _ in range(20):
         params, data, consts = random_flow_case(rng)
-
-        def residual_and_slope(c):
-            return endpoint_slope(params, *constants_from_u0(params, c, data.u10))
-
         c = consts.c
         h = 1e-5 * (1.0 + abs(c))
-        fd = (residual_and_slope(c + h)[0] - residual_and_slope(c - h)[0]) / (2.0 * h)
-        slope = residual_and_slope(c)[1]
+        fd = (angle_and_slope(params, data.u10, c + h)[0]
+              - angle_and_slope(params, data.u10, c - h)[0]) / (2.0 * h)
+        slope = angle_and_slope(params, data.u10, c)[1]
         assert slope > 0.0
         assert abs(fd - slope) <= 1e-7 * abs(slope)
 
 
-def test_root_past_last_usable_candidate_has_no_sign_change():
+def first_crossing(params, u10, usable, crossed):
+    """The last double c with A(c) <= 0 and the next one: the first pole
+    crossing c* lies between, where z(L) changes sign and n gains one."""
+    while math.nextafter(usable, crossed) != crossed:
+        mid = 0.5 * (usable + crossed)
+        if angle_and_slope(params, u10, mid)[0] <= 0.0:
+            usable = mid
+        else:
+            crossed = mid
+    return usable, crossed
+
+
+def crossing_cases():
+    """(params, u10, c_lo, c_hi) with the first pole crossing in [c_lo, c_hi]:
+    the README case and the draws of random_flow_case(Random(0)) whose
+    default grid excludes a candidate, the cell around the first one."""
+    cases = [(README_PARAMS, 0.0, 5.0, 6.0)]
+    rng = random.Random(0)
+    while len(cases) < 21:
+        params, data, consts = random_flow_case(rng)
+        u1L = exact_u1(params.length, params, consts)
+        bracket = default_c_bracket(data.u10, u1L, params.nu)
+        k = SCAN_POINTS - solve_bvp(data.u10, u1L, params).excluded_candidates
+        if k < SCAN_POINTS:
+            grid = candidates(bracket)
+            cases.append((params, data.u10, grid[k - 1], grid[k]))
+    return cases
+
+
+def test_angle_is_continuous_through_the_first_crossing():
+    # A steps by at most what its slope allows on a dense grid across c*
+    # and on the two doubles around it, so no pi jump hides in the count;
+    # and its closed-form slope holds through the pole
+    for params, u10, c_lo, c_hi in crossing_cases():
+        c_a, c_b = first_crossing(params, u10, c_lo, c_hi)
+        cs = sorted({c_lo + (c_hi - c_lo) * i / 400 for i in range(401)} | {c_a, c_b})
+        angles, slopes = zip(*(angle_and_slope(params, u10, c) for c in cs))
+        assert angles[0] < 0.0 < angles[-1]
+        for i in range(len(cs) - 1):
+            step = angles[i + 1] - angles[i]
+            allowed = 2.0 * (cs[i + 1] - cs[i]) * max(slopes[i], slopes[i + 1])
+            assert 0.0 < step <= allowed + 1e-14, (params, u10, cs[i])
+        h = 1e-3 * (c_hi - c_lo)
+        fd = (angle_and_slope(params, u10, c_a + h)[0]
+              - angle_and_slope(params, u10, c_a - h)[0]) / (2.0 * h)
+        slope = angle_and_slope(params, u10, c_a)[1]
+        assert abs(fd - slope) <= 1e-4 * slope, (params, u10, c_a)
+
+
+def test_angle_at_the_double_where_z_of_L_is_zero():
+    # README case: z(L) rounds to exactly 0.0 at this c; the parity of the
+    # half-turn count, not the sign test z >= 0, puts it on the side of
+    # the crossing it belongs to, so A stays at 0 across its neighbours
+    c = 5.5253645085505525
+    consts, q0 = constants_from_u0(README_PARAMS, c, 0.0)
+    q, sigma = flow.airy_scaled(flow.map_t(README_PARAMS.length, consts))
+    assert flow._z(consts, q, sigma)[2] == 0.0
+    for x in (math.nextafter(c, -math.inf), c, math.nextafter(c, math.inf)):
+        angle, slope = angle_and_slope(README_PARAMS, 0.0, x)
+        assert abs(angle) <= 1e-15 and slope > 0.0
+
+
+def test_angle_residual_within_its_rounding_is_a_root():
+    # on these two roots Newton's steps stay above its 1e-14 stopping step
+    # while the angle residual is down to its rounding, and without
+    # ANGLE_NOISE it ran out of iterations (random_flow_case seed 3 draw 21
+    # on the bracket c +- 2, seed 5 draw 13 on the default one)
+    for seed, index, bracket in ((3, 21, True), (5, 13, False)):
+        rng = random.Random(seed)
+        params, data, consts = [random_flow_case(rng) for _ in range(index + 1)][-1]
+        u1L, c = exact_u1(params.length, params, consts), consts.c
+        sol = solve_bvp(data.u10, u1L, params, (c - 2.0, c + 2.0) if bracket else None)
+        assert abs(sol.c - c) <= 1e-12 * (1.0 + abs(c))
+
+
+def test_root_past_last_usable_candidate_is_found():
     # put the root between the last pole-free grid candidate and the
-    # pole crossing c*; the pole-free grid cells then hold no root
+    # pole crossing c*; the pole-free grid cells hold no root, but the
+    # angle brackets it between that candidate and the first excluded one
     params, u10, bracket = README_PARAMS, 0.0, (-10.0, 10.0)
     grid = candidates(bracket)
     k = SCAN_POINTS - solve_bvp(u10, 0.25, params, bracket).excluded_candidates
@@ -138,16 +218,16 @@ def test_root_past_last_usable_candidate_has_no_sign_change():
     c_root = 0.5 * (grid[k - 1] + usable)
     u1L = endpoint_residual(params, u10, 0.0, c_root)
     assert u1L is not None
-    with pytest.raises(NoSignChangeError) as err:
-        solve_bvp(u10, u1L, params, bracket)
-    assert err.value.residual_lo == endpoint_residual(params, u10, u1L, grid[0])
-    assert err.value.residual_hi == endpoint_residual(params, u10, u1L, grid[k - 1])
-    assert err.value.residual_hi < 0.0
+    assert endpoint_residual(params, u10, u1L, grid[k - 1]) < 0.0
+    sol = solve_bvp(u10, u1L, params, bracket)
+    assert grid[k - 1] < sol.c < grid[k]
+    assert abs(sol.c - c_root) <= 1e-12 * (1.0 + abs(c_root))
+    assert sol.excluded_candidates == SCAN_POINTS - k
 
 
 def test_root_below_bracket_has_no_sign_change():
-    # the README root is c = 1.2035...; Newton runs down to the bracket's
-    # lower end, and the final check must reject it
+    # the README root is c = 1.2035...; A(c_lo) already lies above the
+    # target, and an explicit bracket does not grow
     with pytest.raises(NoSignChangeError) as err:
         solve_bvp(0.0, 0.25, README_PARAMS, (2.0, 3.0))
     assert 0.0 < err.value.residual_lo < err.value.residual_hi
@@ -169,12 +249,13 @@ def airy_calls(monkeypatch):
 
 
 def test_readme_case_work_count(airy_calls, monkeypatch):
-    # Building each shot from derive_constants, has_interior_pole and
-    # exact_u1 costs four Airy evaluations per candidate and three per
-    # Newton step, 56 here; sharing the quartets at t(0) and t(L) costs two.
-    # 17 shots: 8 of the binary search, 8 Newton steps and the final one,
-    # each constructing SolutionConstants once (building the partial
-    # constants first and then the pair made 34).
+    # Sharing the quartets at t(0) and t(L) makes a shot two Airy
+    # evaluations.  15 shots: 8 of the binary search and 7 Newton iterates
+    # on the angle, the last of them the root (its residual is within
+    # ANGLE_NOISE, so no final shot); Newton starts from the shot of the
+    # bracket end nearer the root.  Newton on u1(L) from the midpoint of
+    # the pole-free candidates took 8 steps and a final shot, 34
+    # evaluations.  Each shot constructs SolutionConstants once.
     built = [0]
     post_init = SolutionConstants.__post_init__
 
@@ -185,8 +266,8 @@ def test_readme_case_work_count(airy_calls, monkeypatch):
     monkeypatch.setattr(SolutionConstants, "__post_init__", counted)
     sol = solve_bvp(0.0, 0.25, README_PARAMS)
     assert sol.excluded_candidates == 58
-    assert built[0] == 17
-    assert airy_calls[0] == 34
+    assert built[0] == 15
+    assert airy_calls[0] == 30
 
 
 def test_solve_ivp_is_one_airy_evaluation(airy_calls):

@@ -182,6 +182,24 @@ class TestBvp:
         assert code == 1
         assert "sign change" in err
 
+    LOWVISC = ["--nu", "0.02", "--grad-term", "-1", "--f1", "0", "--L", "1"]
+
+    def test_root_below_default_bracket(self, capsys):
+        # the default bracket +-0.8 misses the root; it grows until it
+        # holds it (the 40-digit oracle gives u1(L) = -1.9999999999999993
+        # at this c, conditioned at 5.6)
+        code, out, err = invoke(capsys, "bvp", *self.LOWVISC, "--u10", "0", "--u1L", "-2")
+        assert (code, err) == (0, "")
+        c = float(out.splitlines()[0].split("=")[1])
+        assert c == pytest.approx(-1.0100253195940865, rel=1e-12, abs=0.0)
+
+    def test_unreachable_target(self, capsys):
+        # u1(L) jumps from about -1.24 to +inf within rounding of the pole
+        # crossing, so no double c reaches u1(L) = 0
+        code, out, err = invoke(capsys, "bvp", *self.LOWVISC, "--u10", "-2", "--u1L", "0")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: no c reaches u1(L) = 0.0: ") and err.count("\n") == 1
+
     def test_half_bracket_rejected(self, capsys):
         code, _, err = invoke(
             capsys,

@@ -18,8 +18,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from airyflow import (AiryOverflowError, FlowDomainError, FlowParams, InitialData,
-                      NoSignChangeError, derive_constants, exact_u1, find_poles, solve_bvp,
-                      solve_ivp)
+                      NoSignChangeError, PoleCrossingError, derive_constants, exact_u1,
+                      find_poles, solve_bvp, solve_ivp)
 from airyflow.bvp import ENDPOINT_RTOL
 from airyflow.verify import random_flow_case
 
@@ -34,15 +34,13 @@ BVP_SEEDS = (0, 7, 11)
 BVP_DRAWS = 40
 BVP_C_ATOL = 1e-8
 
-# the root c = 0.687 lies past the last pole-free candidate of the
-# default bracket +-130.2 (ROADMAP item 2's grid quirk)
-BVP_GRID_QUIRK = {(11, 27)}
-
 # u1(L) of each IVP draw that solves, shifted by these, as BVP targets
 LOWVISC_SHIFTS = (0.0, 3.0, -3.0)
-# of the 900, 542 solve; the rest raise NoSignChangeError or
-# PoleCrossingError (ROADMAP item 2)
-LOWVISC_MIN_SOLVED = 542
+# of the 900, 735 solve; the default bracket grows until it holds the
+# root, so the rest raise neither NoSignChangeError nor PoleCrossingError
+# but the FlowDomainError of a target no double reaches (u1(L) jumps to
+# +inf within rounding of the pole crossing c*)
+LOWVISC_MIN_SOLVED = 735
 
 # bvp --nu 1 --grad-term -2 --f1 0 --L 1 --u10 4 --u1L -6: a benign root
 # at t(0) = 8.6 (the 40-digit oracle gives u1(L) = -6.0000000000000036),
@@ -138,10 +136,7 @@ def _bvp_cases(seed):
 
 
 @pytest.mark.parametrize("seed,index", [
-    pytest.param(seed, i, marks=pytest.mark.xfail(
-        strict=True, raises=NoSignChangeError, reason="ROADMAP item 2"
-    ) if (seed, i) in BVP_GRID_QUIRK else ())
-    for seed in BVP_SEEDS for i in range(BVP_DRAWS)
+    (seed, i) for seed in BVP_SEEDS for i in range(BVP_DRAWS)
 ])
 def test_bvp_recovers_generating_c(seed, index):
     params, data, consts = _bvp_cases(seed)[index]
@@ -158,7 +153,8 @@ def test_lowvisc_bvps_solve_or_raise_domain_error():
         for target in (u1L + shift for shift in LOWVISC_SHIFTS):
             try:
                 sol = solve_bvp(u10, target, params)
-            except FlowDomainError:
+            except FlowDomainError as err:
+                assert not isinstance(err, (NoSignChangeError, PoleCrossingError)), (index, err)
                 continue
             want, cond = u1_propagator(params, u10, sol.initial_slope, params.length)
             if cond <= MAX_COND:
