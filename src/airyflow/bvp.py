@@ -37,7 +37,8 @@ from .flow import (
 
 SCAN_POINTS = 256
 ENDPOINT_RTOL = 1e-9
-# an angle residual within its own rounding (a few ulp of pi) counts as 0
+# an angle residual within its rounding, ANGLE_NOISE / (1 + |u1L|), counts as 0: by
+# dA/du1 = 1/(1 + u1**2) u1(L) is then within ANGLE_NOISE (1 + |u1L|) of u1L
 ANGLE_NOISE = 4.0 * math.ulp(math.pi)
 
 
@@ -113,25 +114,24 @@ def solve_bvp(
     no double reaches to ENDPOINT_RTOL (u1(L) jumps to +inf within rounding
     of c*) raises FlowDomainError.  Deterministic; a shot is two Airy calls.
     """
-    u10 = _require_finite("u10", u10)
-    u1L = _require_finite("u1L", u1L)
+    u10, u1L = _require_finite("u10", u10), _require_finite("u1L", u1L)
     grow = c_bracket is None
-    if grow:
-        c_bracket = default_c_bracket(u10, u1L, params.nu)
+    c_bracket = default_c_bracket(u10, u1L, params.nu) if grow else c_bracket
     c_lo, c_hi = (_require_finite("c_lo", c_bracket[0]), _require_finite("c_hi", c_bracket[1]))
     if not c_lo < c_hi:
         raise ValueError(f"need c_lo < c_hi, got ({c_lo!r}, {c_hi!r})")
     _require_derived("c grid span (c_hi - c_lo) * 255", (c_hi - c_lo) * (SCAN_POINTS - 1))
-    target, shots = -math.atan2(1.0, u1L), {}
+    target, noise, shots = -math.atan2(1.0, u1L), ANGLE_NOISE / (1.0 + abs(u1L)), {}
 
     def shot(c: float) -> tuple[SolutionConstants, float, float, float]:
-        """Constants for c with u1(0) = u10, u1(L), A - target (0 within
-        ANGLE_NOISE) and dA/dc; each c is shot once."""
+        """Constants for c with u1(0) = u10, u1(L), A - target (0 within noise) and
+        dA/dc; each c is shot once.  A finite u1(L) (n = 0) gives A - target as one
+        atan2 of arccot u1L - arccot u1(L): A resolves u1(L) only to u1L**2 ulp(pi)."""
         if c not in shots:
             consts, q0 = constants_from_u0(params, c, u10)
             u1, angle, slope = endpoint_angle(params, consts, q0)
-            r = angle - target
-            shots[c] = consts, u1, 0.0 if abs(r) <= ANGLE_NOISE else r, slope
+            r = angle - target if u1 == math.inf else math.atan2(u1 - u1L, 1.0 + u1 * u1L)
+            shots[c] = consts, u1, 0.0 if abs(r) <= noise else r, slope
         return shots[c]
 
     def candidate(i: int) -> float:
@@ -141,10 +141,7 @@ def solve_bvp(
     k, end = 0, SCAN_POINTS
     while k < end:
         mid = (k + end) // 2
-        if shot(candidate(mid))[1] == math.inf:
-            end = mid
-        else:
-            k = mid + 1
+        k, end = (k, mid) if shot(candidate(mid))[1] == math.inf else (mid + 1, end)
     if k == 0 and not grow:
         raise PoleCrossingError(SCAN_POINTS)
 

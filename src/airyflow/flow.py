@@ -230,9 +230,10 @@ def _z(consts: SolutionConstants, q: AiryQuartet,
     return c1, c2, c1 * q.ai + c2 * q.bi, c1 * q.ai_prime + c2 * q.bi_prime
 
 
-def _u1_at(params: FlowParams, consts: SolutionConstants, q: AiryQuartet, sigma: float) -> float:
-    """u1 from the quartet q (scale sigma) at t(s); +inf, its value at a pole, in the band."""
-    w1, w2, z, z_t = _z(consts, q, sigma)
+def _u1_at(params: FlowParams, consts: SolutionConstants, q: AiryQuartet, sigma: float,
+           w: tuple = ()) -> float:
+    """u1 at t(s) from the quartet q of scale sigma (w: its _z, if at hand); +inf in the band."""
+    w1, w2, z, z_t = w or _z(consts, q, sigma)
     scale = (
         abs(w1) * (abs(q.ai) + abs(q.ai_prime))
         + abs(w2) * (abs(q.bi) + abs(q.bi_prime))
@@ -277,7 +278,7 @@ def _phase(consts: SolutionConstants, q: AiryQuartet, sigma: float) -> float:
     return theta - math.atan2(c2, c1)
 
 
-def _half_turns(consts: SolutionConstants, q: AiryQuartet, sigma: float) -> int:
+def _half_turns(consts: SolutionConstants, q: AiryQuartet, sigma: float, w: tuple = ()) -> int:
     """How many half-turns pi/2 + k pi the phase has passed at q.t, i.e.
     floor((theta - phi)/pi - 1/2).  Its parity is the sign of z there
     (odd where z > 0), so it is read off the sign of z, and the phase,
@@ -287,7 +288,7 @@ def _half_turns(consts: SolutionConstants, q: AiryQuartet, sigma: float) -> int:
     comparison of the signs of z at the two ends; the phase, flat to
     within rounding of pi/2 once t > 9, never decides it.
     """
-    odd = _z(consts, q, sigma)[2] > 0.0
+    odd = (w or _z(consts, q, sigma))[2] > 0.0
     return odd + 2 * round((_phase(consts, q, sigma) / math.pi - 1.0 - odd) / 2.0)
 
 
@@ -378,14 +379,16 @@ def endpoint_angle(
     underflows); in _z's scaled values the t(0) end carries e**(-2|D|).
     """
     qL, sigma = airy_scaled(map_t(params.length, consts))
-    turns = _half_turns(consts, qL, sigma)
-    n = turns - _half_turns(consts, q0, consts.zeta0)
-    u1 = math.inf if n > 0 else _u1_at(params, consts, qL, sigma)
+    wL, w0 = _z(consts, qL, sigma), _z(consts, q0, consts.zeta0)
+    turns = _half_turns(consts, qL, sigma, wL)
+    n = turns - _half_turns(consts, q0, consts.zeta0, w0)
+    u1 = math.inf if n > 0 else _u1_at(params, consts, qL, sigma, wL)
     kappa = (-consts.a) ** (1.0 / 3.0)
-    _, _, zL, ztL = _z(consts, qL, sigma)
-    _, _, z0, zt0 = _z(consts, q0, consts.zeta0)
+    (_, _, zL, ztL), (_, _, z0, zt0) = wL, w0
     x = 2.0 * params.nu * kappa * ztL
-    start = (q0.t * z0 * z0 - zt0 * zt0) * math.exp(-2.0 * abs(sigma - consts.zeta0))
+    start = q0.t * z0 * z0 - zt0 * zt0
+    if sigma != consts.zeta0:
+        start *= math.exp(-2.0 * abs(sigma - consts.zeta0))
     integral = (qL.t * zL * zL - ztL * ztL) - start
     denominator = kappa * params.nu * (zL * zL + x * x)
     return (u1, n * math.pi - math.atan2(abs(zL), -x if turns % 2 else x),

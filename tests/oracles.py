@@ -406,7 +406,7 @@ def reference_solve_bvp(u10: float, u1L: float, params, c_bracket=None):
         c_bracket = default_c_bracket(u10, u1L, params.nu)
     c_lo, c_hi = c_bracket
     nu, length = params.nu, params.length
-    target = -math.atan2(1.0, u1L)
+    target, noise = -math.atan2(1.0, u1L), ANGLE_NOISE / (1.0 + abs(u1L))
     shots = {}
 
     def shot(c):
@@ -444,8 +444,12 @@ def reference_solve_bvp(u10: float, u1L: float, params, c_bracket=None):
         start = math.exp(-2.0 * abs(d)) * (q0.t * z0 * z0 - zt0 * zt0)
         integral = (qL.t * zL * zL - ztL * ztL) - start
         denominator = kappa * nu * (zL * zL + x * x)
-        r = angle - target
-        shots[c] = (consts, u1, 0.0 if abs(r) <= ANGLE_NOISE else r,
+        # with u1(L) finite, A - target = arccot u1L - arccot u1(L) as one atan2
+        if u1 < math.inf:
+            r = math.atan2(u1 - u1L, 1.0 + u1 * u1L)
+        else:
+            r = angle - target
+        shots[c] = (consts, u1, 0.0 if abs(r) <= noise else r,
                     integral / denominator if denominator else math.nan)
         return shots[c]
 

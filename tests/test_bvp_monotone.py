@@ -31,7 +31,7 @@ from airyflow import (
     solve_ivp,
 )
 from airyflow import flow
-from airyflow.bvp import SCAN_POINTS
+from airyflow.bvp import ENDPOINT_RTOL, SCAN_POINTS
 from airyflow.flow import endpoint_angle
 from oracles import reference_solve_bvp, sign_scan_cells
 
@@ -188,16 +188,37 @@ def test_angle_at_the_double_where_z_of_L_is_zero():
 
 
 def test_angle_residual_within_its_rounding_is_a_root():
-    # on these two roots Newton's steps stay above its 1e-14 stopping step
-    # while the angle residual is down to its rounding, and without
-    # ANGLE_NOISE it ran out of iterations (random_flow_case seed 3 draw 21
-    # on the bracket c +- 2, seed 5 draw 13 on the default one)
+    # on these two roots, with the residual taken as the difference A -
+    # target of two rounded angles, Newton's steps stayed above its 1e-14
+    # stopping step while the residual was down to its rounding, and it ran
+    # out of iterations (random_flow_case seed 3 draw 21 on the bracket
+    # c +- 2, seed 5 draw 13 on the default one)
     for seed, index, bracket in ((3, 21, True), (5, 13, False)):
         rng = random.Random(seed)
         params, data, consts = [random_flow_case(rng) for _ in range(index + 1)][-1]
         u1L, c = exact_u1(params.length, params, consts), consts.c
         sol = solve_bvp(data.u10, u1L, params, (c - 2.0, c + 2.0) if bracket else None)
         assert abs(sol.c - c) <= 1e-12 * (1.0 + abs(c))
+
+
+def test_large_targets_reach_endpoint_rtol():
+    # README params.  Near u1L = -1e6 the angle A sits within 1e-6 of -pi,
+    # where a double resolves u1(L) only to u1L**2 ulp(pi): 4e-4 there (and
+    # a noise bound of 4 ulp(pi) is 1.8e-3), 0.04 at -1e7, against
+    # ENDPOINT_RTOL's 1e-3 and 1e-2.  So the residual is one atan2 of
+    # arccot u1L - arccot u1(L), as fine as u1(L) itself.  At
+    # -1e8 the slope's [t z**2 - z_t**2] cancels (t(0) ~ 2.5e15) and Newton
+    # may stop short: then the error names the target, never a wrong c.
+    for u10 in (0.0, 1.0, -3.0):
+        for u1L, bracket in ((-1e6, None), (1e6, None), (-1e7, (-6e13, -4e13)),
+                             (-1e7, (-6e13, 0.0)), (-1e8, (-6e15, -4e15))):
+            try:
+                sol = solve_bvp(u10, u1L, README_PARAMS, bracket)
+            except FlowDomainError as err:
+                assert u1L == -1e8 and str(err).startswith("no c reaches u1(L) = -100000000.0")
+                continue
+            u1 = exact_u1(README_PARAMS.length, README_PARAMS, sol.constants)
+            assert abs(u1 - u1L) <= ENDPOINT_RTOL * (1.0 + abs(u1L)), (u10, u1L, bracket)
 
 
 def test_root_past_last_usable_candidate_is_found():
