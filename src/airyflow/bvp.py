@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .airy import AiryQuartet
 from .errors import FlowDomainError, NoSignChangeError, PoleCrossingError, PoleError
 from .flow import (
     FlowParams,
@@ -65,15 +66,25 @@ def c_from_initial(u10: float, u1dot0: float, nu: float) -> float:
 def solve_ivp(data: InitialData, params: FlowParams) -> SolutionConstants:
     """Constants from u1(0) = u10 and u1'(0) = u1dot0.
 
-    The result reproduces both conditions by construction.  A z(0) in the
-    pole band raises PoleError here, as exact_u1(0) would, read from the
-    quartet the constants were built on: one Airy evaluation in all.
+    The result reproduces both conditions by construction, up to rounding:
+    u1(0), read from the quartet the constants were built on (one Airy
+    evaluation in all), raises PoleError in the pole band, as exact_u1(0)
+    would, and FlowDomainError when it misses u10 by more than
+    ENDPOINT_RTOL (1 + |u10|).
     """
     c = _require_derived("c", c_from_initial(data.u10, data.u1dot0, params.nu))
     consts, q0 = constants_from_u0(params, c, data.u10)
-    if _u1_at(params, consts, q0, consts.zeta0) == math.inf:
+    u1 = _u1_at(params, consts, q0, consts.zeta0)
+    if u1 == math.inf:
         raise PoleError(0.0, nearest_pole=_nearest_pole(consts, 0.0))
+    _check_u10(u1, data.u10)
     return consts
+
+
+def _check_u10(u1: float, u10: float) -> None:
+    """Constants whose u1(0) misses u10 (rounding multiplied by 2 nu (-a)**(1/3)) are no answer."""
+    if not abs(u1 - u10) <= ENDPOINT_RTOL * (1.0 + abs(u10)):
+        raise FlowDomainError(f"the constants miss u1(0) = {u10!r}: they give {u1!r}")
 
 
 @dataclass(frozen=True)
@@ -112,7 +123,9 @@ def solve_bvp(
     an explicit one raises PoleCrossingError when every candidate is
     excluded and NoSignChangeError when the root lies outside it.  A root
     no double reaches to ENDPOINT_RTOL (u1(L) jumps to +inf within rounding
-    of c*) raises FlowDomainError.  Deterministic; a shot is two Airy calls.
+    of c*) raises FlowDomainError, as do constants whose u1(0), read from
+    the last shot, misses u10 as in solve_ivp.  Deterministic; a shot is
+    two Airy calls.
     """
     u10, u1L = _require_finite("u10", u10), _require_finite("u1L", u1L)
     grow = c_bracket is None
@@ -123,15 +136,16 @@ def solve_bvp(
     _require_derived("c grid span (c_hi - c_lo) * 255", (c_hi - c_lo) * (SCAN_POINTS - 1))
     target, noise, shots = -math.atan2(1.0, u1L), ANGLE_NOISE / (1.0 + abs(u1L)), {}
 
-    def shot(c: float) -> tuple[SolutionConstants, float, float, float]:
-        """Constants for c with u1(0) = u10, u1(L), A - target (0 within noise) and
-        dA/dc; each c is shot once.  A finite u1(L) (n = 0) gives A - target as one
-        atan2 of arccot u1L - arccot u1(L): A resolves u1(L) only to u1L**2 ulp(pi)."""
+    def shot(c: float) -> tuple[SolutionConstants, float, float, float, AiryQuartet]:
+        """Constants for c with u1(0) = u10, u1(L), A - target (0 within noise), dA/dc
+        and the quartet at t(0); each c is shot once.  A finite u1(L) (n = 0) gives
+        A - target as one atan2 of arccot u1L - arccot u1(L): A resolves u1(L) only
+        to u1L**2 ulp(pi)."""
         if c not in shots:
             consts, q0 = constants_from_u0(params, c, u10)
             u1, angle, slope = endpoint_angle(params, consts, q0)
             r = angle - target if u1 == math.inf else math.atan2(u1 - u1L, 1.0 + u1 * u1L)
-            shots[c] = consts, u1, 0.0 if abs(r) <= noise else r, slope
+            shots[c] = consts, u1, 0.0 if abs(r) <= noise else r, slope, q0
         return shots[c]
 
     def candidate(i: int) -> float:
@@ -157,10 +171,11 @@ def solve_bvp(
         raise NoSignChangeError(shot(c_lo)[1] - u1L, shot(candidate(k - 1))[1] - u1L)
 
     # Newton starts from the end nearer the root, whose shot it reuses
-    c = _newton_root(lambda c: shot(c)[2:], lo, hi, min((lo, hi), key=lambda c: abs(shots[c][2])))
-    consts, u1 = shot(c)[:2]
+    c = _newton_root(lambda c: shot(c)[2:4], lo, hi, min((lo, hi), key=lambda c: abs(shots[c][2])))
+    consts, u1, _, _, q0 = shot(c)
     if not abs(u1 - u1L) <= ENDPOINT_RTOL * (1.0 + abs(u1L)):
         raise FlowDomainError(f"no c reaches u1(L) = {u1L!r}: Newton ends at c = {c!r}, "
                               f"where u1(L) = {u1!r}")
+    _check_u10(_u1_at(params, consts, q0, consts.zeta0), u10)
     return BvpSolution(constants=consts, c=c, initial_slope=(c + 0.5 * u10 * u10) / params.nu,
                        endpoint_residual=u1 - u1L, roots=(c,), excluded_candidates=SCAN_POINTS - k)

@@ -31,11 +31,10 @@ from .airy import AiryQuartet, airy_scaled
 from .errors import (DegenerateModelError, FlowDomainError, ModelInvalidError,
                      NoConvergenceError, PhaseRangeError, PoleError)
 
-# |z| <= POLE_RTOL * scale counts as a pole, where scale is the local
-# envelope |c1|(|Ai| + |Ai'|) + |c2|(|Bi| + |Bi'|).  A relative test, so
-# it behaves the same whether the Airy values are huge or tiny; the
-# derivative terms keep the envelope finite at the zeros themselves so a
-# pure-Ai combination still gets a pole neighborhood around each zero.
+# |z| sqrt(1 + |t|) <= POLE_RTOL |z_t| counts as a pole.  Near a zero, z =
+# M cos(theta - phi) turns at the local wavenumber sqrt(1 + |t|), so this
+# flags z within POLE_RTOL rad of a half-turn of its phase; the test is
+# relative, so it behaves the same whether the Airy values are huge or tiny.
 POLE_RTOL = 1e-13
 
 # _phase unwraps theta against its asymptote pi/4 - zeta, within pi/12 of
@@ -47,6 +46,11 @@ POLE_RTOL = 1e-13
 # [-3.57e10, -1e10]).  Past it turns are miscounted (128 of 3,000 random t in
 # [-1e11, -3.57e10]), so pole counts are refused below t = -PHASE_T_MAX.
 PHASE_T_MAX = (1.5 * 2.0**52) ** (2.0 / 3.0)  # ~3.57e10, where zeta = 2**52
+
+# find_poles refuses a window with more zeros than this: each zero costs
+# 0.01-0.045 ms (t from -3e10 to -10, Python 3.11 on a 2-core x86 box), so
+# a list this long takes at most about 2 s.
+MAX_POLES = 40_000
 
 _TWO_PI = 2.0 * math.pi
 
@@ -204,9 +208,9 @@ def map_t(s: float, consts: SolutionConstants) -> float:
 def exact_u1(s: float, params: FlowParams, consts: SolutionConstants) -> float:
     """Closed-form streamwise velocity at arclength s.
 
-    Raises PoleError when z(s) sits inside the relative cancellation
-    band POLE_RTOL; the error carries the zero of z at the half-turn of
-    the phase nearest s.
+    Raises PoleError when the phase of z(s) is within POLE_RTOL rad of a
+    half-turn (_u1_at); the error carries the zero of z at the half-turn
+    of the phase nearest s.
     """
     u1 = _u1_at(params, consts, *airy_scaled(map_t(s, consts)))
     if u1 == math.inf:
@@ -214,10 +218,9 @@ def exact_u1(s: float, params: FlowParams, consts: SolutionConstants) -> float:
     return u1
 
 
-def _z(consts: SolutionConstants, q: AiryQuartet,
-       sigma: float) -> tuple[float, float, float, float]:
-    """(w1, w2, z, z_t) at q of scale sigma, up to a positive factor: the pair
-    weighted by e**(-2D) on c1 for D = sigma - zeta0 > 0, by e**(2D) on c2 for D < 0,
+def _z(consts: SolutionConstants, q: AiryQuartet, sigma: float) -> tuple[float, float]:
+    """(z, z_t) at q of scale sigma, up to a positive factor: the pair weighted
+    by e**(-2D) on c1 for D = sigma - zeta0 > 0, by e**(2D) on c2 for D < 0,
     unless the other component is 0 (then the weight is moot, and could underflow)."""
     c1, c2 = consts.c1, consts.c2
     if c1 is None:
@@ -227,19 +230,15 @@ def _z(consts: SolutionConstants, q: AiryQuartet,
         c1 *= math.exp(-2.0 * d)
     elif d < 0.0 and c1:
         c2 *= math.exp(2.0 * d)
-    return c1, c2, c1 * q.ai + c2 * q.bi, c1 * q.ai_prime + c2 * q.bi_prime
+    return c1 * q.ai + c2 * q.bi, c1 * q.ai_prime + c2 * q.bi_prime
 
 
 def _u1_at(params: FlowParams, consts: SolutionConstants, q: AiryQuartet, sigma: float,
            w: tuple = ()) -> float:
-    """u1 at t(s) from the quartet q of scale sigma (w: its _z, if at hand); +inf in the band."""
-    w1, w2, z, z_t = w or _z(consts, q, sigma)
-    scale = (
-        abs(w1) * (abs(q.ai) + abs(q.ai_prime))
-        + abs(w2) * (abs(q.bi) + abs(q.bi_prime))
-        + 1e-300
-    )
-    if abs(z) <= POLE_RTOL * scale:
+    """u1 at t(s) from the quartet q of scale sigma (w: its _z, if at hand); +inf
+    where |z| sqrt(1 + |t|) <= POLE_RTOL |z_t|, a pole to within rounding."""
+    z, z_t = w or _z(consts, q, sigma)
+    if abs(z) * math.sqrt(1.0 + abs(q.t)) <= POLE_RTOL * abs(z_t):
         return math.inf
     kappa = (-consts.a) ** (1.0 / 3.0)
     return -2.0 * params.nu * kappa * z_t / z
@@ -288,7 +287,7 @@ def _half_turns(consts: SolutionConstants, q: AiryQuartet, sigma: float, w: tupl
     comparison of the signs of z at the two ends; the phase, flat to
     within rounding of pi/2 once t > 9, never decides it.
     """
-    odd = (w or _z(consts, q, sigma))[2] > 0.0
+    odd = (w or _z(consts, q, sigma))[0] > 0.0
     return odd + 2 * round((_phase(consts, q, sigma) / math.pi - 1.0 - odd) / 2.0)
 
 
@@ -296,19 +295,23 @@ def _zero_residual(consts: SolutionConstants, k: int):
     """s -> (phase past the k-th half-turn, its s-derivative), increasing
     in s, for a zero on t <= 0.  The angle is atan2 of (-1)**(k+1) z and
     (-1)**k (c1 Bi - c2 Ai), so it is as accurate as z itself near the
-    zero; past t = 9 (flat phase) the phase itself, slope 0: bisect."""
+    zero, and within 4 ulp(1 + zeta) of 0 (zeta = (2/3)(-t)**1.5, which
+    one double of t moves by about an ulp) it is 0; past t = 9 (flat
+    phase) the phase itself, slope 0: bisect."""
     kappa = (-consts.a) ** (1.0 / 3.0)
     sign = 1.0 if k % 2 else -1.0
     target = (k + 0.5) * math.pi
+    c1, c2 = consts.coefficients
 
     def residual(s: float) -> tuple[float, float]:
         q, sigma = airy_scaled(map_t(s, consts))
         delta = _phase(consts, q, sigma)
         if sigma:
             return delta - target, 0.0
-        c1, c2, z, _ = _z(consts, q, sigma)
-        angle = math.atan2(sign * z, -sign * (c1 * q.bi - c2 * q.ai))
+        angle = math.atan2(sign * (c1 * q.ai + c2 * q.bi), -sign * (c1 * q.bi - c2 * q.ai))
         angle += _TWO_PI * round((delta - target - angle) / _TWO_PI)
+        if abs(angle) <= 4.0 * math.ulp(1.0 + (2.0 / 3.0) * max(-q.t, 0.0) ** 1.5):
+            angle = 0.0
         return angle, kappa / (math.pi * (q.ai * q.ai + q.bi * q.bi))
 
     return residual
@@ -384,7 +387,7 @@ def endpoint_angle(
     n = turns - _half_turns(consts, q0, consts.zeta0, w0)
     u1 = math.inf if n > 0 else _u1_at(params, consts, qL, sigma, wL)
     kappa = (-consts.a) ** (1.0 / 3.0)
-    (_, _, zL, ztL), (_, _, z0, zt0) = wL, w0
+    (zL, ztL), (z0, zt0) = wL, w0
     x = 2.0 * params.nu * kappa * ztL
     start = q0.t * z0 * z0 - zt0 * zt0
     if sigma != consts.zeta0:
@@ -398,21 +401,28 @@ def endpoint_angle(
 def find_poles(consts: SolutionConstants, s_lo: float, s_hi: float) -> list[float]:
     """All zeros of z in (s_lo, s_hi], ascending.
 
-    The half-turn count at the ends gives how many there are; each is
-    then solved for as the root of an increasing residual by the
-    safeguarded Newton iteration that solve_bvp also uses, to well inside
-    1e-12*(1+|s|), so evaluating exact_u1 at a returned location lands in
-    its pole band.  M**2 = Ai**2 + Bi**2 increases, so the phase is
-    concave as well as increasing, and Newton started at the left end of
-    each bracket (s_lo, then the previous zero) climbs to a zero on t <= 0
-    from below without overshooting.  The one zero on t > 0 (flat phase)
-    is the root of the convex _ratio_residual, Newton from s_hi.
+    The half-turn count at the ends gives how many there are (more than
+    MAX_POLES raises FlowDomainError); each is then solved for as the root
+    of an increasing residual by the safeguarded Newton iteration that
+    solve_bvp also uses, to within 1e-12*(1+|s|) or a few doubles of t.
+    exact_u1 raises PoleError at each returned location with |t| <= 30;
+    further out the rounding of s and t alone moves the phase by more
+    than POLE_RTOL (at |t| ~ 100 a third of the locations evaluate to a
+    finite u1, at |t| ~ 1e3 almost all).  M**2 = Ai**2 + Bi**2 increases,
+    so the phase is concave as well as increasing, and Newton started at
+    the left end of each bracket (s_lo, then the previous zero) climbs to
+    a zero on t <= 0 from below without overshooting.  The one zero on
+    t > 0 (flat phase) is the root of the convex _ratio_residual, Newton
+    from s_hi.
     """
     s_lo, s_hi = float(s_lo), float(s_hi)
     if not s_lo < s_hi:
         raise ValueError(f"need s_lo < s_hi, got [{s_lo!r}, {s_hi!r}]")
     q_lo, q_hi = airy_scaled(map_t(s_lo, consts)), airy_scaled(map_t(s_hi, consts))
     first, last = _half_turns(consts, *q_lo) + 1, _half_turns(consts, *q_hi)
+    if last - first >= MAX_POLES:
+        raise FlowDomainError(f"z has {last - first + 1} zeros in ({s_lo!r}, {s_hi!r}], "
+                              f"more than the {MAX_POLES} find_poles lists")
     if first > last:
         return []
     # the zeros up to the count at t = 0 lie on t <= 0

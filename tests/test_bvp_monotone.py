@@ -181,7 +181,7 @@ def test_angle_at_the_double_where_z_of_L_is_zero():
     c = 5.5253645085505525
     consts, q0 = constants_from_u0(README_PARAMS, c, 0.0)
     q, sigma = flow.airy_scaled(flow.map_t(README_PARAMS.length, consts))
-    assert flow._z(consts, q, sigma)[2] == 0.0
+    assert flow._z(consts, q, sigma)[0] == 0.0
     for x in (math.nextafter(c, -math.inf), c, math.nextafter(c, math.inf)):
         angle, slope = angle_and_slope(README_PARAMS, 0.0, x)
         assert abs(angle) <= 1e-15 and slope > 0.0

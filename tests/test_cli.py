@@ -259,11 +259,39 @@ class TestDomainLimits:
         assert float(fields["u1(L)"]) == pytest.approx(-17.993821209491927, rel=1e-12, abs=0.0)
 
     def test_domain_error_leaves_no_partial_report(self, capsys):
-        # find_poles meets NoConvergenceError on ~5e5 zeros of z in [0, 1]
-        # (ROADMAP item 3) after every other value of the report is known
-        code, out, err = invoke(capsys, "ivp", *self.FLOW, "--u10", "0", "--u1dot0", "1e6")
+        # find_poles refuses the phase at t(0) = -5e249 (PhaseRangeError)
+        # after every other value of the report is known
+        code, out, err = invoke(capsys, "ivp", *self.FLOW, "--u10", "0", "--u1dot0", "1e250")
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+    @pytest.mark.parametrize("u1dot0,n_poles", [("1e6", 225), ("-2e26", 0)])
+    def test_far_out_ivp_solves(self, capsys, u1dot0, n_poles):
+        # t(0) = -5e5 (225 zeros of z in [0, 1], which Newton used to fail
+        # to converge on) and t(0) = 1e26 (z(0) is the Wronskian, which the
+        # old pole band's envelope flagged): neither is a pole at s = 0
+        code, out, err = invoke(capsys, "ivp", *self.FLOW, "--u10", "0", "--u1dot0", u1dot0)
+        assert (code, err) == (0, "")
+        fields = {k.strip(): v for k, _, v in (ln.partition("=") for ln in out.splitlines())}
+        assert float(fields["u1(0)"]) == 0.0
+        poles = fields["poles"].split()
+        assert (0 if poles == ["none"] else len(poles)) == n_poles
+
+    def test_far_phase_is_refused_not_a_pole(self, capsys):
+        # u1(0) = 0 at t(0) = -5e249; the old pole band reported
+        # "denominator vanishes near s = 0.0"
+        code, out, err = invoke(capsys, "ivp", *self.FLOW, "--u10", "0", "--u1dot0", "1e250")
+        assert (code, out) == (1, "")
+        assert err == "error: Airy phase cannot be resolved to its turn at t = -5e+249\n"
+
+    def test_constants_that_miss_u10_are_refused(self, capsys):
+        # u1 = -2 nu (-a)**(1/3) z_t/z multiplies the rounding of the pair by
+        # ~1e20: these constants give u1(0) = 7164.95..., which was printed
+        code, out, err = invoke(capsys, "ivp", "--nu", "1", "--grad-term", "-1e60", "--f1", "0",
+                                "--L", "1e-20", "--u10", "1", "--u1dot0", "0")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: the constants miss u1(0) = 1.0: they give 7164.95")
 
 
 def fuzz_value(rng, positive=False):
@@ -289,8 +317,12 @@ def test_fuzzed_solves_never_raise(capsys):
             code = run(argv)
         except Exception as exc:  # any escape is the failure
             pytest.fail(f"{' '.join(argv)} raised {exc!r}")
-        capsys.readouterr()
+        out = capsys.readouterr().out
         assert code in (0, 1, 2), argv
+        if mode == "ivp" and code == 0:  # an answer meets u1(0) or is not given
+            u10 = float(argv[argv.index("--u10") + 1])
+            u1 = float(out.split("u1(0)  = ")[1].split("\n")[0])
+            assert abs(u1 - u10) <= ENDPOINT_RTOL * (1.0 + abs(u10)), argv
 
 
 FIELD_CONFIG = """\

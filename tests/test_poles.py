@@ -17,6 +17,7 @@ from airyflow import (
     FlowDomainError,
     FlowParams,
     PhaseRangeError,
+    PoleError,
     SolutionConstants,
     airy_eval,
     constants_from_u0,
@@ -169,17 +170,41 @@ def far_ai(t_far):
 def test_pole_count_exact_inside_phase_bound(fraction):
     # 40 zeros of Ai below t = -fraction * PHASE_T_MAX, where a zero spacing
     # is only 2 to 4 doubles of t: the half-turn count matches the sign
-    # changes of Ai over every double t in the window
+    # changes of Ai over every double t in the window, and find_poles puts
+    # each zero within 3 doubles of its sign change
     t_far = -fraction * flow.PHASE_T_MAX
     consts, width = far_ai(t_far), 40.0 * math.pi / math.sqrt(-t_far)
     t, t_end = map_t(0.0, consts), map_t(width, consts)
     count = flow._half_turns(consts, airy_eval(t_end), 0.0) - flow._half_turns(consts, airy_eval(t), 0.0)
-    changes, negative = 0, airy_eval(t).ai < 0.0
+    changes, negative = [], airy_eval(t).ai < 0.0
     while t < t_end:
         t = math.nextafter(t, math.inf)
         now = airy_eval(t).ai < 0.0
-        changes, negative = changes + (now != negative), now
-    assert count == changes >= 39
+        if now != negative:
+            changes.append(t)
+        negative = now
+    assert count == len(changes) >= 39
+    poles = find_poles(consts, 0.0, width)
+    assert len(poles) == count
+    for pole, change in zip(poles, changes):
+        assert abs(map_t(pole, consts) - change) <= 3.0 * math.ulp(change)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_far_zeros_sit_on_sign_changes(seed):
+    # 40 zeros of Ai near t = -1e5 ... -1e9, where the phase's rounding,
+    # an ulp of zeta = (2/3)|t|**1.5, exceeds a stop at 1e-14 (1 + |s|):
+    # Newton used to run out of iterations on a third of these windows;
+    # each zero lies within 3 doubles of t of a sign change of Ai
+    rng = random.Random(seed)
+    t_far = -10.0 ** rng.uniform(5.0, 9.0)
+    consts, width = far_ai(t_far), 40.0 * math.pi / math.sqrt(-t_far)
+    poles = find_poles(consts, 0.0, width)
+    assert len(poles) >= 39
+    for pole in poles:
+        t = map_t(pole, consts)
+        signs = [airy_eval(t + k * math.ulp(t)).ai < 0.0 for k in range(-3, 4)]
+        assert len(set(signs)) == 2, (t_far, pole)
 
 
 def test_pole_count_refused_past_phase_bound():
@@ -198,3 +223,51 @@ def test_pole_count_refused_past_phase_bound():
     params = FlowParams(nu=0.5, grad_term=-1.0, f1=0.0, length=1.0)
     assert math.isfinite(exact_u1(0.0, params, consts))
     assert flow._nearest_pole(consts, 0.0) is None
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+@pytest.mark.parametrize("magnitude", [1e3, 1e10, 1e24, 1e26, 1e30, 1e100])
+def test_no_pole_at_ordinary_points_far_out(magnitude, sign):
+    # 200 random pairs anchored at t; the pole band is |z| sqrt(1 + |t|) <=
+    # POLE_RTOL |z_t|, and a random phase lands within 1e-13 rad of a
+    # half-turn with odds of ~1e-13.  A band set by the envelope
+    # |c1|(|Ai| + |Ai'|) + |c2|(|Bi| + |Bi'|) held at most of these points
+    # from |t| ~ 1e24 on, where |Ai'|, |Bi'| ~ |t|**(1/4) dwarf |z|
+    rng = random.Random(round(math.log10(magnitude)))
+    params = FlowParams(nu=1.0, grad_term=-2.0, f1=0.0, length=1.0)
+    for _ in range(200):
+        t = sign * magnitude * rng.uniform(1.0, 2.0)
+        phi = rng.uniform(-math.pi, math.pi)
+        consts = SolutionConstants(a=-1.0, b=-t, c=0.0, c1=math.cos(phi), c2=math.sin(phi),
+                                   zeta0=flow.airy_scaled(t)[1])
+        assert math.isfinite(exact_u1(0.0, params, consts)), (t, phi)
+
+
+def test_located_poles_raise_near_the_turning_point():
+    # find_poles promises a PoleError from exact_u1 at each location it
+    # returns for |t| <= 30; further out the rounding of s and t alone can
+    # move the phase by more than POLE_RTOL
+    rng = random.Random(5)
+    params = FlowParams(nu=1.0, grad_term=-2.0, f1=0.0, length=1.0)
+    located = 0
+    for _ in range(100):
+        a, b = rng.uniform(-400.0, -1.0), rng.uniform(-50.0, 50.0)
+        phi = rng.uniform(-math.pi / 2, math.pi / 2)
+        consts = SolutionConstants(a=a, b=b, c=0.0, c1=math.cos(phi), c2=math.sin(phi))
+        kappa_sq = (-a) ** (2.0 / 3.0)
+        for pole in find_poles(consts, -(-30.0 * kappa_sq + b) / a, -(30.0 * kappa_sq + b) / a):
+            located += 1
+            with pytest.raises(PoleError):
+                exact_u1(pole, params, consts)
+    assert located > 3000
+
+
+def test_window_with_too_many_zeros_is_refused():
+    # the two end evaluations count the zeros before any is solved for;
+    # a window with 1.6e8 of them used to run for minutes
+    consts = far_ai(-1e9)
+    width = (flow.MAX_POLES + 10) * math.pi / math.sqrt(1e9)
+    with pytest.raises(FlowDomainError, match=r"^z has \d+ zeros in \(0.0, ") as err:
+        find_poles(consts, 0.0, width)
+    assert abs(int(str(err.value).split()[2]) - (flow.MAX_POLES + 10)) <= 1
+    assert has_interior_pole(consts, 0.0, width)
