@@ -91,7 +91,7 @@ def airy_eval(t: float) -> AiryQuartet:
         ai, bi, aip, bip = _asymptotic_positive(t)
     else:
         ai, bi, aip, bip = _asymptotic_negative(t)
-    return AiryQuartet(ai=ai, bi=bi, ai_prime=aip, bi_prime=bip, t=t)
+    return AiryQuartet(ai, bi, aip, bip, t)
 
 
 def airy_scaled(t: float) -> tuple[AiryQuartet, float]:

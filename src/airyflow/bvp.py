@@ -9,9 +9,9 @@ c and the ratio c2/c1, so two well-posed modes are offered:
   n pi - arccot u1(L) (n poles in (0, L]) is continuous and increasing in
   c, so the root is unique: a binary search over a SCAN_POINTS grid counts
   the candidates past the first pole crossing c*, and Newton on the angle
-  refines the root.  One shot at a given c costs two Airy evaluations,
-  both in flow: at t(0) for constants_from_u0, and at t(L) for
-  endpoint_angle (u1(L), the angle and its slope).
+  refines the root.  flow.shooter sets a solve up once; one shot at a
+  given c then costs two Airy evaluations, both in flow: at t(0) for the
+  pair, and at t(L) for u1(L), the angle and its slope.
 
 Imposing all three conditions at once is generically unsatisfiable and
 deliberately unsupported.
@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .airy import AiryQuartet
 from .errors import FlowDomainError, NoSignChangeError, PoleCrossingError, PoleError
 from .flow import (
     FlowParams,
@@ -33,7 +32,7 @@ from .flow import (
     _require_finite,
     _u1_at,
     constants_from_u0,
-    endpoint_angle,
+    shooter,
 )
 
 SCAN_POINTS = 256
@@ -97,6 +96,7 @@ class BvpSolution:
     endpoint_residual: float
     roots: tuple[float, ...]  # the one pole-free root, (c,)
     excluded_candidates: int  # grid candidates at or past the first pole crossing
+    shots: int  # distinct c values shot, two Airy evaluations each
 
 
 def default_c_bracket(u10: float, u1L: float, nu: float) -> tuple[float, float]:
@@ -114,7 +114,7 @@ def solve_bvp(
 ) -> BvpSolution:
     """Find c such that the solution with u1(0) = u10 reaches u1(L) = u1L.
 
-    With u1(0) fixed, the angle A(c) of endpoint_angle is continuous and
+    With u1(0) fixed, the angle A(c) of flow.shooter is continuous and
     strictly increasing, so A(c) = -arccot(u1L) has one root, below the
     first pole crossing c*.  A binary search over SCAN_POINTS grid
     candidates counts those with a pole in (0, L] (excluded); safeguarded
@@ -125,7 +125,8 @@ def solve_bvp(
     no double reaches to ENDPOINT_RTOL (u1(L) jumps to +inf within rounding
     of c*) raises FlowDomainError, as do constants whose u1(0), read from
     the last shot, misses u10 as in solve_ivp.  Deterministic; a shot is
-    two Airy calls.
+    two Airy calls, one at t(0) and one at t(L), and SolutionConstants is
+    built once, for the answer.
     """
     u10, u1L = _require_finite("u10", u10), _require_finite("u1L", u1L)
     grow = c_bracket is None
@@ -134,18 +135,18 @@ def solve_bvp(
     if not c_lo < c_hi:
         raise ValueError(f"need c_lo < c_hi, got ({c_lo!r}, {c_hi!r})")
     _require_derived("c grid span (c_hi - c_lo) * 255", (c_hi - c_lo) * (SCAN_POINTS - 1))
-    target, noise, shots = -math.atan2(1.0, u1L), ANGLE_NOISE / (1.0 + abs(u1L)), {}
+    shoot, shots = shooter(params, u10), {}
+    target, noise = -math.atan2(1.0, u1L), ANGLE_NOISE / (1.0 + abs(u1L))
 
-    def shot(c: float) -> tuple[SolutionConstants, float, float, float, AiryQuartet]:
-        """Constants for c with u1(0) = u10, u1(L), A - target (0 within noise), dA/dc
-        and the quartet at t(0); each c is shot once.  A finite u1(L) (n = 0) gives
+    def shot(c: float) -> tuple:
+        """u1(L), A - target (0 within noise), dA/dc, the constants' fields and the
+        quartet at t(0) for c; each c is shot once.  A finite u1(L) (n = 0) gives
         A - target as one atan2 of arccot u1L - arccot u1(L): A resolves u1(L) only
         to u1L**2 ulp(pi)."""
         if c not in shots:
-            consts, q0 = constants_from_u0(params, c, u10)
-            u1, angle, slope = endpoint_angle(params, consts, q0)
+            u1, angle, slope, fields, q0 = shoot(c)
             r = angle - target if u1 == math.inf else math.atan2(u1 - u1L, 1.0 + u1 * u1L)
-            shots[c] = consts, u1, 0.0 if abs(r) <= noise else r, slope, q0
+            shots[c] = u1, 0.0 if abs(r) <= noise else r, slope, fields, q0
         return shots[c]
 
     def candidate(i: int) -> float:
@@ -155,27 +156,29 @@ def solve_bvp(
     k, end = 0, SCAN_POINTS
     while k < end:
         mid = (k + end) // 2
-        k, end = (k, mid) if shot(candidate(mid))[1] == math.inf else (mid + 1, end)
+        k, end = (k, mid) if shot(candidate(mid))[0] == math.inf else (mid + 1, end)
     if k == 0 and not grow:
         raise PoleCrossingError(SCAN_POINTS)
 
     # when every shot lies on one side of the root, shoot the bracket's end
     # there; the default bracket doubles its width outward past the root
     for side, c, far in ((1.0, c_lo, c_hi), (-1.0, candidate(SCAN_POINTS - 1), c_lo)):
-        if all(side * s[2] > 0.0 for s in shots.values()):
-            while side * shot(c)[2] > 0.0 and grow:
+        if all(side * s[1] > 0.0 for s in shots.values()):
+            while side * shot(c)[1] > 0.0 and grow:
                 c = _require_derived("c", c - (far - c))
-    lo = max((c for c, s in shots.items() if s[2] <= 0.0), default=None)
-    hi = min((c for c, s in shots.items() if s[2] >= 0.0), default=None)
+    lo = max((c for c, s in shots.items() if s[1] <= 0.0), default=None)
+    hi = min((c for c, s in shots.items() if s[1] >= 0.0), default=None)
     if lo is None or hi is None:
-        raise NoSignChangeError(shot(c_lo)[1] - u1L, shot(candidate(k - 1))[1] - u1L)
+        raise NoSignChangeError(shot(c_lo)[0] - u1L, shot(candidate(k - 1))[0] - u1L)
 
     # Newton starts from the end nearer the root, whose shot it reuses
-    c = _newton_root(lambda c: shot(c)[2:4], lo, hi, min((lo, hi), key=lambda c: abs(shots[c][2])))
-    consts, u1, _, _, q0 = shot(c)
+    c = _newton_root(lambda c: shot(c)[1:3], lo, hi, min((lo, hi), key=lambda c: abs(shots[c][1])))
+    u1, _, _, fields, q0 = shot(c)
     if not abs(u1 - u1L) <= ENDPOINT_RTOL * (1.0 + abs(u1L)):
         raise FlowDomainError(f"no c reaches u1(L) = {u1L!r}: Newton ends at c = {c!r}, "
                               f"where u1(L) = {u1!r}")
+    consts = SolutionConstants(*fields)
     _check_u10(_u1_at(params, consts, q0, consts.zeta0), u10)
     return BvpSolution(constants=consts, c=c, initial_slope=(c + 0.5 * u10 * u10) / params.nu,
-                       endpoint_residual=u1 - u1L, roots=(c,), excluded_candidates=SCAN_POINTS - k)
+                       endpoint_residual=u1 - u1L, roots=(c,), excluded_candidates=SCAN_POINTS - k,
+                       shots=len(shots))

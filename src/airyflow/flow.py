@@ -134,9 +134,13 @@ class SolutionConstants:
     @property
     def coefficients(self) -> tuple[float, float]:
         """The normalized (c1, c2) of z = c1 Ai + c2 Bi; c2 may round to 0."""
-        if not (self.zeta0 and self.c1):
-            return self.c1, self.c2
-        return _normalize_pair(self.c1, self.c2 * math.exp(-2.0 * self.zeta0))
+        return _coefficients(self.c1, self.c2, self.zeta0)
+
+
+def _coefficients(c1: float, c2: float, zeta0: float) -> tuple[float, float]:
+    if not (zeta0 and c1):
+        return c1, c2
+    return _normalize_pair(c1, c2 * math.exp(-2.0 * zeta0))
 
 
 def _normalize_pair(c1: float, c2: float) -> tuple[float, float]:
@@ -153,12 +157,11 @@ def _normalize_pair(c1: float, c2: float) -> tuple[float, float]:
     return c1, c2
 
 
-def _derive_ab(params: FlowParams, c: float) -> tuple[float, float, float]:
-    """(a, b, c) for the Riccati constant c.  grad_term == f1 alone decides
-    degeneracy (DegenerateModelError), since 2 nu**2 can round the a of a
-    nonzero gap to 0 or infinity; any other a that is not a finite
-    negative double raises ModelInvalidError."""
-    c = _require_finite("c", c)
+def _model(params: FlowParams) -> tuple[float, float, float, float, float]:
+    """(a, 2 nu**2, (-a)**(2/3), kappa = (-a)**(1/3), 2 nu kappa), the same for
+    every c.  grad_term == f1 alone decides degeneracy (DegenerateModelError),
+    since 2 nu**2 can round the a of a nonzero gap to 0 or infinity; any other a
+    that is not a finite negative double raises ModelInvalidError."""
     if params.grad_term == params.f1:
         raise DegenerateModelError()
     two_nu_sq = 2.0 * params.nu * params.nu
@@ -167,20 +170,20 @@ def _derive_ab(params: FlowParams, c: float) -> tuple[float, float, float]:
         raise ModelInvalidError(a)
     if not -math.inf < a < 0.0:
         raise ModelInvalidError(a, f"model requires a finite nonzero a, got a = {a!r}")
-    return a, _require_derived("b", c / two_nu_sq), c
+    kappa = (-a) ** (1.0 / 3.0)
+    return a, two_nu_sq, (-a) ** (2.0 / 3.0), kappa, 2.0 * params.nu * kappa
 
 
 def derive_constants(params: FlowParams, c: float) -> SolutionConstants:
     """a, b and c for the Riccati constant c, with (c1, c2) unset."""
-    a, b, c = _derive_ab(params, c)
-    return SolutionConstants(a=a, b=b, c=c)
+    c = _require_finite("c", c)
+    a, two_nu_sq = _model(params)[:2]
+    return SolutionConstants(a=a, b=_require_derived("b", c / two_nu_sq), c=c)
 
 
-def constants_from_u0(
-    params: FlowParams, c: float, u10: float
-) -> tuple[SolutionConstants, AiryQuartet]:
-    """The constants for the Riccati constant c with u1(0) = u10, and the
-    scaled Airy quartet at t(0), whose scale is the anchor zeta0.
+def _anchor(params: FlowParams, model: tuple, c: float, u10: float) -> tuple:
+    """SolutionConstants' fields (a, b, c, c1, c2, zeta0) for the Riccati constant c
+    with u1(0) = u10, t(L), and the scaled Airy quartet at t(0), of scale zeta0.
 
     The condition is one homogeneous linear equation in (c1, c2):
         c1*[-2 nu k Ai'(t0) - u10 Ai(t0)] + c2*[-2 nu k Bi'(t0) - u10 Bi(t0)] = 0
@@ -188,16 +191,23 @@ def constants_from_u0(
     orthogonal-complement solution (never 0: Wronskian), normalized here and once
     more by SolutionConstants; dropping either step moves the last bit of some pairs.
     """
-    a, b, c = _derive_ab(params, c)
-    kappa_sq = (-a) ** (2.0 / 3.0)
+    a, two_nu_sq, kappa_sq, _, two_nu_k = model
+    b = _require_derived("b", c / two_nu_sq)
     q0, zeta0 = airy_scaled(_require_derived("t(0)", -b / kappa_sq))
-    _require_derived("t(L)", -(a * params.length + b) / kappa_sq)
-    two_nu_k = 2.0 * params.nu * (-a) ** (1.0 / 3.0)
+    t_end = _require_derived("t(L)", -(a * params.length + b) / kappa_sq)
     bracket_ai = -two_nu_k * q0.ai_prime - u10 * q0.ai
     bracket_bi = -two_nu_k * q0.bi_prime - u10 * q0.bi
     c1, c2 = _normalize_pair(-bracket_bi, bracket_ai)
-    zeta0 = _require_derived("zeta(t(0))", zeta0)
-    return SolutionConstants(a=a, b=b, c=c, c1=c1, c2=c2, zeta0=zeta0), q0
+    return (a, b, c, c1, c2, _require_derived("zeta(t(0))", zeta0)), t_end, q0
+
+
+def constants_from_u0(
+    params: FlowParams, c: float, u10: float
+) -> tuple[SolutionConstants, AiryQuartet]:
+    """The constants for c with u1(0) = u10 and the scaled quartet at t(0) (_anchor)."""
+    c = _require_finite("c", c)
+    fields, _, q0 = _anchor(params, _model(params), c, u10)
+    return SolutionConstants(*fields), q0
 
 
 def map_t(s: float, consts: SolutionConstants) -> float:
@@ -209,7 +219,7 @@ def exact_u1(s: float, params: FlowParams, consts: SolutionConstants) -> float:
     """Closed-form streamwise velocity at arclength s.
 
     Raises PoleError when the phase of z(s) is within POLE_RTOL rad of a
-    half-turn (_u1_at); the error carries the zero of z at the half-turn
+    half-turn (_u1); the error carries the zero of z at the half-turn
     of the phase nearest s.
     """
     u1 = _u1_at(params, consts, *airy_scaled(map_t(s, consts)))
@@ -218,14 +228,21 @@ def exact_u1(s: float, params: FlowParams, consts: SolutionConstants) -> float:
     return u1
 
 
-def _z(consts: SolutionConstants, q: AiryQuartet, sigma: float) -> tuple[float, float]:
+def _pair(c1: float, c2: float, zeta0: float) -> tuple[float, float, float, float]:
+    """(c1, c2, zeta0, phi): a stored pair, its anchor, and phi = atan2(c2, c1)
+    of the plain pair (SolutionConstants.coefficients)."""
+    if c1 is None:
+        raise ValueError("SolutionConstants has no (c1, c2) yet")
+    plain = _coefficients(c1, c2, zeta0)
+    return c1, c2, zeta0, math.atan2(plain[1], plain[0])
+
+
+def _z(pair: tuple, q: AiryQuartet, sigma: float) -> tuple[float, float]:
     """(z, z_t) at q of scale sigma, up to a positive factor: the pair weighted
     by e**(-2D) on c1 for D = sigma - zeta0 > 0, by e**(2D) on c2 for D < 0,
     unless the other component is 0 (then the weight is moot, and could underflow)."""
-    c1, c2 = consts.c1, consts.c2
-    if c1 is None:
-        raise ValueError("SolutionConstants has no (c1, c2) yet")
-    d = sigma - consts.zeta0
+    c1, c2, zeta0, _ = pair
+    d = sigma - zeta0
     if d > 0.0 and c2:
         c1 *= math.exp(-2.0 * d)
     elif d < 0.0 and c1:
@@ -233,15 +250,19 @@ def _z(consts: SolutionConstants, q: AiryQuartet, sigma: float) -> tuple[float, 
     return c1 * q.ai + c2 * q.bi, c1 * q.ai_prime + c2 * q.bi_prime
 
 
-def _u1_at(params: FlowParams, consts: SolutionConstants, q: AiryQuartet, sigma: float,
-           w: tuple = ()) -> float:
-    """u1 at t(s) from the quartet q of scale sigma (w: its _z, if at hand); +inf
-    where |z| sqrt(1 + |t|) <= POLE_RTOL |z_t|, a pole to within rounding."""
-    z, z_t = w or _z(consts, q, sigma)
-    if abs(z) * math.sqrt(1.0 + abs(q.t)) <= POLE_RTOL * abs(z_t):
+def _u1_at(params: FlowParams, consts: SolutionConstants, q: AiryQuartet, sigma: float) -> float:
+    """u1 at t(s) from the quartet q of scale sigma (_u1)."""
+    pair = _pair(consts.c1, consts.c2, consts.zeta0)
+    return _u1(_z(pair, q, sigma), q.t, 2.0 * params.nu * (-consts.a) ** (1.0 / 3.0))
+
+
+def _u1(w: tuple[float, float], t: float, two_nu_k: float) -> float:
+    """u1 = -2 nu kappa z_t/z from w = (z, z_t) at t; +inf where
+    |z| sqrt(1 + |t|) <= POLE_RTOL |z_t|, a pole to within rounding."""
+    z, z_t = w
+    if abs(z) * math.sqrt(1.0 + abs(t)) <= POLE_RTOL * abs(z_t):
         return math.inf
-    kappa = (-consts.a) ** (1.0 / 3.0)
-    return -2.0 * params.nu * kappa * z_t / z
+    return -two_nu_k * z_t / z
 
 
 def exact_u1_derivative(s: float, params: FlowParams, consts: SolutionConstants) -> float:
@@ -260,7 +281,7 @@ def exact_u1_derivative(s: float, params: FlowParams, consts: SolutionConstants)
 # theta strictly increasing, theta' = 1/(pi M**2) (DLMF 9.8), so the zeros
 # are where theta - phi crosses pi/2 + k pi, one half-turn at a time.
 
-def _phase(consts: SolutionConstants, q: AiryQuartet, sigma: float) -> float:
+def _phase(q: AiryQuartet, sigma: float, phi: float) -> float:
     """theta - phi at q.t (quartet q of scale sigma), unwrapped.
 
     atan2 gives theta modulo 2 pi; the turn comes from the asymptote
@@ -273,11 +294,10 @@ def _phase(consts: SolutionConstants, q: AiryQuartet, sigma: float) -> float:
     theta = math.atan2(q.bi, q.ai * math.exp(-2.0 * sigma) if sigma else q.ai)
     zeta = (2.0 / 3.0) * max(-q.t, 0.0) ** 1.5
     theta += _TWO_PI * round((0.25 * math.pi - zeta - theta) / _TWO_PI)
-    c1, c2 = consts.coefficients
-    return theta - math.atan2(c2, c1)
+    return theta - phi
 
 
-def _half_turns(consts: SolutionConstants, q: AiryQuartet, sigma: float, w: tuple = ()) -> int:
+def _half_turns(pair: tuple, q: AiryQuartet, sigma: float, w: tuple = ()) -> int:
     """How many half-turns pi/2 + k pi the phase has passed at q.t, i.e.
     floor((theta - phi)/pi - 1/2).  Its parity is the sign of z there
     (odd where z > 0), so it is read off the sign of z, and the phase,
@@ -287,8 +307,8 @@ def _half_turns(consts: SolutionConstants, q: AiryQuartet, sigma: float, w: tupl
     comparison of the signs of z at the two ends; the phase, flat to
     within rounding of pi/2 once t > 9, never decides it.
     """
-    odd = (w or _z(consts, q, sigma))[0] > 0.0
-    return odd + 2 * round((_phase(consts, q, sigma) / math.pi - 1.0 - odd) / 2.0)
+    odd = (w or _z(pair, q, sigma))[0] > 0.0
+    return odd + 2 * round((_phase(q, sigma, pair[3]) / math.pi - 1.0 - odd) / 2.0)
 
 
 def _zero_residual(consts: SolutionConstants, k: int):
@@ -302,10 +322,11 @@ def _zero_residual(consts: SolutionConstants, k: int):
     sign = 1.0 if k % 2 else -1.0
     target = (k + 0.5) * math.pi
     c1, c2 = consts.coefficients
+    phi = _pair(consts.c1, consts.c2, consts.zeta0)[3]
 
     def residual(s: float) -> tuple[float, float]:
         q, sigma = airy_scaled(map_t(s, consts))
-        delta = _phase(consts, q, sigma)
+        delta = _phase(q, sigma, phi)
         if sigma:
             return delta - target, 0.0
         angle = math.atan2(sign * (c1 * q.ai + c2 * q.bi), -sign * (c1 * q.bi - c2 * q.ai))
@@ -318,17 +339,21 @@ def _zero_residual(consts: SolutionConstants, k: int):
 
 
 def _ratio_residual(consts: SolutionConstants):
-    """s -> (log(Bi/Ai) - 2 zeta0 - log(-c1/c2), kappa/(pi Ai Bi)): its root is
-    the zero of z on t > -1.17 (Ai, Bi > 0); convex on t > 0, nearly linear in zeta."""
+    """(s -> (log(Bi/Ai) - 2 zeta0 - log(-c1/c2), kappa/(pi Ai Bi)), s0): its root is
+    the zero of z on t > -1.17 (Ai, Bi > 0); convex on t > 0, nearly linear in zeta.
+    Past t = 9 log(Bi/Ai) - 2 zeta tends to log 2, so the root lies near s0, where
+    zeta = zeta0 + (log(-c1/c2) - log 2)/2 (t = 0 where that is negative)."""
     kappa = (-consts.a) ** (1.0 / 3.0)
     offset = math.log(abs(consts.c1)) - math.log(abs(consts.c2))
+    zeta = max(consts.zeta0 + 0.5 * (offset - math.log(2.0)), 0.0)
+    s0 = -((1.5 * zeta) ** (2.0 / 3.0) * kappa * kappa + consts.b) / consts.a
 
     def residual(s: float) -> tuple[float, float]:
         q, sigma = airy_scaled(map_t(s, consts))
         return (math.log(q.bi / q.ai) + 2.0 * (sigma - consts.zeta0) - offset,
                 kappa / (math.pi * q.ai * q.bi))
 
-    return residual
+    return residual, s0
 
 
 def _newton_root(f, lo: float, hi: float, x: float) -> float:
@@ -356,23 +381,24 @@ def _newton_root(f, lo: float, hi: float, x: float) -> float:
 def has_interior_pole(consts: SolutionConstants, s_lo: float, s_hi: float) -> bool:
     """True when z has a zero in (s_lo, s_hi]: the phase half-turn count
     rises between the ends (two Airy evaluations, no scan)."""
-    hi = _half_turns(consts, *airy_scaled(map_t(s_hi, consts)))
-    return hi > _half_turns(consts, *airy_scaled(map_t(s_lo, consts)))
+    pair = _pair(consts.c1, consts.c2, consts.zeta0)
+    hi = _half_turns(pair, *airy_scaled(map_t(s_hi, consts)))
+    return hi > _half_turns(pair, *airy_scaled(map_t(s_lo, consts)))
 
 
-def endpoint_angle(
-    params: FlowParams, consts: SolutionConstants, q0: AiryQuartet
-) -> tuple[float, float, float]:
-    """u1(L), the Pruefer angle A = n pi - arccot u1(L) and dA/dc at fixed
-    u1(0), from the constants and the quartet q0 at t(0) that
-    constants_from_u0 returns.  One Airy evaluation, at t(L).
+def shooter(params: FlowParams, u10: float):
+    """The shot of a BVP with u1(0) = u10: c -> (u1(L), A, dA/dc, fields, q0), on
+    floats after one set-up of the model; two Airy evaluations, at t(0) (_anchor's
+    fields and quartet q0: SolutionConstants(*fields) holds the pair the shot used)
+    and at t(L).
 
-    n counts the zeros of z in (0, L] (the rise in the half-turn count), and
-    u1(L) is +inf, the value it reaches as c rises to a pole crossing, when
-    n > 0 or z(L) is in the pole band.  Past a crossing u1(L) restarts from
-    -inf as n gains one, so A is continuous and increasing in c.  arccot is
-    atan2 of |z(L)| and -2 nu kappa z_t(L), signed by the parity of the
-    count at t(L) (odd where z > 0): a z(L) that rounds to 0 keeps its side.
+    A = n pi - arccot u1(L) is the Pruefer angle.  n counts the zeros of z in
+    (0, L] (the rise in the half-turn count), and u1(L) is +inf, the value it
+    reaches as c rises to a pole crossing, when n > 0 or z(L) is in the pole
+    band.  Past a crossing u1(L) restarts from -inf as n gains one, so A is
+    continuous and increasing in c.  arccot is atan2 of |z(L)| and -2 nu kappa
+    z_t(L), signed by the parity of the count at t(L) (odd where z > 0): a z(L)
+    that rounds to 0 keeps its side.
 
     v = du1/dc solves v' = (u1/nu) v + 1/nu with v(0) = 0, so v(L) =
     int_0^L z**2 ds / (nu z(L)**2); by dt/ds = kappa and the Airy integral
@@ -381,21 +407,29 @@ def endpoint_angle(
     (2 nu kappa z_t(L))**2), finite through a pole (nan where that
     underflows); in _z's scaled values the t(0) end carries e**(-2|D|).
     """
-    qL, sigma = airy_scaled(map_t(params.length, consts))
-    wL, w0 = _z(consts, qL, sigma), _z(consts, q0, consts.zeta0)
-    turns = _half_turns(consts, qL, sigma, wL)
-    n = turns - _half_turns(consts, q0, consts.zeta0, w0)
-    u1 = math.inf if n > 0 else _u1_at(params, consts, qL, sigma, wL)
-    kappa = (-consts.a) ** (1.0 / 3.0)
-    (zL, ztL), (z0, zt0) = wL, w0
-    x = 2.0 * params.nu * kappa * ztL
-    start = q0.t * z0 * z0 - zt0 * zt0
-    if sigma != consts.zeta0:
-        start *= math.exp(-2.0 * abs(sigma - consts.zeta0))
-    integral = (qL.t * zL * zL - ztL * ztL) - start
-    denominator = kappa * params.nu * (zL * zL + x * x)
-    return (u1, n * math.pi - math.atan2(abs(zL), -x if turns % 2 else x),
-            integral / denominator if denominator else math.nan)
+    model = _model(params)
+    kappa_nu, two_nu_k = model[3] * params.nu, model[4]
+
+    def shot(c: float) -> tuple[float, float, float, tuple, AiryQuartet]:
+        fields, t_end, q0 = _anchor(params, model, _require_finite("c", c), u10)
+        zeta0 = fields[5]
+        pair = _pair(*_normalize_pair(fields[3], fields[4]), zeta0)
+        qL, sigma = airy_scaled(t_end)
+        wL, w0 = _z(pair, qL, sigma), _z(pair, q0, zeta0)
+        turns = _half_turns(pair, qL, sigma, wL)
+        n = turns - _half_turns(pair, q0, zeta0, w0)
+        u1 = math.inf if n > 0 else _u1(wL, qL.t, two_nu_k)
+        (zL, ztL), (z0, zt0) = wL, w0
+        x = two_nu_k * ztL
+        start = q0.t * z0 * z0 - zt0 * zt0
+        if sigma != zeta0:
+            start *= math.exp(-2.0 * abs(sigma - zeta0))
+        integral = (qL.t * zL * zL - ztL * ztL) - start
+        denominator = kappa_nu * (zL * zL + x * x)
+        return (u1, n * math.pi - math.atan2(abs(zL), -x if turns % 2 else x),
+                integral / denominator if denominator else math.nan, fields, q0)
+
+    return shot
 
 
 def find_poles(consts: SolutionConstants, s_lo: float, s_hi: float) -> list[float]:
@@ -413,13 +447,15 @@ def find_poles(consts: SolutionConstants, s_lo: float, s_hi: float) -> list[floa
     the left end of each bracket (s_lo, then the previous zero) climbs to
     a zero on t <= 0 from below without overshooting.  The one zero on
     t > 0 (flat phase) is the root of the convex _ratio_residual, Newton
-    from s_hi.
+    from its asymptotic root s0 (clamped into the bracket), which past
+    t = 9 it reaches in a few steps however far out.
     """
     s_lo, s_hi = float(s_lo), float(s_hi)
     if not s_lo < s_hi:
         raise ValueError(f"need s_lo < s_hi, got [{s_lo!r}, {s_hi!r}]")
+    pair = _pair(consts.c1, consts.c2, consts.zeta0)
     q_lo, q_hi = airy_scaled(map_t(s_lo, consts)), airy_scaled(map_t(s_hi, consts))
-    first, last = _half_turns(consts, *q_lo) + 1, _half_turns(consts, *q_hi)
+    first, last = _half_turns(pair, *q_lo) + 1, _half_turns(pair, *q_hi)
     if last - first >= MAX_POLES:
         raise FlowDomainError(f"z has {last - first + 1} zeros in ({s_lo!r}, {s_hi!r}], "
                               f"more than the {MAX_POLES} find_poles lists")
@@ -427,13 +463,15 @@ def find_poles(consts: SolutionConstants, s_lo: float, s_hi: float) -> list[floa
         return []
     # the zeros up to the count at t = 0 lie on t <= 0
     q_0 = q_hi if q_hi[0].t <= 0.0 else q_lo if q_lo[0].t >= 0.0 else airy_scaled(0.0)
-    on_negative = _half_turns(consts, *q_0)
+    on_negative = _half_turns(pair, *q_0)
     poles, lo = [], s_lo
     for k in range(first, last + 1):
         if k <= on_negative:
             lo = _newton_root(_zero_residual(consts, k), lo, s_hi, lo)
-        else:  # on [t = 0, s_hi], from s_hi
-            lo = _newton_root(_ratio_residual(consts), max(lo, -consts.b / consts.a), s_hi, s_hi)
+        else:  # on [t = 0, s_hi]
+            f, s0 = _ratio_residual(consts)
+            lo = max(lo, -consts.b / consts.a)
+            lo = _newton_root(f, lo, s_hi, min(max(s0, lo), s_hi))
         poles.append(lo)
     return poles
 
@@ -448,8 +486,9 @@ def _nearest_pole(consts: SolutionConstants, s: float) -> float | None:
         q, sigma = airy_scaled(map_t(s, consts))
         if q.t > 0.0 and consts.c1 * consts.c2 >= 0.0:
             return None
-        f = (_ratio_residual(consts) if q.t > 0.0
-             else _zero_residual(consts, round(_phase(consts, q, sigma) / math.pi - 0.5)))
+        phi = _pair(consts.c1, consts.c2, consts.zeta0)[3]
+        f = (_ratio_residual(consts)[0] if q.t > 0.0
+             else _zero_residual(consts, round(_phase(q, sigma, phi) / math.pi - 0.5)))
         half_width = 0.5 * math.pi / f(s)[1]
         lo, hi = s - half_width, s + half_width
         return _newton_root(f, lo, hi, 0.5 * (lo + hi))

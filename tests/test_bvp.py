@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from airyflow import (
     DegenerateModelError,
@@ -21,11 +22,12 @@ from airyflow import (
     derive_constants,
     exact_u1,
     exact_u1_derivative,
+    find_poles,
     random_flow_case,
     solve_bvp,
     solve_ivp,
 )
-from airyflow.flow import endpoint_angle
+from airyflow.flow import shooter
 
 # frozen: normalized coefficients for u10 = 0 at t0 = 0 are exactly
 # (sqrt(3)/2, 1/2) because Bi'(0) = -sqrt(3) Ai'(0); asserted numerically
@@ -171,35 +173,58 @@ class TestSolveBvp:
 
 
 class TestShotFinishers:
-    """A shot has one finisher, endpoint_angle.  It reports a pole one way,
-    u1(L) = +inf, the value u1(L) reaches as c rises to a pole crossing,
-    while the angle and its slope stay finite through the pole."""
+    """A shot (flow.shooter) reports a pole one way, u1(L) = +inf, the value
+    u1(L) reaches as c rises to a pole crossing, while the angle and its
+    slope stay finite through the pole."""
 
     P = FlowParams(nu=1.0, grad_term=-2.0, f1=0.0, length=1.0)
 
     def test_pole_in_interval_reads_plus_infinity(self):
         # README case: c = 10, the default bracket's top, is past the first
         # pole crossing (58 of its 256 candidates are)
-        consts, q0 = constants_from_u0(self.P, 10.0, 0.0)
-        u1, angle, slope = endpoint_angle(self.P, consts, q0)
+        u1, angle, slope, _, _ = shooter(self.P, 0.0)(10.0)
         assert u1 == math.inf
         assert angle > 0.0 and slope > 0.0
 
     def test_pole_band_at_endpoint(self):
-        # z = Bi(1) Ai(t) - Ai(1) Bi(t) vanishes at t(L) = L = 1
-        q1 = airy_eval(1.0)
-        consts = SolutionConstants(a=-1.0, b=0.0, c=0.0, c1=q1.bi, c2=-q1.ai)
-        q0 = airy_eval(0.0)
-        u1, angle, slope = endpoint_angle(self.P, consts, q0)
+        # z = Bi(1) Ai(t) - Ai(1) Bi(t) vanishes at t(L) = L = 1; c = 0 puts
+        # t(0) at 0, and u10 is that z's u1(0) = -2 z_t(0)/z(0)
+        q0, q1 = airy_eval(0.0), airy_eval(1.0)
+        u10 = -2.0 * (q1.bi * q0.ai_prime - q1.ai * q0.bi_prime) / (q1.bi * q0.ai - q1.ai * q0.bi)
+        u1, angle, slope, fields, _ = shooter(self.P, u10)(0.0)
         assert u1 == math.inf
         assert abs(angle) <= 1e-15
         assert math.isfinite(slope) and slope > 0.0
         with pytest.raises(PoleError):
-            exact_u1(1.0, self.P, consts)
+            exact_u1(1.0, self.P, SolutionConstants(*fields))
 
     def test_finishers_agree_off_poles(self):
-        consts, q0 = constants_from_u0(self.P, -0.5, 0.1)
-        u1, angle, slope = endpoint_angle(self.P, consts, q0)
+        u1, angle, slope, fields, q0 = shooter(self.P, 0.1)(-0.5)
+        consts, q = constants_from_u0(self.P, -0.5, 0.1)
+        assert SolutionConstants(*fields) == consts and q0 == q
         assert u1 == exact_u1(1.0, self.P, consts)
         assert angle == pytest.approx(-math.atan2(1.0, u1), rel=1e-15, abs=0.0)
         assert slope > 0.0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    nu=st.floats(0.05, 2.0),
+    gap=st.floats(-4.0, -0.1),
+    length=st.floats(0.1, 3.0),
+    u10=st.floats(-5.0, 5.0),
+    c=st.floats(-50.0, 50.0),
+)
+def test_shot_matches_constants_from_u0(nu, gap, length, u10, c):
+    # the shot's constants are constants_from_u0's; its finite u1(L) is
+    # exact_u1(L) on them, and its pole count n, read off A = n pi - arccot
+    # u1(L) away from a zero at L, is what find_poles lists on (0, L]
+    params = FlowParams(nu=nu, grad_term=gap, f1=0.0, length=length)
+    u1, angle, _, fields, q0 = shooter(params, u10)(c)
+    consts, q = constants_from_u0(params, c, u10)
+    assert SolutionConstants(*fields) == consts and q0 == q
+    if u1 < math.inf:
+        assert u1 == exact_u1(length, params, consts)
+    turns = angle / math.pi
+    assume(abs(turns - round(turns)) > 1e-9)
+    assert math.ceil(turns) == len(find_poles(consts, 0.0, length))

@@ -32,7 +32,7 @@ from airyflow import (
 )
 from airyflow import flow
 from airyflow.bvp import ENDPOINT_RTOL, SCAN_POINTS
-from airyflow.flow import endpoint_angle
+from airyflow.flow import shooter
 from oracles import reference_solve_bvp, sign_scan_cells
 
 N_DRAWS = 40
@@ -109,7 +109,7 @@ def test_excluded_candidates_match_dense_count(dense_draws):
 
 
 def angle_and_slope(params, u10, c):
-    return endpoint_angle(params, *constants_from_u0(params, c, u10))[1:]
+    return shooter(params, u10)(c)[1:3]
 
 
 def test_closed_form_slope_matches_central_difference():
@@ -181,7 +181,7 @@ def test_angle_at_the_double_where_z_of_L_is_zero():
     c = 5.5253645085505525
     consts, q0 = constants_from_u0(README_PARAMS, c, 0.0)
     q, sigma = flow.airy_scaled(flow.map_t(README_PARAMS.length, consts))
-    assert flow._z(consts, q, sigma)[0] == 0.0
+    assert flow._z(flow._pair(consts.c1, consts.c2, consts.zeta0), q, sigma)[0] == 0.0
     for x in (math.nextafter(c, -math.inf), c, math.nextafter(c, math.inf)):
         angle, slope = angle_and_slope(README_PARAMS, 0.0, x)
         assert abs(angle) <= 1e-15 and slope > 0.0
@@ -276,7 +276,8 @@ def test_readme_case_work_count(airy_calls, monkeypatch):
     # ANGLE_NOISE, so no final shot); Newton starts from the shot of the
     # bracket end nearer the root.  Newton on u1(L) from the midpoint of
     # the pole-free candidates took 8 steps and a final shot, 34
-    # evaluations.  Each shot constructs SolutionConstants once.
+    # evaluations.  A shot works on floats; SolutionConstants is built once,
+    # for the answer (it was once per shot, 15).
     built = [0]
     post_init = SolutionConstants.__post_init__
 
@@ -287,7 +288,8 @@ def test_readme_case_work_count(airy_calls, monkeypatch):
     monkeypatch.setattr(SolutionConstants, "__post_init__", counted)
     sol = solve_bvp(0.0, 0.25, README_PARAMS)
     assert sol.excluded_candidates == 58
-    assert built[0] == 15
+    assert built[0] == 1
+    assert sol.shots == 15
     assert airy_calls[0] == 30
 
 

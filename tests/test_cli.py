@@ -285,6 +285,46 @@ class TestDomainLimits:
         assert (code, out) == (1, "")
         assert err == "error: Airy phase cannot be resolved to its turn at t = -5e+249\n"
 
+    @pytest.mark.parametrize("flags,poles", [
+        ("0.3640528658860305 2.557000458162629 2.8428289815780685 6.027795966381183e+94 "
+         "2.4402004600018437 1.409428943065965", [0.5085848723055636]),
+        ("2.9267022192955983 -2.649659748407981e-57 2.917335455870859 8.963255510425126e+189 "
+         "9.497178314795013e-146 2.184334515388234", [3.459229610848007]),
+        ("3.1125420560124817 -2.875639391490136 2.509515386695086 9.435168210326768e+177 "
+         "4.05700513408804e-88 2.9323829029359647", [3.4596131625177944]),
+        ("4.653692423356214 -3.820844985913653 9.467918671895553e-23 5.291054295522704e+180 "
+         "-0.2252468608873146 2.5202520085501288", [3.970187388161192]),
+        ("4.269756209935142 -2.377197894345043 -0.4594387118785592 4.0103121508030196e+176 "
+         "8.018210929468252e-141 4.210874135260784", [2.3237833814798834, 9.54837846810613]),
+        ("3.878827459259849 -2.2703012439197066 -9.759406880127489e-157 7.84730621439211e+93 "
+         "2.6595311700036746 1.54762817249971", [2.695364975206871]),
+    ])
+    def test_far_out_zero_on_positive_t(self, capsys, flags, poles):
+        # the window runs out to t(L) ~ 1e93 or more; Newton on the zero on
+        # t > 0 started at s_hi, divided its distance by about 3 a step and
+        # ran out of iterations (the first case ended "Newton iteration on
+        # [0.0, 0.5088111930769772] did not converge"); the poles are the
+        # 60-digit mpmath zeros of z on the constants solve_ivp returns
+        names = ("--nu", "--grad-term", "--f1", "--L", "--u10", "--u1dot0")
+        argv = [x for pair in zip(names, flags.split()) for x in pair]
+        code, out, err = invoke(capsys, "ivp", *argv)
+        assert (code, err) == (0, "")
+        got = [float(p) for p in out.split("poles  = ")[1].split()]
+        assert got == pytest.approx(poles, rel=1e-12, abs=0.0)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "Newton on the angle creeps far out in c: between the bracket ends 4.96e49 and "
+        "8.27e49 the residual stays at 1.364 while the slope reads 2.8e-47, so each iterate "
+        "moves only 4.8e46, about 1e-3 of the bracket; _newton_root bisects only when a "
+        "step leaves the bracket, so its 200 in-bracket steps end at 5.66e49 and raise "
+        "NoConvergenceError"))
+    def test_bvp_newton_far_out_in_c(self, capsys):
+        code, _, err = invoke(capsys, "bvp", "--nu", "7.283953125305161e+46",
+                              "--grad-term", "1.4617396660854514", "--f1", "4.013044079898927e+39",
+                              "--L", "2.0720687077791506", "--u10", "3.154416590817864e-32",
+                              "--u1L", "-4.764150300708206")
+        assert code == 0 or (code == 1 and err.startswith("error: no c reaches u1(L) = "))
+
     def test_constants_that_miss_u10_are_refused(self, capsys):
         # u1 = -2 nu (-a)**(1/3) z_t/z multiplies the rounding of the pair by
         # ~1e20: these constants give u1(0) = 7164.95..., which was printed
