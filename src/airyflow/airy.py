@@ -15,8 +15,8 @@ Evaluation is self-contained (no special-function library):
   The oscillatory phase for t < 0 is reduced modulo 2*pi in integers,
   with pi carried 128 bits past the quotient, and rounded once, so every
   finite t < -9 keeps near-full double accuracy.
-* airy_scaled, the solver's entry, returns the t > 9 tail without its
-  exp(-+zeta) factors, with zeta as its scale, so it never overflows.
+* airy_scaled, the solver's entry, returns plain floats: the t > 9 tail
+  without its exp(-+zeta) factors, and zeta as its scale; no overflow.
 
 Measured against mpmath on 2,000 random points of [-9, 9] plus every
 anchor midpoint, the Taylor branch is within 3.1e-16 of the envelope
@@ -67,7 +67,7 @@ _PI_SCALED = _pi_scaled(_PI_BITS)
 
 @dataclass(frozen=True)
 class AiryQuartet:
-    """Ai, Bi, Ai', Bi' evaluated at one real argument ``t``."""
+    """Ai, Bi, Ai', Bi' at one real ``t``: airy_eval's result (the solver reads floats)."""
 
     ai: float
     bi: float
@@ -82,6 +82,21 @@ def airy_eval(t: float) -> AiryQuartet:
     Raises ValueError for non-finite input and AiryOverflowError once
     Bi or Bi' leaves the double range (every t past about 104.2).
     """
+    return AiryQuartet(*_quartet(t))
+
+
+def airy_scaled(t: float) -> tuple[tuple[float, float, float, float, float], float]:
+    """((Ai e**sigma, Bi e**-sigma, their t-derivatives likewise, t), sigma), finite
+    for every finite t: sigma = 0 for t <= 9 (airy_eval(t)'s fields), else zeta."""
+    if not t > _SERIES_BOUND or t == math.inf:
+        return _quartet(t), 0.0
+    zeta = (2.0 / 3.0) * t * math.sqrt(t)  # inf, not OverflowError, past t ~ 3e205
+    xq, su_alt, su, sv_alt, sv = _positive_sums(t, zeta)
+    return (su_alt / (2.0 * _SQRT_PI * xq), su / (_SQRT_PI * xq),
+            -xq * sv_alt / (2.0 * _SQRT_PI), xq * sv / _SQRT_PI, t), zeta
+
+
+def _quartet(t: float) -> tuple[float, float, float, float, float]:
     t = float(t)
     if not math.isfinite(t):
         raise ValueError(f"argument must be finite, got {t!r}")
@@ -91,18 +106,7 @@ def airy_eval(t: float) -> AiryQuartet:
         ai, bi, aip, bip = _asymptotic_positive(t)
     else:
         ai, bi, aip, bip = _asymptotic_negative(t)
-    return AiryQuartet(ai, bi, aip, bip, t)
-
-
-def airy_scaled(t: float) -> tuple[AiryQuartet, float]:
-    """(Ai e**sigma, Bi e**-sigma and their t-derivatives likewise, sigma),
-    finite for every finite t: sigma = 0 for t <= 9 (airy_eval(t)), else zeta."""
-    if not t > _SERIES_BOUND or t == math.inf:
-        return airy_eval(t), 0.0
-    zeta = (2.0 / 3.0) * t * math.sqrt(t)  # inf, not OverflowError, past t ~ 3e205
-    xq, su_alt, su, sv_alt, sv = _positive_sums(t, zeta)
-    return AiryQuartet(su_alt / (2.0 * _SQRT_PI * xq), su / (_SQRT_PI * xq),
-                       -xq * sv_alt / (2.0 * _SQRT_PI), xq * sv / _SQRT_PI, t), zeta
+    return ai, bi, aip, bip, t
 
 
 # ---------------------------------------------------------------------------

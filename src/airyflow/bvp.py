@@ -26,12 +26,13 @@ from .errors import FlowDomainError, NoSignChangeError, PoleCrossingError, PoleE
 from .flow import (
     FlowParams,
     SolutionConstants,
+    _anchor,
+    _model,
     _nearest_pole,
     _newton_root,
     _require_derived,
     _require_finite,
     _u1_at,
-    constants_from_u0,
     shooter,
 )
 
@@ -66,13 +67,14 @@ def solve_ivp(data: InitialData, params: FlowParams) -> SolutionConstants:
     """Constants from u1(0) = u10 and u1'(0) = u1dot0.
 
     The result reproduces both conditions by construction, up to rounding:
-    u1(0), read from the quartet the constants were built on (one Airy
-    evaluation in all), raises PoleError in the pole band, as exact_u1(0)
-    would, and FlowDomainError when it misses u10 by more than
-    ENDPOINT_RTOL (1 + |u10|).
+    u1(0), read from the Airy values at t(0) the constants were built on (one
+    Airy evaluation in all, flow._anchor as in constants_from_u0), raises
+    PoleError in the pole band, as exact_u1(0) would, and FlowDomainError
+    when it misses u10 by more than ENDPOINT_RTOL (1 + |u10|).
     """
     c = _require_derived("c", c_from_initial(data.u10, data.u1dot0, params.nu))
-    consts, q0 = constants_from_u0(params, c, data.u10)
+    fields, _, q0 = _anchor(params, _model(params), c, data.u10)
+    consts = SolutionConstants(*fields)
     u1 = _u1_at(params, consts, q0, consts.zeta0)
     if u1 == math.inf:
         raise PoleError(0.0, nearest_pole=_nearest_pole(consts, 0.0))
@@ -139,10 +141,10 @@ def solve_bvp(
     target, noise = -math.atan2(1.0, u1L), ANGLE_NOISE / (1.0 + abs(u1L))
 
     def shot(c: float) -> tuple:
-        """u1(L), A - target (0 within noise), dA/dc, the constants' fields and the
-        quartet at t(0) for c; each c is shot once.  A finite u1(L) (n = 0) gives
-        A - target as one atan2 of arccot u1L - arccot u1(L): A resolves u1(L) only
-        to u1L**2 ulp(pi)."""
+        """u1(L), A - target (0 within noise), dA/dc, the constants' fields and
+        the Airy values at t(0) for c; each c is shot once.  A finite u1(L) (n = 0)
+        gives A - target as one atan2 of arccot u1L - arccot u1(L): A resolves u1(L)
+        only to u1L**2 ulp(pi)."""
         if c not in shots:
             u1, angle, slope, fields, q0 = shoot(c)
             r = angle - target if u1 == math.inf else math.atan2(u1 - u1L, 1.0 + u1 * u1L)

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 from .errors import GridDomainError, PoleError
-from .flow import FlowParams, SolutionConstants, exact_u1, exact_u1_derivative
+from .flow import FlowParams, SolutionConstants, _riccati_rhs, exact_u1, exact_u1_derivative
 
 
 class StreamlineFamily:
@@ -117,8 +117,11 @@ class FlowProfile:
             return exact_u1_derivative(s, params, consts)
 
         def u1ddot(s: float) -> float:
-            # differentiate the momentum balance: u1'' = (u1 u1' - f1 + grad)/nu
-            return (u1(s) * u1dot(s) - params.f1 + params.grad_term) / params.nu
+            # differentiate the momentum balance: u1'' = (u1 u1' - f1 + grad)/nu,
+            # u1' from the same u1 (one closed-form evaluation)
+            u = u1(s)
+            u_dot = _riccati_rhs(s, u, params, consts)
+            return (u * u_dot - params.f1 + params.grad_term) / params.nu
 
         return cls(u1=u1, u1dot=u1dot, u1ddot=u1ddot)
 

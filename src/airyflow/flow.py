@@ -183,11 +183,11 @@ def derive_constants(params: FlowParams, c: float) -> SolutionConstants:
 
 def _anchor(params: FlowParams, model: tuple, c: float, u10: float) -> tuple:
     """SolutionConstants' fields (a, b, c, c1, c2, zeta0) for the Riccati constant c
-    with u1(0) = u10, t(L), and the scaled Airy quartet at t(0), of scale zeta0.
+    with u1(0) = u10, t(L), and airy_scaled's floats q0 at t(0), of scale zeta0.
 
     The condition is one homogeneous linear equation in (c1, c2):
         c1*[-2 nu k Ai'(t0) - u10 Ai(t0)] + c2*[-2 nu k Bi'(t0) - u10 Bi(t0)] = 0
-    with k = (-a)**(1/3) and t0 = t(0), on the scaled quartet; the pair is its
+    with k = (-a)**(1/3) and t0 = t(0), on the scaled values; the pair is its
     orthogonal-complement solution (never 0: Wronskian), normalized here and once
     more by SolutionConstants; dropping either step moves the last bit of some pairs.
     """
@@ -195,8 +195,8 @@ def _anchor(params: FlowParams, model: tuple, c: float, u10: float) -> tuple:
     b = _require_derived("b", c / two_nu_sq)
     q0, zeta0 = airy_scaled(_require_derived("t(0)", -b / kappa_sq))
     t_end = _require_derived("t(L)", -(a * params.length + b) / kappa_sq)
-    bracket_ai = -two_nu_k * q0.ai_prime - u10 * q0.ai
-    bracket_bi = -two_nu_k * q0.bi_prime - u10 * q0.bi
+    bracket_ai = -two_nu_k * q0[2] - u10 * q0[0]
+    bracket_bi = -two_nu_k * q0[3] - u10 * q0[1]
     c1, c2 = _normalize_pair(-bracket_bi, bracket_ai)
     return (a, b, c, c1, c2, _require_derived("zeta(t(0))", zeta0)), t_end, q0
 
@@ -204,10 +204,10 @@ def _anchor(params: FlowParams, model: tuple, c: float, u10: float) -> tuple:
 def constants_from_u0(
     params: FlowParams, c: float, u10: float
 ) -> tuple[SolutionConstants, AiryQuartet]:
-    """The constants for c with u1(0) = u10 and the scaled quartet at t(0) (_anchor)."""
+    """The constants for c with u1(0) = u10 and the scaled quartet at t(0) (_anchor's q0)."""
     c = _require_finite("c", c)
     fields, _, q0 = _anchor(params, _model(params), c, u10)
-    return SolutionConstants(*fields), q0
+    return SolutionConstants(*fields), AiryQuartet(*q0)
 
 
 def map_t(s: float, consts: SolutionConstants) -> float:
@@ -237,7 +237,7 @@ def _pair(c1: float, c2: float, zeta0: float) -> tuple[float, float, float, floa
     return c1, c2, zeta0, math.atan2(plain[1], plain[0])
 
 
-def _z(pair: tuple, q: AiryQuartet, sigma: float) -> tuple[float, float]:
+def _z(pair: tuple, q: tuple, sigma: float) -> tuple[float, float]:
     """(z, z_t) at q of scale sigma, up to a positive factor: the pair weighted
     by e**(-2D) on c1 for D = sigma - zeta0 > 0, by e**(2D) on c2 for D < 0,
     unless the other component is 0 (then the weight is moot, and could underflow)."""
@@ -247,13 +247,13 @@ def _z(pair: tuple, q: AiryQuartet, sigma: float) -> tuple[float, float]:
         c1 *= math.exp(-2.0 * d)
     elif d < 0.0 and c1:
         c2 *= math.exp(2.0 * d)
-    return c1 * q.ai + c2 * q.bi, c1 * q.ai_prime + c2 * q.bi_prime
+    return c1 * q[0] + c2 * q[1], c1 * q[2] + c2 * q[3]
 
 
-def _u1_at(params: FlowParams, consts: SolutionConstants, q: AiryQuartet, sigma: float) -> float:
-    """u1 at t(s) from the quartet q of scale sigma (_u1)."""
+def _u1_at(params: FlowParams, consts: SolutionConstants, q: tuple, sigma: float) -> float:
+    """u1 at t(s) from airy_scaled's q of scale sigma (_u1)."""
     pair = _pair(consts.c1, consts.c2, consts.zeta0)
-    return _u1(_z(pair, q, sigma), q.t, 2.0 * params.nu * (-consts.a) ** (1.0 / 3.0))
+    return _u1(_z(pair, q, sigma), q[4], 2.0 * params.nu * (-consts.a) ** (1.0 / 3.0))
 
 
 def _u1(w: tuple[float, float], t: float, two_nu_k: float) -> float:
@@ -268,11 +268,12 @@ def _u1(w: tuple[float, float], t: float, two_nu_k: float) -> float:
 def exact_u1_derivative(s: float, params: FlowParams, consts: SolutionConstants) -> float:
     """du1/ds, taken from the integrated Riccati equation itself (exact
     because the closed form satisfies it identically)."""
-    u1 = exact_u1(s, params, consts)
-    return (
-        u1 * u1 / (2.0 * params.nu)
-        + (params.forcing_gap * s + consts.c) / params.nu
-    )
+    return _riccati_rhs(s, exact_u1(s, params, consts), params, consts)
+
+
+def _riccati_rhs(s: float, u1: float, params: FlowParams, consts: SolutionConstants) -> float:
+    """u1**2/(2 nu) + ((grad_term - f1) s + c)/nu, du1/ds at s given u1 there."""
+    return u1 * u1 / (2.0 * params.nu) + (params.forcing_gap * s + consts.c) / params.nu
 
 
 # ---------------------------------------------------------------------------
@@ -281,24 +282,24 @@ def exact_u1_derivative(s: float, params: FlowParams, consts: SolutionConstants)
 # theta strictly increasing, theta' = 1/(pi M**2) (DLMF 9.8), so the zeros
 # are where theta - phi crosses pi/2 + k pi, one half-turn at a time.
 
-def _phase(q: AiryQuartet, sigma: float, phi: float) -> float:
-    """theta - phi at q.t (quartet q of scale sigma), unwrapped.
+def _phase(q: tuple, sigma: float, phi: float) -> float:
+    """theta - phi at t = q[4] (airy_scaled's q of scale sigma), unwrapped.
 
     atan2 gives theta modulo 2 pi; the turn comes from the asymptote
     theta ~ pi/4 - zeta (zeta = (2/3)(-t)**1.5 on t < 0), which stays
     within pi/12 of theta for every t <= 0.  Raises PhaseRangeError for
     t below -PHASE_T_MAX.
     """
-    if q.t < -PHASE_T_MAX:
-        raise PhaseRangeError(q.t)
-    theta = math.atan2(q.bi, q.ai * math.exp(-2.0 * sigma) if sigma else q.ai)
-    zeta = (2.0 / 3.0) * max(-q.t, 0.0) ** 1.5
+    if q[4] < -PHASE_T_MAX:
+        raise PhaseRangeError(q[4])
+    theta = math.atan2(q[1], q[0] * math.exp(-2.0 * sigma) if sigma else q[0])
+    zeta = (2.0 / 3.0) * max(-q[4], 0.0) ** 1.5
     theta += _TWO_PI * round((0.25 * math.pi - zeta - theta) / _TWO_PI)
     return theta - phi
 
 
-def _half_turns(pair: tuple, q: AiryQuartet, sigma: float, w: tuple = ()) -> int:
-    """How many half-turns pi/2 + k pi the phase has passed at q.t, i.e.
+def _half_turns(pair: tuple, q: tuple, sigma: float, w: tuple = ()) -> int:
+    """How many half-turns pi/2 + k pi the phase has passed at q[4], i.e.
     floor((theta - phi)/pi - 1/2).  Its parity is the sign of z there
     (odd where z > 0), so it is read off the sign of z, and the phase,
     which may be off by anything under a quarter turn, only picks the
@@ -329,11 +330,11 @@ def _zero_residual(consts: SolutionConstants, k: int):
         delta = _phase(q, sigma, phi)
         if sigma:
             return delta - target, 0.0
-        angle = math.atan2(sign * (c1 * q.ai + c2 * q.bi), -sign * (c1 * q.bi - c2 * q.ai))
+        angle = math.atan2(sign * (c1 * q[0] + c2 * q[1]), -sign * (c1 * q[1] - c2 * q[0]))
         angle += _TWO_PI * round((delta - target - angle) / _TWO_PI)
-        if abs(angle) <= 4.0 * math.ulp(1.0 + (2.0 / 3.0) * max(-q.t, 0.0) ** 1.5):
+        if abs(angle) <= 4.0 * math.ulp(1.0 + (2.0 / 3.0) * max(-q[4], 0.0) ** 1.5):
             angle = 0.0
-        return angle, kappa / (math.pi * (q.ai * q.ai + q.bi * q.bi))
+        return angle, kappa / (math.pi * (q[0] * q[0] + q[1] * q[1]))
 
     return residual
 
@@ -349,9 +350,9 @@ def _ratio_residual(consts: SolutionConstants):
     s0 = -((1.5 * zeta) ** (2.0 / 3.0) * kappa * kappa + consts.b) / consts.a
 
     def residual(s: float) -> tuple[float, float]:
-        q, sigma = airy_scaled(map_t(s, consts))
-        return (math.log(q.bi / q.ai) + 2.0 * (sigma - consts.zeta0) - offset,
-                kappa / (math.pi * q.ai * q.bi))
+        (ai, bi, _, _, _), sigma = airy_scaled(map_t(s, consts))
+        return (math.log(bi / ai) + 2.0 * (sigma - consts.zeta0) - offset,
+                kappa / (math.pi * ai * bi))
 
     return residual, s0
 
@@ -389,8 +390,8 @@ def has_interior_pole(consts: SolutionConstants, s_lo: float, s_hi: float) -> bo
 def shooter(params: FlowParams, u10: float):
     """The shot of a BVP with u1(0) = u10: c -> (u1(L), A, dA/dc, fields, q0), on
     floats after one set-up of the model; two Airy evaluations, at t(0) (_anchor's
-    fields and quartet q0: SolutionConstants(*fields) holds the pair the shot used)
-    and at t(L).
+    fields and airy_scaled's floats q0: SolutionConstants(*fields) holds the pair
+    the shot used) and at t(L).
 
     A = n pi - arccot u1(L) is the Pruefer angle.  n counts the zeros of z in
     (0, L] (the rise in the half-turn count), and u1(L) is +inf, the value it
@@ -410,7 +411,7 @@ def shooter(params: FlowParams, u10: float):
     model = _model(params)
     kappa_nu, two_nu_k = model[3] * params.nu, model[4]
 
-    def shot(c: float) -> tuple[float, float, float, tuple, AiryQuartet]:
+    def shot(c: float) -> tuple[float, float, float, tuple, tuple]:
         fields, t_end, q0 = _anchor(params, model, _require_finite("c", c), u10)
         zeta0 = fields[5]
         pair = _pair(*_normalize_pair(fields[3], fields[4]), zeta0)
@@ -418,13 +419,13 @@ def shooter(params: FlowParams, u10: float):
         wL, w0 = _z(pair, qL, sigma), _z(pair, q0, zeta0)
         turns = _half_turns(pair, qL, sigma, wL)
         n = turns - _half_turns(pair, q0, zeta0, w0)
-        u1 = math.inf if n > 0 else _u1(wL, qL.t, two_nu_k)
+        u1 = math.inf if n > 0 else _u1(wL, qL[4], two_nu_k)
         (zL, ztL), (z0, zt0) = wL, w0
         x = two_nu_k * ztL
-        start = q0.t * z0 * z0 - zt0 * zt0
+        start = q0[4] * z0 * z0 - zt0 * zt0
         if sigma != zeta0:
             start *= math.exp(-2.0 * abs(sigma - zeta0))
-        integral = (qL.t * zL * zL - ztL * ztL) - start
+        integral = (qL[4] * zL * zL - ztL * ztL) - start
         denominator = kappa_nu * (zL * zL + x * x)
         return (u1, n * math.pi - math.atan2(abs(zL), -x if turns % 2 else x),
                 integral / denominator if denominator else math.nan, fields, q0)
@@ -462,7 +463,7 @@ def find_poles(consts: SolutionConstants, s_lo: float, s_hi: float) -> list[floa
     if first > last:
         return []
     # the zeros up to the count at t = 0 lie on t <= 0
-    q_0 = q_hi if q_hi[0].t <= 0.0 else q_lo if q_lo[0].t >= 0.0 else airy_scaled(0.0)
+    q_0 = q_hi if q_hi[0][4] <= 0.0 else q_lo if q_lo[0][4] >= 0.0 else airy_scaled(0.0)
     on_negative = _half_turns(pair, *q_0)
     poles, lo = [], s_lo
     for k in range(first, last + 1):
@@ -484,10 +485,10 @@ def _nearest_pole(consts: SolutionConstants, s: float) -> float | None:
     converge or the phase cannot be resolved (PhaseRangeError)."""
     try:
         q, sigma = airy_scaled(map_t(s, consts))
-        if q.t > 0.0 and consts.c1 * consts.c2 >= 0.0:
+        if q[4] > 0.0 and consts.c1 * consts.c2 >= 0.0:
             return None
         phi = _pair(consts.c1, consts.c2, consts.zeta0)[3]
-        f = (_ratio_residual(consts)[0] if q.t > 0.0
+        f = (_ratio_residual(consts)[0] if q[4] > 0.0
              else _zero_residual(consts, round(_phase(q, sigma, phi) / math.pi - 0.5)))
         half_width = 0.5 * math.pi / f(s)[1]
         lo, hi = s - half_width, s + half_width

@@ -426,23 +426,23 @@ def reference_solve_bvp(u10: float, u1L: float, params, c_bracket=None):
         # the term that shrinks, and on the t(0) end of the Airy integral
         kappa = (-consts.a) ** (1.0 / 3.0)
         c1, c2 = consts.c1, consts.c2
-        q0 = airy_scaled(map_t(0.0, consts))[0]
-        qL, sigma = airy_scaled(map_t(length, consts))
+        ai0, bi0, aip0, bip0, t0 = airy_scaled(map_t(0.0, consts))[0]
+        (ai, bi, aip, bip, t), sigma = airy_scaled(map_t(length, consts))
         d = sigma - consts.zeta0
         w1, w2 = c1, c2
         if d > 0.0 and c2:
             w1 = c1 * math.exp(-2.0 * d)
         elif d < 0.0 and c1:
             w2 = c2 * math.exp(2.0 * d)
-        z0, zt0 = c1 * q0.ai + c2 * q0.bi, c1 * q0.ai_prime + c2 * q0.bi_prime
-        zL, ztL = w1 * qL.ai + w2 * qL.bi, w1 * qL.ai_prime + w2 * qL.bi_prime
+        z0, zt0 = c1 * ai0 + c2 * bi0, c1 * aip0 + c2 * bip0
+        zL, ztL = w1 * ai + w2 * bi, w1 * aip + w2 * bip
         # u1 = -x/z with x = 2 nu kappa z_t; z changes sign at each of the n
         # zeros, so z(L) > 0 when z(0) > 0 and n is even, or the reverse
         x = 2.0 * nu * kappa * ztL
         positive = (z0 > 0.0) != (n % 2 == 1)
         angle = n * math.pi - math.atan2(abs(zL), -x if positive else x)
-        start = math.exp(-2.0 * abs(d)) * (q0.t * z0 * z0 - zt0 * zt0)
-        integral = (qL.t * zL * zL - ztL * ztL) - start
+        start = math.exp(-2.0 * abs(d)) * (t0 * z0 * z0 - zt0 * zt0)
+        integral = (t * zL * zL - ztL * ztL) - start
         denominator = kappa * nu * (zL * zL + x * x)
         # with u1(L) finite, A - target = arccot u1L - arccot u1(L) as one atan2
         if u1 < math.inf:

@@ -1,5 +1,6 @@
 """Airy evaluation: frozen oracle values, identities, branch seams."""
 
+import dataclasses
 import json
 import math
 import random
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 from mpmath import cos, floor, mpf, pi, sin, sqrt, workdps
 
-from airyflow import AiryOverflowError, airy_eval
+from airyflow import AiryOverflowError, AiryQuartet, airy_eval
 from airyflow.airy import (_asymptotic_negative, _asymptotic_positive, _reduced_phase, _taylor,
                            airy_scaled)
 from airyflow.verify import check_airy_derivative_fd, check_airy_ode
@@ -98,9 +99,9 @@ def test_scaled_tail_matches_scipy_airye():
 
     rng = random.Random(5)
     for t in [9.0 + 1e-9, 9.5, 104.3, 1e3, 1e6] + [math.exp(rng.uniform(2.2, 13.8)) for _ in range(300)]:
-        q, sigma = airy_scaled(t)
+        (ai, bi, ai_prime, bi_prime, _), sigma = airy_scaled(t)
         assert sigma == pytest.approx((2.0 / 3.0) * t ** 1.5, rel=1e-15)
-        for got, want in zip((q.ai, q.ai_prime, q.bi, q.bi_prime), airye(t)):
+        for got, want in zip((ai, ai_prime, bi, bi_prime), airye(t)):
             assert abs(got - want) <= 5e-14 * abs(want), t
 
 
@@ -108,20 +109,40 @@ def test_scaled_tail_matches_scipy_airye():
 def test_scaled_tail_finite_far_out(t):
     # every correction term is below rounding: the leading terms, and the
     # scaled Wronskian Ai Bi' - Ai' Bi = 1/pi
-    q, sigma = airy_scaled(t)
+    (ai, bi, ai_prime, bi_prime, _), sigma = airy_scaled(t)
     xq = t ** 0.25
-    assert q.ai == pytest.approx(1.0 / (2.0 * math.sqrt(math.pi) * xq), rel=1e-14)
-    assert q.bi_prime == pytest.approx(xq / math.sqrt(math.pi), rel=1e-14)
-    assert q.ai * q.bi_prime - q.ai_prime * q.bi == pytest.approx(1.0 / math.pi, rel=1e-14)
+    assert ai == pytest.approx(1.0 / (2.0 * math.sqrt(math.pi) * xq), rel=1e-14)
+    assert bi_prime == pytest.approx(xq / math.sqrt(math.pi), rel=1e-14)
+    assert ai * bi_prime - ai_prime * bi == pytest.approx(1.0 / math.pi, rel=1e-14)
     if t < 3e205:
         assert sigma == pytest.approx((2.0 / 3.0) * t ** 1.5)
     else:  # zeta itself leaves the double range
         assert sigma == math.inf
 
 
-@pytest.mark.parametrize("t", [-1e300, -20.0, -9.0, 0.0, 5.0, 9.0])
+def assert_scaled_is_airy_eval(t):
+    # up to t = 9 the solver's plain floats are airy_eval's fields, to the
+    # last bit and the sign of zero, with sigma = 0
+    q, sigma = airy_scaled(t)
+    want = airy_eval(t)
+    names = [f.name for f in dataclasses.fields(AiryQuartet)]
+    assert [x.hex() for x in q] == [getattr(want, name).hex() for name in names], t
+    assert sigma == 0.0, t
+
+
+@pytest.mark.parametrize("t", [-1e300, -20.0, -9.0, 0.0, 5.0, 9.0, -0.0, 5e-324, -5e-324])
 def test_scaled_is_airy_eval_up_to_9(t):
-    assert airy_scaled(t) == (airy_eval(t), 0.0)
+    assert_scaled_is_airy_eval(t)
+
+
+def test_scaled_is_airy_eval_bit_for_bit_sweep():
+    # 2,000 seeded t (half in the Taylor window, half in the t < -9 tail),
+    # every anchor k/4 and every anchor midpoint
+    rng = random.Random(20)
+    ts = [rng.uniform(-9.0, 9.0) for _ in range(1000)]
+    ts += [rng.uniform(-1e3, -9.0) for _ in range(1000)]
+    for t in ts + [0.25 * k for k in range(-36, 37)] + [0.25 * k + 0.125 for k in range(-36, 36)]:
+        assert_scaled_is_airy_eval(t)
 
 
 @pytest.mark.parametrize("t", [-1e206, -1e300, -1.7e308])

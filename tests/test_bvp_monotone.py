@@ -17,6 +17,7 @@ import random
 import pytest
 
 from airyflow import (
+    AiryQuartet,
     FlowDomainError,
     FlowParams,
     InitialData,
@@ -269,15 +270,31 @@ def airy_calls(monkeypatch):
     return calls
 
 
-def test_readme_case_work_count(airy_calls, monkeypatch):
-    # Sharing the quartets at t(0) and t(L) makes a shot two Airy
+@pytest.fixture
+def quartets_built(monkeypatch):
+    """Counts AiryQuartet constructions: the solver reads airy_scaled's plain
+    floats, and only the public airy_eval and constants_from_u0 build one."""
+    built = [0]
+    init = AiryQuartet.__init__
+
+    def counted(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(AiryQuartet, "__init__", counted)
+    return built
+
+
+def test_readme_case_work_count(airy_calls, quartets_built, monkeypatch):
+    # Sharing the Airy values at t(0) and t(L) makes a shot two Airy
     # evaluations.  15 shots: 8 of the binary search and 7 Newton iterates
     # on the angle, the last of them the root (its residual is within
     # ANGLE_NOISE, so no final shot); Newton starts from the shot of the
     # bracket end nearer the root.  Newton on u1(L) from the midpoint of
     # the pole-free candidates took 8 steps and a final shot, 34
     # evaluations.  A shot works on floats; SolutionConstants is built once,
-    # for the answer (it was once per shot, 15).
+    # for the answer (it was once per shot, 15), and AiryQuartet never (it
+    # was once per evaluation, 30).
     built = [0]
     post_init = SolutionConstants.__post_init__
 
@@ -291,6 +308,16 @@ def test_readme_case_work_count(airy_calls, monkeypatch):
     assert built[0] == 1
     assert sol.shots == 15
     assert airy_calls[0] == 30
+    assert quartets_built[0] == 0
+
+
+def test_quartet_built_only_at_the_public_edge(quartets_built):
+    data = InitialData(u10=0.3, u1dot0=-0.7)
+    consts = solve_ivp(data, README_PARAMS)
+    exact_u1(0.5, README_PARAMS, consts)
+    assert quartets_built[0] == 0
+    _, q0 = constants_from_u0(README_PARAMS, consts.c, data.u10)
+    assert quartets_built[0] == 1 and isinstance(q0, AiryQuartet)
 
 
 def test_solve_ivp_is_one_airy_evaluation(airy_calls):

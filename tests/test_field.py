@@ -14,12 +14,15 @@ from airyflow import (
     StreamlineFamily,
     emit,
     exact_u1,
+    exact_u1_derivative,
     find_poles,
     gnuplot_script,
     parse,
     reconstruct_field,
     solve_ivp,
 )
+from airyflow import flow
+from airyflow.field import FlowProfile
 
 
 def solved_case(length=1.5):
@@ -153,6 +156,22 @@ class TestReconstruct:
         field = reconstruct_field(StreamlineFamily.straight(0.0), params, consts, grid)
         assert len(calls) == 50
         assert sum(not sm.valid for sm in field.samples) == 2
+
+    def test_u1ddot_is_one_airy_evaluation(self, monkeypatch):
+        # u1'' = (u1 u1' - f1 + grad)/nu takes u1' from the same u1, so a call
+        # evaluates the closed form once (u1 and u1' each did: two), and its
+        # value is the product of the two public functions, bit for bit
+        p, consts = solved_case()
+        u1ddot = FlowProfile.from_solution(p, consts).u1ddot
+        calls = []
+        airy_scaled = flow.airy_scaled
+        monkeypatch.setattr(flow, "airy_scaled", lambda t: calls.append(t) or airy_scaled(t))
+        for s in (0.0, 0.7, 1.5):
+            calls.clear()
+            got = u1ddot(s)
+            assert len(calls) == 1
+            want = exact_u1(s, p, consts) * exact_u1_derivative(s, p, consts)
+            assert got == (want - p.f1 + p.grad_term) / p.nu
 
 
 class TestSerialization:

@@ -176,8 +176,8 @@ def test_pole_count_exact_inside_phase_bound(fraction):
     consts, width = far_ai(t_far), 40.0 * math.pi / math.sqrt(-t_far)
     t, t_end = map_t(0.0, consts), map_t(width, consts)
     pair = flow._pair(consts.c1, consts.c2, consts.zeta0)
-    count = (flow._half_turns(pair, airy_eval(t_end), 0.0)
-             - flow._half_turns(pair, airy_eval(t), 0.0))
+    count = (flow._half_turns(pair, *flow.airy_scaled(t_end))
+             - flow._half_turns(pair, *flow.airy_scaled(t)))
     changes, negative = [], airy_eval(t).ai < 0.0
     while t < t_end:
         t = math.nextafter(t, math.inf)
