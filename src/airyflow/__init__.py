@@ -27,7 +27,6 @@ from .errors import (
     ModelInvalidError,
     NoConvergenceError,
     NoSignChangeError,
-    PhaseRangeError,
     PoleCrossingError,
     PoleError,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "ModelInvalidError",
     "NoConvergenceError",
     "NoSignChangeError",
-    "PhaseRangeError",
     "PoleCrossingError",
     "PoleError",
     "SampledField",

@@ -14,7 +14,8 @@ Evaluation is self-contained (no special-function library):
   at the smallest term; both tails sum one series, with their own signs.
   The oscillatory phase for t < 0 is reduced modulo 2*pi in integers,
   with pi carried 128 bits past the quotient, and rounded once, so every
-  finite t < -9 keeps near-full double accuracy.
+  finite t < -9 keeps near-full double accuracy; flow counts poles with
+  the quotient, the exact turn count.
 * airy_scaled, the solver's entry, returns plain floats: the t > 9 tail
   without its exp(-+zeta) factors, and zeta as its scale; no overflow.
 
@@ -220,19 +221,20 @@ def _asymptotic_positive(t: float) -> tuple[float, float, float, float]:
     return ai, bi, aip, bip
 
 
-def _reduced_phase(t: float) -> float:
-    # theta = (2/3)(-t)^{3/2} - pi/4 mod 2*pi; double rounding of zeta
-    # alone would cost ~zeta*eps of phase, so reduce in integers scaled
-    # by 2**s, 128 bits more than zeta < 2**(1.5 e) has for |t| < 2**e.
-    # -t = m/d with d = 2**j, j <= 49 as |t| > 9, so the division by d**3
-    # is exact; the final int quotient rounds correctly.
+def _reduced_phase(t: float) -> tuple[int, float]:
+    """(n, r), zeta - pi/4 = 2 pi n + r with r in [-pi, pi), for t < -9: n exact
+    (flow's pole count) and r, the kernel's phase, correctly rounded."""
+    # a rounded zeta alone would cost ~zeta*eps of phase, so reduce in
+    # integers scaled by 2**s, 128 bits more than zeta < 2**(1.5 e) has for
+    # |t| < 2**e.  -t = m/d with d = 2**j, j <= 49 as |t| > 9, so the
+    # division by d**3 is exact; the final int quotient rounds correctly.
     m, d = (-t).as_integer_ratio()
     s = 128 + 3 * math.frexp(t)[1] // 2
     zeta = 2 * math.isqrt((m ** 3 << 2 * s) // d ** 3) // 3
     pi_s = _PI_SCALED >> (_PI_BITS - s)
-    # theta + pi reduced into [0, 2 pi), then shifted back to [-pi, pi)
-    theta = (zeta - pi_s // 4 + pi_s) % (2 * pi_s) - pi_s
-    return theta / (1 << s)
+    # zeta - pi/4 + pi split into turns and [0, 2 pi), shifted back to [-pi, pi)
+    n, r = divmod(zeta - pi_s // 4 + pi_s, 2 * pi_s)
+    return n, (r - pi_s) / (1 << s)
 
 
 def _asymptotic_negative(t: float) -> tuple[float, float, float, float]:
@@ -252,7 +254,7 @@ def _asymptotic_negative(t: float) -> tuple[float, float, float, float]:
         else:
             pu += sgn * tu
             pv += sgn * tv
-    theta = _reduced_phase(t)
+    theta = _reduced_phase(t)[1]
     ct = math.cos(theta)
     st = math.sin(theta)
     ai = (ct * pu + st * qu) / (_SQRT_PI * xq)

@@ -50,16 +50,6 @@ class PoleError(FlowDomainError):
         super().__init__(f"denominator vanishes near s = {s!r}{where}")
 
 
-class PhaseRangeError(FlowDomainError):
-    """The Airy phase cannot be placed within its turn at t, because t lies
-    below -PHASE_T_MAX (flow), where rounding in zeta = (2/3)(-t)**1.5
-    reaches a half-turn; pole counts are refused there."""
-
-    def __init__(self, t: float):
-        self.t = t
-        super().__init__(f"Airy phase cannot be resolved to its turn at t = {t!r}")
-
-
 class NoConvergenceError(FlowDomainError):
     """The safeguarded Newton iteration ran out of iterations before its
     step or bracket shrank to the stopping tolerance."""

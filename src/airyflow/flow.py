@@ -27,25 +27,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .airy import AiryQuartet, airy_scaled
+from .airy import AiryQuartet, _reduced_phase, airy_scaled
 from .errors import (DegenerateModelError, FlowDomainError, ModelInvalidError,
-                     NoConvergenceError, PhaseRangeError, PoleError)
+                     NoConvergenceError, PoleError)
 
 # |z| sqrt(1 + |t|) <= POLE_RTOL |z_t| counts as a pole.  Near a zero, z =
 # M cos(theta - phi) turns at the local wavenumber sqrt(1 + |t|), so this
 # flags z within POLE_RTOL rad of a half-turn of its phase; the test is
 # relative, so it behaves the same whether the Airy values are huge or tiny.
 POLE_RTOL = 1e-13
-
-# _phase unwraps theta against its asymptote pi/4 - zeta, within pi/12 of
-# it, where zeta = (2/3)(-t)**1.5; round() picks the right turn while the
-# float error of the unwrapping stays under pi - pi/12.  The power, the
-# factor 2/3, the two subtractions and the division by 2 pi each add about
-# half an ulp of zeta or less, so zeta <= 2**52 (ulp at most 1) keeps it
-# well under that (at most pi/4 against mpmath on 3,000 random t in
-# [-3.57e10, -1e10]).  Past it turns are miscounted (128 of 3,000 random t in
-# [-1e11, -3.57e10]), so pole counts are refused below t = -PHASE_T_MAX.
-PHASE_T_MAX = (1.5 * 2.0**52) ** (2.0 / 3.0)  # ~3.57e10, where zeta = 2**52
 
 # find_poles refuses a window with more zeros than this: each zero costs
 # 0.01-0.045 ms (t from -3e10 to -10, Python 3.11 on a 2-core x86 box), so
@@ -282,20 +272,20 @@ def _riccati_rhs(s: float, u1: float, params: FlowParams, consts: SolutionConsta
 # theta strictly increasing, theta' = 1/(pi M**2) (DLMF 9.8), so the zeros
 # are where theta - phi crosses pi/2 + k pi, one half-turn at a time.
 
-def _phase(q: tuple, sigma: float, phi: float) -> float:
-    """theta - phi at t = q[4] (airy_scaled's q of scale sigma), unwrapped.
+def _phase(q: tuple, sigma: float, phi: float) -> tuple[int, float]:
+    """(n, delta), theta - phi = delta - 2 pi n at t = q[4] (airy_scaled's q of
+    scale sigma): the phase unwrapped, its whole turns n kept in integers.
 
-    atan2 gives theta modulo 2 pi; the turn comes from the asymptote
-    theta ~ pi/4 - zeta (zeta = (2/3)(-t)**1.5 on t < 0), which stays
-    within pi/12 of theta for every t <= 0.  Raises PhaseRangeError for
-    t below -PHASE_T_MAX.
+    theta stays within pi/12 of pi/4 - zeta (zeta = (2/3)(-t)**1.5 on t < 0)
+    for every t <= 0.  With zeta - pi/4 = 2 pi n + r, exact below t = -9 by
+    the kernel's integer reduction (airy._reduced_phase), atan2's theta is
+    placed on the turn nearest -r, so n is exact for every finite t.
     """
-    if q[4] < -PHASE_T_MAX:
-        raise PhaseRangeError(q[4])
+    t = q[4]
+    n, r = _reduced_phase(t) if t < -9.0 else (0, (2.0 / 3.0) * max(-t, 0.0) ** 1.5 - math.pi / 4)
     theta = math.atan2(q[1], q[0] * math.exp(-2.0 * sigma) if sigma else q[0])
-    zeta = (2.0 / 3.0) * max(-q[4], 0.0) ** 1.5
-    theta += _TWO_PI * round((0.25 * math.pi - zeta - theta) / _TWO_PI)
-    return theta - phi
+    theta += _TWO_PI * round((-r - theta) / _TWO_PI)
+    return n, theta - phi
 
 
 def _half_turns(pair: tuple, q: tuple, sigma: float, w: tuple = ()) -> int:
@@ -309,7 +299,8 @@ def _half_turns(pair: tuple, q: tuple, sigma: float, w: tuple = ()) -> int:
     within rounding of pi/2 once t > 9, never decides it.
     """
     odd = (w or _z(pair, q, sigma))[0] > 0.0
-    return odd + 2 * round((_phase(q, sigma, pair[3]) / math.pi - 1.0 - odd) / 2.0)
+    n, delta = _phase(q, sigma, pair[3])
+    return odd - 2 * n + 2 * round((delta / math.pi - 1.0 - odd) / 2.0)
 
 
 def _zero_residual(consts: SolutionConstants, k: int):
@@ -321,18 +312,19 @@ def _zero_residual(consts: SolutionConstants, k: int):
     phase) the phase itself, slope 0: bisect."""
     kappa = (-consts.a) ** (1.0 / 3.0)
     sign = 1.0 if k % 2 else -1.0
-    target = (k + 0.5) * math.pi
     c1, c2 = consts.coefficients
     phi = _pair(consts.c1, consts.c2, consts.zeta0)[3]
 
     def residual(s: float) -> tuple[float, float]:
         q, sigma = airy_scaled(map_t(s, consts))
-        delta = _phase(q, sigma, phi)
+        n, delta = _phase(q, sigma, phi)
+        delta -= (k + 2 * n + 0.5) * math.pi
         if sigma:
-            return delta - target, 0.0
+            return delta, 0.0
         angle = math.atan2(sign * (c1 * q[0] + c2 * q[1]), -sign * (c1 * q[1] - c2 * q[0]))
-        angle += _TWO_PI * round((delta - target - angle) / _TWO_PI)
-        if abs(angle) <= 4.0 * math.ulp(1.0 + (2.0 / 3.0) * max(-q[4], 0.0) ** 1.5):
+        angle += _TWO_PI * round((delta - angle) / _TWO_PI)
+        x = max(-q[4], 0.0)
+        if abs(angle) <= 4.0 * math.ulp(1.0 + (2.0 / 3.0) * x * math.sqrt(x)):
             angle = 0.0
         return angle, kappa / (math.pi * (q[0] * q[0] + q[1] * q[1]))
 
@@ -379,12 +371,26 @@ def _newton_root(f, lo: float, hi: float, x: float) -> float:
     )
 
 
+def _window(consts: SolutionConstants, s_lo: float, s_hi: float) -> tuple:
+    """(pair, airy_scaled at s_lo and at s_hi, the half-turn counts there).
+    FlowDomainError where the zero spacing pi/sqrt(-t) at t(s_lo), the most
+    negative t, is under 4 ulp(t), from t = -2**35 on: doubles of s and t cannot
+    tell those zeros apart (t(s_lo) == t(s_hi) with 1e9 zeros between them)."""
+    pair = _pair(consts.c1, consts.c2, consts.zeta0)
+    q_lo, q_hi = airy_scaled(map_t(s_lo, consts)), airy_scaled(map_t(s_hi, consts))
+    t = q_lo[0][4]
+    if t < 0.0 and math.pi < 4.0 * math.ulp(t) * math.sqrt(-t):
+        raise FlowDomainError(f"the zeros of z lie under 4 doubles of t apart at t = {t!r}, "
+                              "too close to tell apart")
+    return pair, q_lo, q_hi, _half_turns(pair, *q_lo), _half_turns(pair, *q_hi)
+
+
 def has_interior_pole(consts: SolutionConstants, s_lo: float, s_hi: float) -> bool:
     """True when z has a zero in (s_lo, s_hi]: the phase half-turn count
-    rises between the ends (two Airy evaluations, no scan)."""
-    pair = _pair(consts.c1, consts.c2, consts.zeta0)
-    hi = _half_turns(pair, *airy_scaled(map_t(s_hi, consts)))
-    return hi > _half_turns(pair, *airy_scaled(map_t(s_lo, consts)))
+    rises between the ends (two Airy evaluations, no scan).  Refuses the
+    windows find_poles refuses for their zero spacing (_window)."""
+    *_, lo, hi = _window(consts, s_lo, s_hi)
+    return hi > lo
 
 
 def shooter(params: FlowParams, u10: float):
@@ -436,8 +442,10 @@ def shooter(params: FlowParams, u10: float):
 def find_poles(consts: SolutionConstants, s_lo: float, s_hi: float) -> list[float]:
     """All zeros of z in (s_lo, s_hi], ascending.
 
-    The half-turn count at the ends gives how many there are (more than
-    MAX_POLES raises FlowDomainError); each is then solved for as the root
+    The half-turn count at the ends gives how many there are, exactly for
+    every finite t.  FlowDomainError refuses more than MAX_POLES of them,
+    and a window reaching t = -2**35, where zeros lie closer than 4
+    doubles of t (_window); each is then solved for as the root
     of an increasing residual by the safeguarded Newton iteration that
     solve_bvp also uses, to within 1e-12*(1+|s|) or a few doubles of t.
     exact_u1 raises PoleError at each returned location with |t| <= 30;
@@ -454,9 +462,8 @@ def find_poles(consts: SolutionConstants, s_lo: float, s_hi: float) -> list[floa
     s_lo, s_hi = float(s_lo), float(s_hi)
     if not s_lo < s_hi:
         raise ValueError(f"need s_lo < s_hi, got [{s_lo!r}, {s_hi!r}]")
-    pair = _pair(consts.c1, consts.c2, consts.zeta0)
-    q_lo, q_hi = airy_scaled(map_t(s_lo, consts)), airy_scaled(map_t(s_hi, consts))
-    first, last = _half_turns(pair, *q_lo) + 1, _half_turns(pair, *q_hi)
+    pair, q_lo, q_hi, below, last = _window(consts, s_lo, s_hi)
+    first = below + 1
     if last - first >= MAX_POLES:
         raise FlowDomainError(f"z has {last - first + 1} zeros in ({s_lo!r}, {s_hi!r}], "
                               f"more than the {MAX_POLES} find_poles lists")
@@ -482,16 +489,16 @@ def _nearest_pole(consts: SolutionConstants, s: float) -> float | None:
     root of _ratio_residual (None if c1 c2 >= 0: z has none
     there), searched within the distance over which the residual moves by
     a quarter turn at its rate at s; None when the search does not
-    converge or the phase cannot be resolved (PhaseRangeError)."""
+    converge."""
     try:
         q, sigma = airy_scaled(map_t(s, consts))
         if q[4] > 0.0 and consts.c1 * consts.c2 >= 0.0:
             return None
-        phi = _pair(consts.c1, consts.c2, consts.zeta0)[3]
+        n, delta = _phase(q, sigma, _pair(consts.c1, consts.c2, consts.zeta0)[3])
         f = (_ratio_residual(consts)[0] if q[4] > 0.0
-             else _zero_residual(consts, round(_phase(q, sigma, phi) / math.pi - 0.5)))
+             else _zero_residual(consts, round(delta / math.pi - 0.5) - 2 * n))
         half_width = 0.5 * math.pi / f(s)[1]
         lo, hi = s - half_width, s + half_width
         return _newton_root(f, lo, hi, 0.5 * (lo + hi))
-    except (NoConvergenceError, PhaseRangeError):
+    except NoConvergenceError:
         return None

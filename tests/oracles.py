@@ -15,7 +15,9 @@ stays accurate where c2/c1 leaves the double range.
 The pole oracle is a dense sign scan, independent of the library's
 phase count: z = c1 Ai + c2 Bi, with the pair of z itself
 (SolutionConstants.coefficients), sampled with scipy's Airy functions on
-a grid fine enough to separate neighbouring zeros.
+a grid fine enough to separate neighbouring zeros.  reference_half_turns
+counts the phase's half-turns at one t from mpmath's Airy functions, and
+far out from the phase's asymptotic form with zeta to 520 digits.
 
 The RK4 references are the plain textbook loops the library's
 specialised integrators replaced: a nested right-hand side, a list grid
@@ -278,17 +280,44 @@ def reference_taylor(t: float) -> tuple[float, float, float, float]:
 _PI = Decimal("3.14159265358979323846264338327950288419716939937510582097")
 
 
-def reference_reduced_phase(t: float) -> float:
-    # theta = (2/3)(-t)^{3/2} - pi/4 mod 2*pi; double rounding of zeta
-    # alone would cost ~zeta*eps of phase, so reduce in decimal.
+def reference_reduced_phase(t: float) -> tuple[int, float]:
+    # (n, theta) with (2/3)(-t)^{3/2} - pi/4 = 2 pi n + theta; double
+    # rounding of zeta alone would cost ~zeta*eps of phase, so reduce in
+    # decimal.
     with localcontext() as ctx:
         ctx.prec = 45
         x = -Decimal(t)
         zeta = 2 * (x * x * x).sqrt() / 3
         theta = zeta - _PI / 4
         twopi = 2 * _PI
-        theta -= (theta / twopi).to_integral_value() * twopi
-        return float(theta)
+        n = (theta / twopi).to_integral_value()
+        return int(n), float(theta - n * twopi)
+
+
+def reference_half_turns(c1: float, c2: float, t: float) -> int | None:
+    """floor((theta - phi)/pi - 1/2) at the double t, for theta the phase of
+    Ai + i Bi taken continuous from theta(0) = pi/3 and phi = atan2(c2, c1);
+    None within 1e-12 of a half-turn.  theta is mpmath's atan2(Bi, Ai) at 40
+    digits for |t| <= 1e4, unwrapped to its asymptote pi/4 - zeta; below
+    t = -1e4 it is pi/4 - zeta + 5/(48 |t|**1.5), the two leading terms of
+    the asymptotic phase (the next is under 1e-15 there), with zeta at 520
+    digits, enough for zeta - pi/4 of every double t to 1e-100."""
+    from mpmath import airyai, airybi, atan2, floor, nint, pi
+
+    with workdps(520):
+        x = -mpf(t)
+        zeta = 2 * x * sqrt(x) / 3 if x > 0 else mpf(0)
+        if x > 10_000:
+            theta = pi / 4 - zeta + 5 / (48 * x * sqrt(x))
+        else:
+            with workdps(40):
+                theta = atan2(airybi(t), airyai(t))
+            theta += 2 * pi * nint((pi / 4 - zeta - theta) / (2 * pi))
+        h = (theta - atan2(c2, c1)) / pi - mpf(1) / 2
+        k = floor(h)
+        if min(h - k, k + 1 - h) < 1e-12:
+            return None
+        return int(k)
 
 
 def reference_asymptotic_sums_positive(zeta: float) -> tuple[float, float, float, float]:
@@ -371,7 +400,7 @@ def reference_asymptotic_negative(t: float) -> tuple[float, float, float, float]
             qv += sgn * v / powz
         if mag < 1e-17:
             break
-    theta = _reduced_phase(t)
+    theta = _reduced_phase(t)[1]
     ct = math.cos(theta)
     st = math.sin(theta)
     ai = (ct * pu + st * qu) / (_SQRT_PI * xq)

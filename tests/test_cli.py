@@ -218,8 +218,10 @@ class TestDomainLimits:
 
     @pytest.mark.parametrize("u1dot0", ["1e20", "1e250"])
     def test_unresolvable_phase(self, capsys, u1dot0):
-        # t(0) = -u1dot0/2: z has ~2e9 zeros on [0, 1] at 1e20, where the
-        # pole count read "none"; 1e250 overflowed (-t)**1.5
+        # t(0) = -u1dot0/2: z has ~2e9 zeros on [0, 1] at 1e20, where t(0)
+        # and t(L) are one double and the pole count read "none"; 1e250
+        # overflowed (-t)**1.5.  find_poles refuses both windows: their
+        # zeros lie under 4 doubles of t apart
         code, _, err = invoke(capsys, "ivp", *self.FLOW, "--u10", "0", "--u1dot0", u1dot0)
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -259,8 +261,9 @@ class TestDomainLimits:
         assert float(fields["u1(L)"]) == pytest.approx(-17.993821209491927, rel=1e-12, abs=0.0)
 
     def test_domain_error_leaves_no_partial_report(self, capsys):
-        # find_poles refuses the phase at t(0) = -5e249 (PhaseRangeError)
-        # after every other value of the report is known
+        # find_poles refuses the window at t(0) = -5e249, whose zeros lie
+        # under 4 doubles of t apart, after every other value of the report
+        # is known
         code, out, err = invoke(capsys, "ivp", *self.FLOW, "--u10", "0", "--u1dot0", "1e250")
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -283,7 +286,20 @@ class TestDomainLimits:
         # "denominator vanishes near s = 0.0"
         code, out, err = invoke(capsys, "ivp", *self.FLOW, "--u10", "0", "--u1dot0", "1e250")
         assert (code, out) == (1, "")
-        assert err == "error: Airy phase cannot be resolved to its turn at t = -5e+249\n"
+        assert err == ("error: the zeros of z lie under 4 doubles of t apart at t = -5e+249, "
+                       "too close to tell apart\n")
+
+    @pytest.mark.parametrize("u1L", ["-2e6", "-1e7"])
+    def test_large_target_on_default_bracket(self, capsys, u1L):
+        # the root has t(0) > 0, but the default bracket's first probe sits
+        # at t(0) ~ -2e12, whose pole count used to be refused (exit 1)
+        code, out, err = invoke(capsys, "bvp", *self.FLOW, "--u10", "0", "--u1L", u1L)
+        assert (code, err) == (0, "")
+        c = float(out.splitlines()[0].split("=")[1])
+        params = airyflow.FlowParams(nu=1.0, grad_term=-2.0, f1=0.0, length=1.0)
+        consts, _ = airyflow.constants_from_u0(params, c, 0.0)
+        u1 = airyflow.exact_u1(1.0, params, consts)
+        assert abs(u1 - float(u1L)) <= ENDPOINT_RTOL * (1.0 + abs(float(u1L)))
 
     @pytest.mark.parametrize("flags,poles", [
         ("0.3640528658860305 2.557000458162629 2.8428289815780685 6.027795966381183e+94 "

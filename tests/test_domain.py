@@ -41,6 +41,11 @@ LOWVISC_SHIFTS = (0.0, 3.0, -3.0)
 # but the FlowDomainError of a target no double reaches (u1(L) jumps to
 # +inf within rounding of the pole crossing c*)
 LOWVISC_MIN_SOLVED = 735
+# u1(L) = +-1e6 on each of the 300 draws: 379 of the 600 solve, where 40
+# of them used to meet a refused pole count at a probe with t(0) < -3.57e10;
+# the rest raise the unreachable-target error
+LARGE_TARGETS = (1e6, -1e6)
+LARGE_MIN_SOLVED = 379
 
 # bvp --nu 1 --grad-term -2 --f1 0 --L 1 --u10 4 --u1L -6: a benign root
 # at t(0) = 8.6 (the 40-digit oracle gives u1(L) = -6.0000000000000036),
@@ -161,6 +166,22 @@ def test_lowvisc_bvps_solve_or_raise_domain_error():
                 assert abs(target - want) <= ORACLE_RTOL * cond * (1.0 + abs(want)), (index, target)
             solved += 1
     assert solved >= LOWVISC_MIN_SOLVED
+
+
+def test_lowvisc_large_targets_solve_or_are_unreachable():
+    solved = 0
+    for index, (params, u10, _) in enumerate(_ivp_draws()):
+        for target in LARGE_TARGETS:
+            try:
+                sol = solve_bvp(u10, target, params)
+            except FlowDomainError as err:
+                assert str(err).startswith(f"no c reaches u1(L) = {target!r}: "), (index, err)
+                continue
+            want, cond = u1_propagator(params, u10, sol.initial_slope, params.length)
+            if cond <= MAX_COND:
+                assert abs(target - want) <= ORACLE_RTOL * cond * (1.0 + abs(want)), (index, target)
+            solved += 1
+    assert solved >= LARGE_MIN_SOLVED
 
 
 def test_bvp_newton_start_past_item1_region():

@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 from airyflow import (
     FlowDomainError,
     FlowParams,
-    PhaseRangeError,
     PoleError,
     SolutionConstants,
     airy_eval,
@@ -30,7 +29,11 @@ from airyflow import (
 from airyflow import flow
 from airyflow.bvp import ENDPOINT_RTOL, SCAN_POINTS
 from airyflow.flow import has_interior_pole
-from oracles import sign_scan_cells
+from oracles import reference_half_turns, sign_scan_cells
+
+# find_poles' listing edge: from t = -2**35 on, the zero spacing
+# pi/sqrt(-t) is under 4 doubles of t
+LISTING_EDGE = 2.0**35
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -168,11 +171,11 @@ def far_ai(t_far):
 
 @pytest.mark.parametrize("fraction", [0.5, 0.9, 0.98, 0.999])
 def test_pole_count_exact_inside_phase_bound(fraction):
-    # 40 zeros of Ai below t = -fraction * PHASE_T_MAX, where a zero spacing
-    # is only 2 to 4 doubles of t: the half-turn count matches the sign
-    # changes of Ai over every double t in the window, and find_poles puts
-    # each zero within 3 doubles of its sign change
-    t_far = -fraction * flow.PHASE_T_MAX
+    # 40 zeros of Ai below t = -fraction * 2**35, the listing edge, where a
+    # zero spacing is only 4.4 to 6.3 doubles of t: the half-turn count matches
+    # the sign changes of Ai over every double t in the window, and
+    # find_poles puts each zero within 3 doubles of its sign change
+    t_far = -fraction * LISTING_EDGE
     consts, width = far_ai(t_far), 40.0 * math.pi / math.sqrt(-t_far)
     t, t_end = map_t(0.0, consts), map_t(width, consts)
     pair = flow._pair(consts.c1, consts.c2, consts.zeta0)
@@ -210,21 +213,65 @@ def test_far_zeros_sit_on_sign_changes(seed):
 
 
 def test_pole_count_refused_past_phase_bound():
-    # a window of 40 zero spacings at t ~ -1e12, where the unwrapped phase
-    # loses turns (the count read 33 where mpmath has 39): refused, not
-    # miscounted
+    # a window of 40 zero spacings at t ~ -1e12, where one double of t
+    # holds 40 zeros: refused by the listing rule, not listed
     consts = far_ai(-1e12)
-    with pytest.raises(PhaseRangeError) as err:
+    with pytest.raises(FlowDomainError, match=r"^the zeros of z lie under 4 doubles of t "
+                                              r"apart at t = -1000000000000\.0, "):
         find_poles(consts, 0.0, 40.0 * math.pi * 1e-6)
-    assert err.value.t == -1e12
-    assert issubclass(PhaseRangeError, FlowDomainError)  # CLI exit 1
-    with pytest.raises(PhaseRangeError):
-        has_interior_pole(far_ai(-1.001 * flow.PHASE_T_MAX), 0.0, 1e-3)
-    has_interior_pole(far_ai(-0.999 * flow.PHASE_T_MAX), 0.0, 1e-3)
-    # u1 itself is still evaluated there; a pole error there names no pole
+    # the rule starts at t = -2**35 exactly, for has_interior_pole too
+    with pytest.raises(FlowDomainError):
+        has_interior_pole(far_ai(-LISTING_EDGE), 0.0, 1e-3)
+    has_interior_pole(far_ai(math.nextafter(-LISTING_EDGE, 0.0)), 0.0, 1e-3)
+    # u1 itself is still evaluated there, and the zero nearest a point is
+    # within a double of t of it
     params = FlowParams(nu=0.5, grad_term=-1.0, f1=0.0, length=1.0)
     assert math.isfinite(exact_u1(0.0, params, consts))
-    assert flow._nearest_pole(consts, 0.0) is None
+    assert abs(map_t(flow._nearest_pole(consts, 0.0), consts) + 1e12) <= math.ulp(1e12)
+
+
+@pytest.mark.parametrize("side", ["inside", "past"])
+def test_far_pole_locations_ascend_or_are_refused(side):
+    # 30 random windows of 40 zero spacings on each side of the listing
+    # edge.  Past it find_poles used to repeat locations (12 of 30 windows
+    # in [-3.57e10, -2**35]) and, at t ~ -7e10, to count 39 zeros where Ai
+    # changes sign 23 times; inside it the locations strictly ascend in t
+    rng = random.Random(35)
+    for _ in range(30):
+        if side == "inside":
+            t_far = -rng.uniform(0.5, 0.995) * LISTING_EDGE
+        else:
+            t_far = -rng.uniform(1.0, 2.0) * LISTING_EDGE
+        consts, width = far_ai(t_far), 40.0 * math.pi / math.sqrt(-t_far)
+        if side == "past":
+            with pytest.raises(FlowDomainError, match="under 4 doubles of t"):
+                find_poles(consts, 0.0, width)
+            continue
+        ts = [map_t(pole, consts) for pole in find_poles(consts, 0.0, width)]
+        assert len(ts) >= 39, t_far
+        assert all(lo < hi for lo, hi in zip(ts, ts[1:])), t_far
+
+
+def test_far_half_turn_counts_match_mpmath():
+    # random double pairs t0 < tL, log-uniform down to -1e300, and random
+    # pairs (c1, c2): the half-turn count at each end, and so a shot's n,
+    # the difference, matches mpmath's; the kernel's integer turn makes it
+    # exact for every finite t, where a float zeta lost turns past 3.57e10
+    rng = random.Random(21)
+    checked = 0
+    for _ in range(300):
+        t0, t_l = sorted(-(10.0 ** rng.uniform(-1.0, 300.0)) for _ in range(2))
+        if rng.random() < 0.5:  # a near pair, up to 1,000 doubles apart
+            t_l = t0 + rng.randint(1, 1000) * math.ulp(t0)
+        phi = rng.uniform(-math.pi, math.pi)
+        pair = flow._pair(*flow._normalize_pair(math.cos(phi), math.sin(phi)), 0.0)
+        want = [reference_half_turns(pair[0], pair[1], t) for t in (t0, t_l)]
+        if None in want:
+            continue
+        got = [flow._half_turns(pair, *flow.airy_scaled(t)) for t in (t0, t_l)]
+        assert got == want, (t0, t_l, phi)
+        checked += 1
+    assert checked >= 295
 
 
 @pytest.mark.parametrize("sign", [-1.0, 1.0])
