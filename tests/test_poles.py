@@ -233,9 +233,10 @@ def test_pole_count_refused_past_phase_bound():
 @pytest.mark.parametrize("side", ["inside", "past"])
 def test_far_pole_locations_ascend_or_are_refused(side):
     # 30 random windows of 40 zero spacings on each side of the listing
-    # edge.  Past it find_poles used to repeat locations (12 of 30 windows
-    # in [-3.57e10, -2**35]) and, at t ~ -7e10, to count 39 zeros where Ai
-    # changes sign 23 times; inside it the locations strictly ascend in t
+    # edge.  Past it the doubles of t cannot separate the zeros: find_poles
+    # used to repeat locations (12 of 30 windows in [-3.57e10, -2**35]), and
+    # with exact counts but no refusal a window at t ~ -7e10 lists 39 zeros
+    # where Ai changes sign 23 times; inside it the locations strictly ascend
     rng = random.Random(35)
     for _ in range(30):
         if side == "inside":
