@@ -53,8 +53,7 @@ _REQUIRED_FIELD_KEYS = (
     "x_min", "x_max", "y_min", "y_max", "nx", "ny", "output", "format",
 )
 _OPTIONAL_FIELD_KEYS = (
-    "slope", "amplitude", "wavenumber", "coeffs",
-    "pressure_q0", "pressure_qdot", "gnuplot_script",
+    "slope", "amplitude", "wavenumber", "coeffs", "gnuplot_script",
 )
 
 
@@ -82,8 +81,8 @@ def parse_field_config(text: str) -> dict[str, str]:
 
 
 def config_from_file(path: Path):
-    """(params, data, family, grid, pressure, output, format, gnuplot
-    script path or None) from a field config file."""
+    """(params, data, family, grid, output, format, gnuplot script path
+    or None) from a field config file."""
     entries = parse_field_config(path.read_text())
 
     def text(key: str) -> str:
@@ -109,9 +108,6 @@ def config_from_file(path: Path):
     fmt = entries["format"]
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {fmt!r}")
-    if ("pressure_q0" in entries) != ("pressure_qdot" in entries):
-        raise ValueError("pressure_q0 and pressure_qdot must be given together")
-    pressure = (num("pressure_q0"), num("pressure_qdot")) if "pressure_q0" in entries else None
     gnuplot = Path(entries["gnuplot_script"]) if "gnuplot_script" in entries else None
     kind = entries["family"]
     if kind == "straight":
@@ -124,7 +120,7 @@ def config_from_file(path: Path):
         )
     else:
         raise ValueError(f"family must be straight|sinusoidal|polynomial, got {kind!r}")
-    return params, data, family, grid, pressure, Path(entries["output"]), fmt, gnuplot
+    return params, data, family, grid, Path(entries["output"]), fmt, gnuplot
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +200,9 @@ def _run_bvp(args) -> int:
 
 
 def _run_field(args) -> int:
-    params, data, family, grid, pressure, output, fmt, gnuplot = config_from_file(args.config)
+    params, data, family, grid, output, fmt, gnuplot = config_from_file(args.config)
     consts = solve_ivp(data, params)
-    sampled = field_mod.reconstruct_field(family, params, consts, grid, pressure=pressure)
+    sampled = field_mod.reconstruct_field(family, params, consts, grid)
     output.write_bytes(field_mod.emit(sampled, fmt))
     n_invalid = sum(1 for sm in sampled.samples if not sm.valid)
     print(f"wrote {output} ({len(sampled.samples)} samples, {n_invalid} at poles)")
@@ -217,7 +213,9 @@ def _run_field(args) -> int:
 
 
 def _run_verify(args) -> int:
-    from .verify import run_verification  # numpy loads only for this command
+    # deferred: the suite's import costs numpy's ~0.14 s plus its own
+    # ~0.01 s (2-core box), which no other command should pay
+    from .verify import run_verification
 
     report = run_verification(seed=args.seed)
     for line in report.format_lines():

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 from .errors import GridDomainError, PoleError
-from .flow import FlowParams, SolutionConstants, _riccati_rhs, exact_u1, exact_u1_derivative
+from .flow import FlowParams, SolutionConstants, _riccati_rhs, exact_u1
 
 
 class StreamlineFamily:
@@ -102,26 +102,23 @@ class PolynomialFamily(StreamlineFamily):
 
 @dataclass(frozen=True)
 class FlowProfile:
-    """u1 and its first two derivatives along s, as callables."""
+    """u1(s), and u1'(s, u1) and u1''(s, u1) given u1 at s, as callables."""
 
     u1: Callable[[float], float]
-    u1dot: Callable[[float], float]
-    u1ddot: Callable[[float], float]
+    u1dot: Callable[[float, float], float]
+    u1ddot: Callable[[float, float], float]
 
     @classmethod
     def from_solution(cls, params: FlowParams, consts: SolutionConstants) -> "FlowProfile":
         def u1(s: float) -> float:
             return exact_u1(s, params, consts)
 
-        def u1dot(s: float) -> float:
-            return exact_u1_derivative(s, params, consts)
+        def u1dot(s: float, u: float) -> float:
+            return _riccati_rhs(s, u, params, consts)
 
-        def u1ddot(s: float) -> float:
-            # differentiate the momentum balance: u1'' = (u1 u1' - f1 + grad)/nu,
-            # u1' from the same u1 (one closed-form evaluation)
-            u = u1(s)
-            u_dot = _riccati_rhs(s, u, params, consts)
-            return (u * u_dot - params.f1 + params.grad_term) / params.nu
+        def u1ddot(s: float, u: float) -> float:
+            # differentiate the momentum balance: u1'' = (u1 u1' - f1 + grad)/nu
+            return (u * u1dot(s, u) - params.f1 + params.grad_term) / params.nu
 
         return cls(u1=u1, u1dot=u1dot, u1ddot=u1ddot)
 

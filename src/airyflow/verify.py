@@ -197,7 +197,7 @@ def check_prop1(field, h: float) -> float:
         dv1_dy = 0.0  # v1(x, y) = u1(x) has no y dependence
         v2 = family.phi2_dot(x) * u1c
         lhs = u1c * dv1_dx + v2 * dv1_dy
-        rhs = u1c * profile.u1dot(x)
+        rhs = u1c * profile.u1dot(x, u1c)
         worst = max(worst, abs(lhs - rhs))
     return worst
 
@@ -218,8 +218,9 @@ def check_prop2_prop3(field, h: float) -> tuple[float, float]:
     worst_v1 = 0.0
     worst_p = 0.0
     for x in _usable_xs(field, h):
-        lap_v1 = (profile.u1(x + h) - 2.0 * profile.u1(x) + profile.u1(x - h)) / h2
-        worst_v1 = max(worst_v1, abs(lap_v1 - profile.u1ddot(x)))
+        u1c = profile.u1(x)
+        lap_v1 = (profile.u1(x + h) - 2.0 * u1c + profile.u1(x - h)) / h2
+        worst_v1 = max(worst_v1, abs(lap_v1 - profile.u1ddot(x, u1c)))
         p = lambda xx: q0 + qdot * xx
         lap_p = (p(x + h) - 2.0 * p(x) + p(x - h)) / h2  # y part is exactly 0
         worst_p = max(worst_p, abs(lap_p))
@@ -492,7 +493,7 @@ def run_verification(seed: int = 0) -> VerificationReport:
         samples=(),
         family=family,
         profile=field_mod.FlowProfile(
-            u1=lambda s: s, u1dot=lambda s: 1.0, u1ddot=lambda s: 0.0
+            u1=lambda s: s, u1dot=lambda s, u: 1.0, u1ddot=lambda s, u: 0.0
         ),
     )
     checks.append(CheckResult("prop1_synthetic_profile", check_prop1(synth, 1e-3), 1e-5))

@@ -20,12 +20,8 @@ from airyflow import (
     SolutionConstants,
     StreamlineFamily,
     airy_eval,
-    check_prop1,
-    check_prop2_prop3,
-    continuity_bracket,
     exact_u1,
     find_poles,
-    random_flow_case,
     reconstruct_field,
     solve_bvp,
     solve_ivp,
@@ -37,8 +33,12 @@ from airyflow.verify import (
     check_fd_second_order,
     check_ode_forms,
     check_pole_truncation,
+    check_prop1,
+    check_prop2_prop3,
     check_rk4_closed_form,
     check_wronskian,
+    continuity_bracket,
+    random_flow_case,
 )
 
 HERE = Path(__file__).parent

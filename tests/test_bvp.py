@@ -26,11 +26,11 @@ from airyflow import (
     exact_u1,
     exact_u1_derivative,
     find_poles,
-    random_flow_case,
     solve_bvp,
     solve_ivp,
 )
 from airyflow.flow import shooter
+from airyflow.verify import random_flow_case
 
 # frozen: normalized coefficients for u10 = 0 at t0 = 0 are exactly
 # (sqrt(3)/2, 1/2) because Bi'(0) = -sqrt(3) Ai'(0); asserted numerically

@@ -27,13 +27,13 @@ from airyflow import (
     constants_from_u0,
     default_c_bracket,
     exact_u1,
-    random_flow_case,
     solve_bvp,
     solve_ivp,
 )
 from airyflow import flow
 from airyflow.bvp import ENDPOINT_RTOL, SCAN_POINTS
 from airyflow.flow import shooter
+from airyflow.verify import random_flow_case
 from oracles import reference_solve_bvp, sign_scan_cells
 
 N_DRAWS = 40

@@ -430,10 +430,12 @@ class TestField:
         assert gp.read_text().startswith("#")
 
     def test_unknown_key_rejected(self, capsys, tmp_path):
-        cfg, _ = self.write_config(tmp_path, extra="bogus = 1\n")
-        code, _, err = invoke(capsys, "field", "--config", str(cfg))
-        assert code == 2
-        assert "bogus" in err
+        # pressure_q0 and pressure_qdot too: no output read them
+        for key in ("bogus", "pressure_q0", "pressure_qdot"):
+            cfg, _ = self.write_config(tmp_path, extra=f"{key} = 1\n")
+            code, _, err = invoke(capsys, "field", "--config", str(cfg))
+            assert code == 2
+            assert f"unknown key {key!r}" in err
 
     def test_missing_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -506,14 +508,17 @@ class TestUsage:
 
 def test_import_leaves_numpy_unloaded():
     # numpy (most of the import time) comes in only with the verify module,
-    # and decimal never: the Airy kernel reduces its phase in integers
+    # whose names have that one import path, and decimal never: the Airy
+    # kernel reduces its phase in integers
     probe = (
         "import sys, airyflow, airyflow.cli\n"
-        "print('numpy' in sys.modules, 'airyflow.verify' in sys.modules)\n"
-        "airyflow.run_verification\n"
-        "print('numpy' in sys.modules, 'decimal' in sys.modules)\n"
+        "print('numpy' in sys.modules, 'airyflow.verify' in sys.modules,"
+        " 'decimal' in sys.modules, hasattr(airyflow, 'run_verification'))\n"
+        "import airyflow.verify\n"
+        "print('numpy' in sys.modules, 'decimal' in sys.modules,"
+        " hasattr(airyflow, 'run_verification'))\n"
     )
     src = str(Path(airyflow.__file__).resolve().parent.parent)
     out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True, timeout=60).stdout
-    assert out.split() == ["False", "False", "True", "False"]
+    assert out.split() == ["False", "False", "False", "False", "True", "False", "False"]

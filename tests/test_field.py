@@ -157,21 +157,22 @@ class TestReconstruct:
         assert len(calls) == 50
         assert sum(not sm.valid for sm in field.samples) == 2
 
-    def test_u1ddot_is_one_airy_evaluation(self, monkeypatch):
-        # u1'' = (u1 u1' - f1 + grad)/nu takes u1' from the same u1, so a call
-        # evaluates the closed form once (u1 and u1' each did: two), and its
-        # value is the product of the two public functions, bit for bit
+    def test_derivatives_make_no_airy_evaluation(self, monkeypatch):
+        # u1' and u1'' = (u1 u1' - f1 + grad)/nu come from the given u1, so
+        # the checks' stencils evaluate the closed form once per point; the
+        # values are the public functions', bit for bit
         p, consts = solved_case()
-        u1ddot = FlowProfile.from_solution(p, consts).u1ddot
+        profile = FlowProfile.from_solution(p, consts)
         calls = []
         airy_scaled = flow.airy_scaled
         monkeypatch.setattr(flow, "airy_scaled", lambda t: calls.append(t) or airy_scaled(t))
         for s in (0.0, 0.7, 1.5):
+            u1 = exact_u1(s, p, consts)
+            u1_dot = exact_u1_derivative(s, p, consts)
             calls.clear()
-            got = u1ddot(s)
-            assert len(calls) == 1
-            want = exact_u1(s, p, consts) * exact_u1_derivative(s, p, consts)
-            assert got == (want - p.f1 + p.grad_term) / p.nu
+            assert profile.u1dot(s, u1) == u1_dot
+            assert profile.u1ddot(s, u1) == (u1 * u1_dot - p.f1 + p.grad_term) / p.nu
+            assert calls == []
 
 
 class TestSerialization:

@@ -17,13 +17,12 @@ from airyflow import (
     exact_u1_derivative,
     find_poles,
     map_t,
-    random_flow_case,
     solve_ivp,
 )
 from airyflow import flow
 from airyflow.bvp import InitialData
 from airyflow.errors import FlowDomainError, NoConvergenceError
-from airyflow.verify import check_fd_riccati, check_fd_second_order
+from airyflow.verify import check_fd_riccati, check_fd_second_order, random_flow_case
 
 # frozen from the arbitrary-precision oracle
 AI_0 = 0.35502805388781723926

@@ -15,14 +15,18 @@ became Taylor steps from an anchor table: the kernel's last digits moved
 holds them as strictly as before.
 """
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from airyflow.bvp import ENDPOINT_RTOL
+from airyflow.cli import run
 from make_golden import CASES, GOLDEN_DIR, run_case
 
 MANIFEST = json.loads((GOLDEN_DIR / "manifest.json").read_text())
+README = Path(__file__).resolve().parents[1] / "README.md"
 PROP1 = "prop1_advective_identity"
 BVP_ROUNDTRIP = "bvp_roundtrip"
 
@@ -98,3 +102,15 @@ def assert_bvp_close(stdout, want_stdout):
             assert float(got) == pytest.approx(float(ref), rel=1e-12, abs=0.0), key
     u1L = 0.25  # every bvp case targets the README's u1(L)
     assert abs(float(out["residual"]) - float(want["residual"])) <= ENDPOINT_RTOL * (1.0 + u1L)
+
+
+def test_readme_field_config_runs_as_written(tmp_path, monkeypatch, capsys):
+    # the README's field config block, copied verbatim, writes the golden CSV
+    section = README.read_text().split("### Field config format", 1)[1]
+    (tmp_path / "run.cfg").write_text(section.split("```ini\n", 1)[1].split("```", 1)[0])
+    monkeypatch.chdir(tmp_path)
+    assert run(["field", "--config", "run.cfg"]) == 0
+    assert capsys.readouterr().err == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["field.csv", "run.cfg"]
+    digest = hashlib.sha256((tmp_path / "field.csv").read_bytes()).hexdigest()
+    assert digest == MANIFEST["field_csv"]["files"]["field.csv"]

@@ -24,11 +24,11 @@ from airyflow import (
     exact_u1,
     find_poles,
     map_t,
-    random_flow_case,
 )
 from airyflow import flow
 from airyflow.bvp import ENDPOINT_RTOL, SCAN_POINTS
 from airyflow.flow import has_interior_pole
+from airyflow.verify import random_flow_case
 from oracles import reference_half_turns, sign_scan_cells
 
 # find_poles' listing edge: from t = -2**35 on, the zero spacing

@@ -13,22 +13,25 @@ from airyflow import (
     GridTooCoarseError,
     SolutionConstants,
     StreamlineFamily,
-    check_prop1,
-    check_prop2_prop3,
-    continuity_bracket,
     exact_u1,
     find_poles,
-    integrate_riccati,
-    integrate_second_order,
-    random_flow_case,
     reconstruct_field,
-    run_verification,
     solve_ivp,
 )
 from airyflow.bvp import InitialData
 from airyflow import verify
 from airyflow.field import FlowProfile, SampledField
-from airyflow.verify import BLOWUP_LIMIT, _grid
+from airyflow.verify import (
+    BLOWUP_LIMIT,
+    check_prop1,
+    check_prop2_prop3,
+    continuity_bracket,
+    integrate_riccati,
+    integrate_second_order,
+    random_flow_case,
+    run_verification,
+    _grid,
+)
 from oracles import _reference_grid, reference_riccati, reference_second_order
 
 
@@ -259,7 +262,7 @@ class TestKinematicIdentities:
             samples=(),
             family=StreamlineFamily.straight(0.5),
             profile=FlowProfile(
-                u1=lambda s: 0.75, u1dot=lambda s: 0.0, u1ddot=lambda s: 0.0
+                u1=lambda s: 0.75, u1dot=lambda s, u: 0.0, u1ddot=lambda s, u: 0.0
             ),
             pressure_affine=(0.0, 0.0),
         )
@@ -291,7 +294,7 @@ class TestKinematicIdentities:
             samples=(),
             family=field.family,
             profile=FlowProfile(
-                u1=lambda s: s, u1dot=lambda s: 1.0, u1ddot=lambda s: 0.0
+                u1=lambda s: s, u1dot=lambda s, u: 1.0, u1ddot=lambda s, u: 0.0
             ),
         )
         assert check_prop1(synth, 1e-3) <= 1e-5
