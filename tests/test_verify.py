@@ -126,7 +126,7 @@ class TestIntegrateSecondOrder:
         rng = random.Random(5)
         for _ in range(3):
             params, data, consts = random_flow_case(rng)
-            assert verify.check_ode_forms(params, data, consts, 1e-4) <= 1e-8
+            assert verify.check_rk4(params, data, consts, 1e-4, 20)[1] <= 1e-8
 
     def test_agrees_with_closed_form(self):
         p, consts = pole_free_case()
@@ -314,16 +314,16 @@ class TestKinematicIdentities:
 class TestContinuityBracket:
     def test_straight_family_zero(self):
         fam = StreamlineFamily.straight(2.0)
-        assert continuity_bracket(fam, 0.0, 0.5) == 0.0
+        assert continuity_bracket(fam, 0.5) == 0.0
 
     def test_translate_family_zero(self):
         fam = StreamlineFamily.sinusoidal(0.3, 2.0)
         for s in (0.0, 0.7, 2.1):
-            assert continuity_bracket(fam, 1.0, s) == 0.0
+            assert continuity_bracket(fam, s) == 0.0
 
     def test_synthetic_family(self):
         fam = StreamlineFamily.polynomial((0.0, 0.0, 1.0))
-        assert continuity_bracket(fam, 0.0, 1.0, dg_dy=1.0) == 2.0
+        assert continuity_bracket(fam, 1.0, dg_dy=1.0) == 2.0
 
 
 class TestSharedChecks:
@@ -334,8 +334,8 @@ class TestSharedChecks:
         checks = {
             "fd_riccati": (lambda d: verify.check_fd_riccati(params, consts), 1e-6),
             "fd_second_order": (lambda d: verify.check_fd_second_order(params, consts), 1e-4),
-            "rk4": (lambda d: verify.check_rk4_closed_form(params, d, consts, 1e-4, 20), 1e-9),
-            "ode_forms": (lambda d: verify.check_ode_forms(params, d, consts, 1e-4), 1e-8),
+            "rk4": (lambda d: verify.check_rk4(params, d, consts, 1e-4, 20)[0], 1e-9),
+            "ode_forms": (lambda d: verify.check_rk4(params, d, consts, 1e-4, 20)[1], 1e-8),
         }
         for name, (check, tol) in checks.items():
             assert check(data) <= tol, name
@@ -374,6 +374,28 @@ class TestVerificationReport:
         report = run_verification(seed=0)
         failing = [c.name for c in report.checks if not c.passed]
         assert report.all_passed, f"failing checks: {failing}"
+
+    def test_suite_work_count(self, monkeypatch):
+        # each of the three RK4 cases runs each ODE form once; the order
+        # pair adds one run of each form, and the pole check one Riccati
+        # run.  The 12x4 field of the prop checks is also the one serialized
+        calls = {"integrate_riccati": 0, "integrate_second_order": 0, "reconstruct_field": 0}
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(verify, "integrate_riccati")
+        count(verify, "integrate_second_order")
+        count(verify.field_mod, "reconstruct_field")
+        assert run_verification(seed=0).all_passed
+        assert calls == {"integrate_riccati": 6, "integrate_second_order": 5,
+                         "reconstruct_field": 1}
 
     def test_seed_5_passes(self):
         # prop1's FD step once left truncation of 1.16e-5 against its 1e-5
