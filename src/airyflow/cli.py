@@ -213,8 +213,9 @@ def _run_field(args) -> int:
 
 
 def _run_verify(args) -> int:
-    # deferred: the suite's import costs numpy's ~0.14 s plus its own
-    # ~0.01 s (2-core box), which no other command should pay
+    # deferred although the suite loads no numpy: its own import (its
+    # dataclasses and random, ~10 ms on a 2-core box) made every bvp
+    # launch that much slower when eager
     from .verify import run_verification
 
     report = run_verification(seed=args.seed)

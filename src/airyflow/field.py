@@ -264,7 +264,9 @@ def parse(blob: bytes, fmt: str = "csv") -> SampledField:
         grid = GridSpec(**doc["grid"])
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    if grid.nx * grid.ny != len(samples):
+    # as many samples as nodes, none repeated, so every node has one
+    nodes = {(sm.x, sm.y) for sm in samples}
+    if grid.nx * grid.ny != len(samples) or len(nodes) != len(samples):
         raise ValueError("samples do not fill a full grid")
     return SampledField(grid=grid, samples=tuple(samples))
 

@@ -18,8 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import field as field_mod
 from .airy import airy_eval
@@ -33,6 +32,9 @@ from .flow import (
     find_poles,
     map_t,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BLOWUP_LIMIT = 1e10
 
@@ -66,44 +68,52 @@ def _validate_span(s_end: float, step: float) -> tuple[float, float]:
     return s_end, step
 
 
-def _grid(s_end: float, step: float) -> np.ndarray:
+def _steps(s_end: float, step: float) -> tuple[int, bool]:
+    """Full steps n of the grid k * step, k = 0 .. n, over [0, s_end], and
+    whether a shorter final step to s_end follows them."""
     n = int(math.floor(s_end / step + 1e-9))
-    ss = np.arange(n + 1) * step  # bit-equal to [k * step for k in range(n + 1)]
-    if ss[-1] < s_end - 1e-12 * max(step, 1.0):
-        ss = np.append(ss, s_end)  # shorter final step
+    return n, n * step < s_end - 1e-12 * max(step, 1.0)
+
+
+def _grid(s_end: float, step: float) -> list[float]:
+    s_end, step = _validate_span(s_end, step)
+    n, short = _steps(s_end, step)
+    ss = [k * step for k in range(n + 1)]
+    if short:
+        ss.append(s_end)  # shorter final step
     return ss
 
 
-def _trajectory(ss: np.ndarray, us: list[float], step: float) -> Trajectory:
-    """Samples up to the last accepted step; fewer values than grid
-    points means the next step blew up, and is truncated at its end."""
+def _trajectory(s_end: float, step: float, loop) -> Trajectory:
+    """Runs loop on the grid of [0, s_end] and keeps the samples up to the
+    last accepted step; fewer values than grid points means the next step
+    blew up, and is truncated at its end."""
+    import numpy as np  # deferred: only the public Trajectory holds arrays
+
+    s_end, step = _validate_span(s_end, step)
+    n, short = _steps(s_end, step)
+    ss = np.arange(n + 1) * step  # bit-equal to _grid's list
+    if short:
+        ss = np.append(ss, s_end)
+    us = loop(ss.tolist())
     n = len(us)
     cut = n < len(ss)
     return Trajectory(s=ss[:n], u1=np.array(us), step=step, truncated_at_pole=cut,
                       truncation_location=float(ss[n]) if cut else None)
 
 
-def integrate_riccati(
-    params: FlowParams, c: float, u10: float, s_end: float, step: float
-) -> Trajectory:
-    """RK4 on u1' = u1**2/(2 nu) + ((grad_term - f1) s + c)/nu from (0, u10).
-
-    Integration halts with the truncation flag once |u1| exceeds
-    BLOWUP_LIMIT (or goes non-finite), which heralds a pole of the
-    closed-form solution.
-    """
-    s_end, step = _validate_span(s_end, step)
+def _riccati(params: FlowParams, c: float, u10: float, ss: list[float]) -> list[float]:
+    """u1 at the nodes of ss (from ss[0] = 0) up to the last accepted step."""
     nu, gap, lim, c = params.nu, params.forcing_gap, BLOWUP_LIMIT, float(c)
     nu2 = 2.0 * nu
 
     # the forcing at the midpoint serves k2 and k3, and at s1 it is k4's
     # and the next step's k1's; -lim <= u <= lim also fails for NaN
-    ss = _grid(s_end, step)
     s0 = 0.0
     f0 = (gap * s0 + c) / nu
     u = float(u10)
     us = [u]
-    for s1 in ss.tolist()[1:]:
+    for s1 in ss[1:]:
         h = s1 - s0
         half = 0.5 * h
         fm = (gap * (s0 + half) + c) / nu
@@ -120,23 +130,19 @@ def integrate_riccati(
             break
         us.append(u)
         s0, f0 = s1, f1
-    return _trajectory(ss, us, step)
+    return us
 
 
-def integrate_second_order(
-    params: FlowParams, u10: float, u1dot0: float, s_end: float, step: float
-) -> Trajectory:
-    """RK4 on the equivalent system (u1, w)' = (w, (u1 w - f1 + grad_term)/nu)."""
-    s_end, step = _validate_span(s_end, step)
+def _second_order(params: FlowParams, u10: float, u1dot0: float, ss: list[float]) -> list[float]:
+    """u1 at the nodes of ss (from ss[0] = 0) up to the last accepted step."""
     nu, f1, grad = params.nu, params.f1, params.grad_term
     lim, inf = BLOWUP_LIMIT, math.inf
 
-    ss = _grid(s_end, step)
     s0 = 0.0
     u = float(u10)
     w = float(u1dot0)
     us = [u]
-    for s1 in ss.tolist()[1:]:
+    for s1 in ss[1:]:
         h = s1 - s0
         half = 0.5 * h
         k1w = (u * w - f1 + grad) / nu
@@ -156,7 +162,26 @@ def integrate_second_order(
             break
         us.append(u)
         s0 = s1
-    return _trajectory(ss, us, step)
+    return us
+
+
+def integrate_riccati(
+    params: FlowParams, c: float, u10: float, s_end: float, step: float
+) -> Trajectory:
+    """RK4 on u1' = u1**2/(2 nu) + ((grad_term - f1) s + c)/nu from (0, u10).
+
+    Integration halts with the truncation flag once |u1| exceeds
+    BLOWUP_LIMIT (or goes non-finite), which heralds a pole of the
+    closed-form solution.
+    """
+    return _trajectory(s_end, step, lambda ss: _riccati(params, c, u10, ss))
+
+
+def integrate_second_order(
+    params: FlowParams, u10: float, u1dot0: float, s_end: float, step: float
+) -> Trajectory:
+    """RK4 on the equivalent system (u1, w)' = (w, (u1 w - f1 + grad_term)/nu)."""
+    return _trajectory(s_end, step, lambda ss: _second_order(params, u10, u1dot0, ss))
 
 
 # ---------------------------------------------------------------------------
@@ -378,12 +403,12 @@ def check_rk4(params, data, consts, step: float, stride: int = 1) -> tuple[float
     by c = nu*u1dot0 - u10**2/2: (max |Riccati trajectory - closed form|
     over every stride-th sample, max |Riccati - second-order trajectory|
     over their common samples)."""
-    ric = integrate_riccati(params, consts.c, data.u10, params.length, step)
-    sec = integrate_second_order(params, data.u10, data.u1dot0, params.length, step)
-    exact = np.array([exact_u1(float(s), params, consts) for s in ric.s[::stride]])
-    n = min(len(ric), len(sec))
-    return (float(np.max(np.abs(ric.u1[::stride] - exact))),
-            float(np.max(np.abs(ric.u1[:n] - sec.u1[:n]))))
+    ss = _grid(params.length, step)
+    ric = _riccati(params, consts.c, data.u10, ss)
+    sec = _second_order(params, data.u10, data.u1dot0, ss)
+    closed = max(abs(u - exact_u1(s, params, consts))
+                 for s, u in zip(ss[::stride], ric[::stride]))
+    return closed, max(abs(a - b) for a, b in zip(ric, sec))
 
 
 def check_pole_truncation(params, consts, s_end: float, step: float) -> float:
@@ -398,8 +423,9 @@ def check_pole_truncation(params, consts, s_end: float, step: float) -> float:
         # restarting at s_start shifts the integrator clock: fold gap*s_start into c
         c = consts.c + params.forcing_gap * s_start
         u_start = exact_u1(s_start, params, consts)
-        traj = integrate_riccati(params, c, u_start, s_end - s_start, step)
-        gap = s_start + traj.truncation_location - pole if traj.truncated_at_pole else math.inf
+        ss = _grid(s_end - s_start, step)
+        n = len(_riccati(params, c, u_start, ss))
+        gap = s_start + ss[n] - pole if n < len(ss) else math.inf
         worst = max(worst, gap if gap >= 0.0 else math.inf)
     return worst
 

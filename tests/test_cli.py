@@ -507,9 +507,10 @@ class TestUsage:
 
 
 def test_import_leaves_numpy_unloaded():
-    # numpy (most of the import time) comes in only with the verify module,
-    # whose names have that one import path, and decimal never: the Airy
-    # kernel reduces its phase in integers
+    # numpy comes in only when a caller asks for a public Trajectory: the
+    # oracle suite, which has the one import path airyflow.verify, runs its
+    # RK4 on lists; and decimal never: the Airy kernel reduces its phase
+    # in integers
     probe = (
         "import sys, airyflow, airyflow.cli\n"
         "print('numpy' in sys.modules, 'airyflow.verify' in sys.modules,"
@@ -517,8 +518,14 @@ def test_import_leaves_numpy_unloaded():
         "import airyflow.verify\n"
         "print('numpy' in sys.modules, 'decimal' in sys.modules,"
         " hasattr(airyflow, 'run_verification'))\n"
+        "from airyflow.verify import integrate_riccati, run_verification\n"
+        "assert run_verification(0).all_passed\n"
+        "print('numpy' in sys.modules)\n"
+        "integrate_riccati(airyflow.FlowParams(1.0, -2.0, 0.0, 1.0), 0.0, 0.0, 1.0, 0.1)\n"
+        "print('numpy' in sys.modules)\n"
     )
     src = str(Path(airyflow.__file__).resolve().parent.parent)
     out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True, timeout=60).stdout
-    assert out.split() == ["False", "False", "False", "False", "True", "False", "False"]
+    assert out.split() == ["False", "False", "False", "False", "False", "False", "False",
+                           "False", "True"]

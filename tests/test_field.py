@@ -248,6 +248,21 @@ class TestSerialization:
             with pytest.raises(ValueError, match="full grid"):
                 parse(blob, "json")
 
+    def test_parse_rejects_csv_with_repeated_nodes(self):
+        # four samples and two distinct x and y each, but nodes (0, 1) and
+        # (1, 0) are missing
+        rows = "".join(f"{x},{x},{x},1,0,true\n" for x in (0, 1, 0, 1))
+        with pytest.raises(ValueError, match="full grid"):
+            parse(("s,x,y,u1,u2,valid\n" + rows).encode(), "csv")
+
+    def test_parse_rejects_json_with_repeated_nodes(self):
+        doc = json.loads(emit(self.make_field(), "json"))
+        doc["grid"].update(nx=2, ny=2)
+        samples = doc["samples"][:2] * 2
+        blob = json.dumps({"grid": doc["grid"], "samples": samples}).encode()
+        with pytest.raises(ValueError, match="full grid"):
+            parse(blob, "json")
+
     def test_gnuplot_script_references_csv(self):
         script = gnuplot_script("field.csv")
         assert "field.csv" in script

@@ -156,10 +156,15 @@ class TestIntegrateSecondOrder:
 
 class TestBitIdenticalToReference:
     def test_grid_matches_list_grid(self):
+        # the suite's list grid and the public Trajectory's numpy grid; with
+        # no forcing u1 stays 0, so the trajectory keeps every grid point
+        still = FlowParams(nu=1.0, grad_term=0.0, f1=0.0, length=1.0)
         rng = random.Random(11)
         for _ in range(2000):
             s_end, step = rng.uniform(0.0, 5.0), 10.0 ** rng.uniform(-2.5, 0.5)
-            assert _grid(s_end, step).tolist() == _reference_grid(s_end, step)
+            ref = _reference_grid(s_end, step)
+            assert _grid(s_end, step) == ref
+            assert integrate_second_order(still, 0.0, 0.0, s_end, step).s.tolist() == ref
 
     def test_random_cases_at_fixed_step_count(self):
         rng = random.Random(2)
@@ -376,10 +381,11 @@ class TestVerificationReport:
         assert report.all_passed, f"failing checks: {failing}"
 
     def test_suite_work_count(self, monkeypatch):
-        # each of the three RK4 cases runs each ODE form once; the order
-        # pair adds one run of each form, and the pole check one Riccati
-        # run.  The 12x4 field of the prop checks is also the one serialized
-        calls = {"integrate_riccati": 0, "integrate_second_order": 0, "reconstruct_field": 0}
+        # each of the three RK4 cases runs each ODE form's list loop once;
+        # the order pair adds one run of each form, and the pole check one
+        # Riccati run.  The 12x4 field of the prop checks is also the one
+        # serialized
+        calls = {"_riccati": 0, "_second_order": 0, "reconstruct_field": 0}
 
         def count(module, name):
             fn = getattr(module, name)
@@ -390,12 +396,11 @@ class TestVerificationReport:
 
             monkeypatch.setattr(module, name, counted)
 
-        count(verify, "integrate_riccati")
-        count(verify, "integrate_second_order")
+        count(verify, "_riccati")
+        count(verify, "_second_order")
         count(verify.field_mod, "reconstruct_field")
         assert run_verification(seed=0).all_passed
-        assert calls == {"integrate_riccati": 6, "integrate_second_order": 5,
-                         "reconstruct_field": 1}
+        assert calls == {"_riccati": 6, "_second_order": 5, "reconstruct_field": 1}
 
     def test_seed_5_passes(self):
         # prop1's FD step once left truncation of 1.16e-5 against its 1e-5
