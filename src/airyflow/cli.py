@@ -24,12 +24,10 @@ import sys
 from contextlib import suppress
 from pathlib import Path
 
-from . import field as field_mod
 from .airy import airy_eval
 from .bvp import InitialData, solve_bvp, solve_ivp
 from .errors import FlowDomainError, PoleError
-from .field import _fmt
-from .flow import FlowParams, _require_finite, exact_u1, exact_u1_derivative, find_poles
+from .flow import FlowParams, _fmt, _require_finite, exact_u1, exact_u1_derivative, find_poles
 
 USAGE_EXIT = 2
 DOMAIN_EXIT = 1
@@ -83,6 +81,9 @@ def parse_field_config(text: str) -> dict[str, str]:
 def config_from_file(path: Path):
     """(params, data, family, grid, output, format, gnuplot script path
     or None) from a field config file."""
+    # deferred: field.py, json and 7 dataclasses add ~8-9 ms to a ~73 ms launch
+    from . import field as field_mod
+
     entries = parse_field_config(path.read_text())
 
     def text(key: str) -> str:
@@ -200,6 +201,9 @@ def _run_bvp(args) -> int:
 
 
 def _run_field(args) -> int:
+    # deferred: field.py, json and 7 dataclasses add ~8-9 ms to a ~73 ms launch
+    from . import field as field_mod
+
     params, data, family, grid, output, fmt, gnuplot = config_from_file(args.config)
     consts = solve_ivp(data, params)
     sampled = field_mod.reconstruct_field(family, params, consts, grid)
@@ -214,8 +218,8 @@ def _run_field(args) -> int:
 
 def _run_verify(args) -> int:
     # deferred although the suite loads no numpy: its own import (its
-    # dataclasses and random, ~10 ms on a 2-core box) made every bvp
-    # launch that much slower when eager
+    # dataclasses and random, ~10 ms on a 2-core box) and the field layer's
+    # (~8-9 ms) would slow every bvp launch when eager
     from .verify import run_verification
 
     report = run_verification(seed=args.seed)

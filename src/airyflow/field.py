@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 from .errors import GridDomainError, PoleError
-from .flow import FlowParams, SolutionConstants, _riccati_rhs, exact_u1
+from .flow import FlowParams, SolutionConstants, _fmt, _riccati_rhs, exact_u1
 
 
 class StreamlineFamily:
@@ -205,10 +205,6 @@ def reconstruct_field(
 # 17-significant-digit floats and LF endings; JSON carries the grid spec
 # plus the same sample fields.  Both round-trip byte-exactly through
 # parse().
-
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
 
 def emit(sampled: SampledField, fmt: str = "csv") -> bytes:
     if fmt == "csv":

@@ -45,6 +45,10 @@ MAX_POLES = 40_000
 _TWO_PI = 2.0 * math.pi
 
 
+def _fmt(x: float) -> str:
+    return format(x, ".17g")  # 17 significant digits: every CLI value and field file
+
+
 def _require_finite(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value):
