@@ -9,9 +9,9 @@ class FlowDomainError(Exception):
 
 
 class ModelInvalidError(FlowDomainError):
-    """The forcing balance gives a >= 0, where the Airy-based closed form
-    has no physical meaning, or an a that is not a finite nonzero double.
-    Carries the offending value."""
+    """The forcing balance gives a >= 0, or an a that is not a finite
+    nonzero double; this package implements the closed form only for
+    a < 0.  Carries the offending value."""
 
     def __init__(self, a: float, message: str | None = None):
         self.a = a

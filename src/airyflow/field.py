@@ -206,9 +206,12 @@ def reconstruct_field(
 # plus the same sample fields.  Both round-trip byte-exactly through
 # parse().
 
+_SAMPLE_KEYS = ("s", "x", "y", "u1", "u2", "valid")  # also the CSV header
+
+
 def emit(sampled: SampledField, fmt: str = "csv") -> bytes:
     if fmt == "csv":
-        lines = ["s,x,y,u1,u2,valid"]
+        lines = [",".join(_SAMPLE_KEYS)]
         for sm in sampled.samples:
             if sm.valid:
                 lines.append(
@@ -225,27 +228,42 @@ def emit(sampled: SampledField, fmt: str = "csv") -> bytes:
     raise ValueError(f"unknown format {fmt!r}")
 
 
+def _finite_floats(values) -> bool:
+    return {*map(type, values)} == {float} and all(map(math.isfinite, values))
+
+
+def _sample(values: list) -> VelocitySample:
+    """The sample of the values of _SAMPLE_KEYS in that order, or
+    ValueError: s, x, y finite floats; valid a bool; u1, u2 finite floats
+    where valid is true and None where it is false."""
+    *numbers, valid = values
+    if type(valid) is not bool:
+        raise ValueError(f"valid must be true or false, got {valid!r}")
+    if not valid:
+        if numbers[3:] != [None, None]:
+            raise ValueError(f"u1, u2 must be empty where valid is false, got {values!r}")
+        numbers = numbers[:3]
+    if not _finite_floats(numbers):
+        raise ValueError(f"s, x, y, u1, u2 must be finite floats, got {values!r}")
+    return VelocitySample(*values)
+
+
 def parse(blob: bytes, fmt: str = "csv") -> SampledField:
-    """Inverse of emit().  CSV carries no grid block, so the grid spec is
-    inferred from the sample coordinates (exact for emitted files)."""
+    """Inverse of emit(); raises ValueError for any malformed document.
+    CSV carries no grid block, so the grid spec is inferred from the
+    sample coordinates (exact for emitted files)."""
     text = blob.decode("ascii")
     if fmt == "csv":
         lines = [ln for ln in text.split("\n") if ln]
-        if not lines or lines[0] != "s,x,y,u1,u2,valid":
+        if not lines or lines[0] != ",".join(_SAMPLE_KEYS):
             raise ValueError("missing or malformed CSV header")
         samples = []
         for ln in lines[1:]:
-            s_, x_, y_, u1_, u2_, valid_ = ln.split(",")
-            if valid_ not in ("true", "false"):
-                raise ValueError(f"bad valid flag {valid_!r}")
-            valid = valid_ == "true"
-            samples.append(
-                VelocitySample(
-                    s=float(s_), x=float(x_), y=float(y_),
-                    u1=float(u1_) if valid else None, u2=float(u2_) if valid else None,
-                    valid=valid,
-                )
-            )
+            *cells, flag = ln.split(",")
+            if len(cells) != 5:
+                raise ValueError(f"a CSV row has 6 cells, got {ln!r}")
+            numbers = [float(c) if c else None for c in cells]
+            samples.append(_sample([*numbers, {"true": True, "false": False}.get(flag, flag)]))
         if not samples:
             raise ValueError("samples do not fill a full grid")
         xs = sorted({sm.x for sm in samples})
@@ -256,8 +274,21 @@ def parse(blob: bytes, fmt: str = "csv") -> SampledField:
         )
     elif fmt == "json":
         doc = json.loads(text)
-        samples = [VelocitySample(**sm) for sm in doc["samples"]]
-        grid = GridSpec(**doc["grid"])
+        if not (isinstance(doc, dict) and doc.keys() == {"grid", "samples"}
+                and isinstance(doc["grid"], dict) and isinstance(doc["samples"], list)):
+            raise ValueError("a JSON field is an object of a grid object and a samples list")
+        for sm in doc["samples"]:
+            if not isinstance(sm, dict) or sm.keys() != set(_SAMPLE_KEYS):
+                raise ValueError(f"a sample has exactly the keys {_SAMPLE_KEYS}, got {sm!r}")
+        samples = [_sample([sm[key] for key in _SAMPLE_KEYS]) for sm in doc["samples"]]
+        spec = doc["grid"]
+        if spec.keys() != {"x_min", "x_max", "y_min", "y_max", "nx", "ny"}:
+            raise ValueError(f"the grid has exactly the keys of a GridSpec, got {spec!r}")
+        if not _finite_floats([spec["x_min"], spec["x_max"], spec["y_min"], spec["y_max"]]):
+            raise ValueError(f"the grid ranges must be finite floats, got {spec!r}")
+        if type(spec["nx"]) is not int or type(spec["ny"]) is not int:
+            raise ValueError(f"nx and ny must be ints, got {spec['nx']!r}, {spec['ny']!r}")
+        grid = GridSpec(**spec)
     else:
         raise ValueError(f"unknown format {fmt!r}")
     # as many samples as nodes, none repeated, so every node has one

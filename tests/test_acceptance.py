@@ -15,17 +15,15 @@ import pytest
 
 from airyflow import (
     FlowParams,
-    GridSpec,
     PoleError,
     SolutionConstants,
-    StreamlineFamily,
     airy_eval,
     exact_u1,
     find_poles,
-    reconstruct_field,
     solve_bvp,
     solve_ivp,
 )
+from airyflow.field import GridSpec, StreamlineFamily, reconstruct_field
 from airyflow.bvp import InitialData
 from airyflow.verify import (
     check_emit_roundtrip,

@@ -26,6 +26,13 @@ def test_all_names_resolve():
         assert getattr(airyflow, name) is not None, name
 
 
+def test_all_holds_no_field_or_verify_name():
+    # the field layer and the oracle suite each have one import path, their
+    # submodule; the root re-exports the names of the other four
+    owners = {getattr(airyflow, name).__module__ for name in airyflow.__all__}
+    assert owners == {"airyflow.airy", "airyflow.flow", "airyflow.bvp", "airyflow.errors"}
+
+
 def test_layout_names_are_module_attributes():
     rows = layout_rows()
     assert {module for module, _ in rows} >= {

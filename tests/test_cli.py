@@ -532,28 +532,26 @@ def test_import_leaves_numpy_unloaded():
 
 
 def test_bvp_launch_leaves_field_layer_unloaded():
-    # the package root loads the field layer (field.py, json) on the first
-    # use of a field name or of airyflow.field; until then dir() still lists
-    # every __all__ name, and other names still raise AttributeError
+    # the package root re-exports airy, flow, bvp and errors only: the field
+    # layer (field.py, json) is the plain submodule airyflow.field, which
+    # neither a bvp launch nor a star import loads
     probe = (
         "import sys, airyflow, airyflow.cli\n"
         "code = airyflow.cli.run(['bvp', '--nu', '1', '--grad-term', '-2', '--f1', '0',"
         " '--L', '1', '--u10', '0', '--u1L', '0.25'])\n"
-        "print(code, 'airyflow.field' in sys.modules, 'json' in sys.modules,"
-        " set(airyflow.__all__) <= set(dir(airyflow)), 'field' in dir(airyflow),"
-        " hasattr(airyflow, 'run_verification'), hasattr(airyflow, 'no_such_name'),"
-        " 'airyflow.field' in sys.modules)\n"
-        "print(airyflow.field is sys.modules['airyflow.field'],"
-        " airyflow.GridSpec is airyflow.field.GridSpec)\n"
+        "print(code, 'airyflow.field' in sys.modules, 'json' in sys.modules)\n"
         "ns = {}\n"
         "exec('from airyflow import *', ns)\n"
-        "print(all(ns[name] is getattr(airyflow, name) for name in airyflow.__all__),"
-        " hasattr(airyflow, 'run_verification'))\n"
+        "print(sorted(set(ns) - {'__builtins__'}) == sorted(airyflow.__all__),"
+        " 'airyflow.field' in sys.modules, 'json' in sys.modules,"
+        " hasattr(airyflow, 'GridSpec'), hasattr(airyflow, 'run_verification'))\n"
+        "from airyflow import field\n"
+        "print(field is sys.modules['airyflow.field'], airyflow.field is field,"
+        " 'json' in sys.modules)\n"
     )
     src = str(Path(airyflow.__file__).resolve().parent.parent)
     out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True, timeout=60).stdout
     lines = out.splitlines()
     assert lines[0] == "c       = 1.2035028197303359"
-    assert lines[-3:] == ["0 False False True True False False False", "True True",
-                          "True False"]
+    assert lines[-3:] == ["0 False False", "True False False False False", "True True True"]

@@ -8,21 +8,23 @@ import pytest
 from airyflow import (
     FlowParams,
     GridDomainError,
-    GridSpec,
     InitialData,
     SolutionConstants,
-    StreamlineFamily,
-    emit,
     exact_u1,
     exact_u1_derivative,
     find_poles,
-    gnuplot_script,
-    parse,
-    reconstruct_field,
     solve_ivp,
 )
 from airyflow import flow
-from airyflow.field import FlowProfile
+from airyflow.field import (
+    FlowProfile,
+    GridSpec,
+    StreamlineFamily,
+    emit,
+    gnuplot_script,
+    parse,
+    reconstruct_field,
+)
 
 
 def solved_case(length=1.5):
@@ -262,6 +264,53 @@ class TestSerialization:
         blob = json.dumps({"grid": doc["grid"], "samples": samples}).encode()
         with pytest.raises(ValueError, match="full grid"):
             parse(blob, "json")
+
+    def csv_with(self, column, value, flag):
+        """The emitted CSV with `value` in `column` (and the valid flag
+        `flag`) on every row of the last grid column, so that the samples
+        still fill the grid."""
+        header, *rows = emit(self.make_field(), "csv").decode().splitlines()
+        rows = [ln.split(",") for ln in rows]
+        last = rows[-1][1]
+        for row in rows:
+            if row[1] == last:
+                row[header.split(",").index(column)] = value
+                row[5] = flag
+        return ("\n".join([header, *map(",".join, rows)]) + "\n").encode()
+
+    @pytest.mark.parametrize("column, value, flag, match", [
+        ("u1", "nan", "true", "finite"),
+        ("u2", "inf", "true", "finite"),
+        ("x", "inf", "true", "finite"),
+        ("u1", "0.5", "false", "empty where valid is false"),
+    ])
+    def test_parse_rejects_malformed_csv_sample(self, column, value, flag, match):
+        with pytest.raises(ValueError, match=match):
+            parse(self.csv_with(column, value, flag), "csv")
+
+    @pytest.mark.parametrize("key, value, match", [
+        ("u1", "a", "finite"),
+        ("u2", None, "finite"),
+        ("valid", "yes", "true or false"),
+        ("valid", False, "empty where valid is false"),
+        ("extra", 1.0, "exactly the keys"),
+    ])
+    def test_parse_rejects_malformed_json_sample(self, key, value, match):
+        doc = json.loads(emit(self.make_field(), "json"))
+        doc["samples"][0][key] = value
+        with pytest.raises(ValueError, match=match):
+            parse(json.dumps(doc).encode(), "json")
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda doc: doc["grid"].update(nx="4"), "ints"),
+        (lambda doc: doc.update(samples={}), "samples list"),
+        (lambda doc: doc.pop("grid"), "grid object"),
+    ], ids=["string_nx", "samples_not_a_list", "no_grid"])
+    def test_parse_rejects_malformed_json_document(self, edit, match):
+        doc = json.loads(emit(self.make_field(), "json"))
+        edit(doc)
+        with pytest.raises(ValueError, match=match):
+            parse(json.dumps(doc).encode(), "json")
 
     def test_gnuplot_script_references_csv(self):
         script = gnuplot_script("field.csv")

@@ -9,18 +9,21 @@ import pytest
 
 from airyflow import (
     FlowParams,
-    GridSpec,
     GridTooCoarseError,
     SolutionConstants,
-    StreamlineFamily,
     exact_u1,
     find_poles,
-    reconstruct_field,
     solve_ivp,
 )
 from airyflow.bvp import InitialData
 from airyflow import verify
-from airyflow.field import FlowProfile, SampledField
+from airyflow.field import (
+    FlowProfile,
+    GridSpec,
+    SampledField,
+    StreamlineFamily,
+    reconstruct_field,
+)
 from airyflow.verify import (
     BLOWUP_LIMIT,
     check_prop1,
