@@ -50,14 +50,25 @@ _REQUIRED_FIELD_KEYS = (
     "nu", "grad_term", "f1", "length", "u10", "u1dot0", "family",
     "x_min", "x_max", "y_min", "y_max", "nx", "ny", "output", "format",
 )
-_OPTIONAL_FIELD_KEYS = (
-    "slope", "amplitude", "wavenumber", "coeffs", "gnuplot_script",
-)
+
+
+def _finite(key: str, value: str) -> float:
+    return _require_finite(key, float(value))
+
+
+# each family's keys and the reader of each value, in the order that its
+# constructor, the StreamlineFamily method named after it, takes them
+_FAMILIES = {
+    "straight": {"slope": _finite},
+    "sinusoidal": {"amplitude": _finite, "wavenumber": _finite},
+    "polynomial": {"coeffs": lambda key, value: [_finite(key, tok) for tok in value.split(",")]},
+}
 
 
 def parse_field_config(text: str) -> dict[str, str]:
     entries: dict[str, str] = {}
-    known = set(_REQUIRED_FIELD_KEYS) | set(_OPTIONAL_FIELD_KEYS)
+    family_keys = {key for keys in _FAMILIES.values() for key in keys}
+    known = {*_REQUIRED_FIELD_KEYS, *family_keys, "gnuplot_script"}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -72,9 +83,15 @@ def parse_field_config(text: str) -> dict[str, str]:
         if key in entries:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         entries[key] = value
-    missing = [k for k in _REQUIRED_FIELD_KEYS if k not in entries]
+    kind = entries.get("family")
+    missing = [k for k in (*_REQUIRED_FIELD_KEYS, *_FAMILIES.get(kind, ())) if k not in entries]
     if missing:
         raise ValueError(f"missing required keys: {', '.join(missing)}")
+    if kind not in _FAMILIES:
+        raise ValueError(f"family must be {'|'.join(_FAMILIES)}, got {kind!r}")
+    foreign = [k for k in entries if k in family_keys and k not in _FAMILIES[kind]]
+    if foreign:
+        raise ValueError(f"key {foreign[0]!r} does not belong to family {kind!r}")
     return entries
 
 
@@ -86,14 +103,8 @@ def config_from_file(path: Path):
 
     entries = parse_field_config(path.read_text())
 
-    def text(key: str) -> str:
-        # parse_field_config checks only the required keys, not the family's
-        if key not in entries:
-            raise ValueError(f"missing key {key!r}")
-        return entries[key]
-
     def num(key: str) -> float:
-        return _require_finite(key, float(text(key)))
+        return _finite(key, entries[key])
 
     params = FlowParams(nu=num("nu"), grad_term=num("grad_term"), f1=num("f1"),
                         length=num("length"))
@@ -111,16 +122,9 @@ def config_from_file(path: Path):
         raise ValueError(f"format must be csv or json, got {fmt!r}")
     gnuplot = Path(entries["gnuplot_script"]) if "gnuplot_script" in entries else None
     kind = entries["family"]
-    if kind == "straight":
-        family = field_mod.StreamlineFamily.straight(num("slope"))
-    elif kind == "sinusoidal":
-        family = field_mod.StreamlineFamily.sinusoidal(num("amplitude"), num("wavenumber"))
-    elif kind == "polynomial":
-        family = field_mod.StreamlineFamily.polynomial(
-            [_require_finite("coeffs", float(tok)) for tok in text("coeffs").split(",")]
-        )
-    else:
-        raise ValueError(f"family must be straight|sinusoidal|polynomial, got {kind!r}")
+    family = getattr(field_mod.StreamlineFamily, kind)(
+        *(read(key, entries[key]) for key, read in _FAMILIES[kind].items())
+    )
     return params, data, family, grid, Path(entries["output"]), fmt, gnuplot
 
 

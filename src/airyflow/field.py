@@ -250,8 +250,8 @@ def _sample(values: list) -> VelocitySample:
 
 def parse(blob: bytes, fmt: str = "csv") -> SampledField:
     """Inverse of emit(); raises ValueError for any malformed document.
-    CSV carries no grid block, so the grid spec is inferred from the
-    sample coordinates (exact for emitted files)."""
+    CSV has no grid block, so its grid spans the samples' nodes; xs() may
+    round the last node away from the emitting grid's x_max."""
     text = blob.decode("ascii")
     if fmt == "csv":
         lines = [ln for ln in text.split("\n") if ln]
@@ -272,6 +272,7 @@ def parse(blob: bytes, fmt: str = "csv") -> SampledField:
             x_min=xs[0], x_max=xs[-1], y_min=ys[0], y_max=ys[-1],
             nx=len(xs), ny=len(ys),
         )
+        hx = hy = math.ulp(0.0)  # |d| below the least positive double: d == 0
     elif fmt == "json":
         doc = json.loads(text)
         if not (isinstance(doc, dict) and doc.keys() == {"grid", "samples"}
@@ -289,11 +290,18 @@ def parse(blob: bytes, fmt: str = "csv") -> SampledField:
         if type(spec["nx"]) is not int or type(spec["ny"]) is not int:
             raise ValueError(f"nx and ny must be ints, got {spec['nx']!r}, {spec['ny']!r}")
         grid = GridSpec(**spec)
+        if len(samples) != grid.nx * grid.ny:  # before listing a huge grid's nodes
+            raise ValueError("samples do not fill a full grid")
+        # half a step: a CSV-inferred grid need not reproduce its nodes by xs()
+        xs, ys = grid.xs(), grid.ys()
+        hx, hy = (xs[1] - xs[0]) / 2.0, (ys[1] - ys[0]) / 2.0
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    # as many samples as nodes, none repeated, so every node has one
-    nodes = {(sm.x, sm.y) for sm in samples}
-    if grid.nx * grid.ny != len(samples) or len(nodes) != len(samples):
+    # sample k is emit's row-major node k (x varying fastest), with s == x
+    if len(samples) != grid.nx * grid.ny or not all(
+        sm.s == sm.x and abs(sm.x - xs[k % grid.nx]) < hx and abs(sm.y - ys[k // grid.nx]) < hy
+        for k, sm in enumerate(samples)
+    ):
         raise ValueError("samples do not fill a full grid")
     return SampledField(grid=grid, samples=tuple(samples))
 

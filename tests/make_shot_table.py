@@ -18,8 +18,9 @@ import json
 import random
 from pathlib import Path
 
-from airyflow import airy_eval, default_c_bracket, exact_u1
-from airyflow.flow import FlowParams, shooter
+from airyflow.airy import airy_eval
+from airyflow.bvp import default_c_bracket
+from airyflow.flow import FlowParams, exact_u1, shooter
 from airyflow.verify import random_flow_case
 
 SEED = 20261019

@@ -352,7 +352,7 @@ def reference_asymptotic_sums_positive(zeta: float) -> tuple[float, float, float
 
 def reference_asymptotic_positive(t: float) -> tuple[float, float, float, float]:
     """airy._asymptotic_positive on reference_asymptotic_sums_positive."""
-    from airyflow import AiryOverflowError
+    from airyflow.errors import AiryOverflowError
     from airyflow.airy import _LOG_DBL_MAX, _SQRT_PI
 
     zeta = (2.0 / 3.0) * t ** 1.5
@@ -415,20 +415,10 @@ def reference_solve_bvp(u10: float, u1L: float, params, c_bracket=None):
     each shot built from constants_from_u0, find_poles and exact_u1, with
     the Pruefer angle and its slope written out here; raises the same
     errors with the same arguments."""
-    from airyflow import (
-        FlowDomainError,
-        NoSignChangeError,
-        PoleCrossingError,
-        PoleError,
-        constants_from_u0,
-        default_c_bracket,
-        exact_u1,
-        find_poles,
-        map_t,
-    )
     from airyflow.airy import airy_scaled
-    from airyflow.bvp import ANGLE_NOISE, ENDPOINT_RTOL, SCAN_POINTS
-    from airyflow.flow import _newton_root
+    from airyflow.bvp import ANGLE_NOISE, ENDPOINT_RTOL, SCAN_POINTS, default_c_bracket
+    from airyflow.errors import FlowDomainError, NoSignChangeError, PoleCrossingError, PoleError
+    from airyflow.flow import _newton_root, constants_from_u0, exact_u1, find_poles, map_t
 
     grow = c_bracket is None
     if grow:

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import random
 
-from airyflow import FlowDomainError, InitialData, exact_u1, solve_bvp, solve_ivp
+from airyflow.bvp import InitialData, solve_bvp, solve_ivp
+from airyflow.errors import FlowDomainError
+from airyflow.flow import exact_u1
 from airyflow.verify import random_flow_case
 from test_domain import LARGE_TARGETS, LOWVISC_SHIFTS, _ivp_draws
 

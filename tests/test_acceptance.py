@@ -13,18 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from airyflow import (
-    FlowParams,
-    PoleError,
-    SolutionConstants,
-    airy_eval,
-    exact_u1,
-    find_poles,
-    solve_bvp,
-    solve_ivp,
-)
+from airyflow.airy import airy_eval
+from airyflow.bvp import InitialData, solve_bvp, solve_ivp
+from airyflow.errors import PoleError
 from airyflow.field import GridSpec, StreamlineFamily, reconstruct_field
-from airyflow.bvp import InitialData
+from airyflow.flow import FlowParams, SolutionConstants, exact_u1, find_poles
 from airyflow.verify import (
     check_emit_roundtrip,
     check_fd_riccati,

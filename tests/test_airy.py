@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 from mpmath import cos, floor, mpf, pi, sin, sqrt, workdps
 
-from airyflow import AiryOverflowError, AiryQuartet, airy_eval
-from airyflow.airy import (_asymptotic_negative, _asymptotic_positive, _reduced_phase, _taylor,
-                           airy_scaled)
+from airyflow.airy import (AiryQuartet, _asymptotic_negative, _asymptotic_positive,
+                           _reduced_phase, _taylor, airy_eval, airy_scaled)
+from airyflow.errors import AiryOverflowError
 from airyflow.verify import check_airy_derivative_fd, check_airy_ode
 
 from make_airy_anchors import TABLE, table_text

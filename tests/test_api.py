@@ -1,12 +1,14 @@
-"""The public surface: the package's __all__ and README's Layout table."""
+"""The public surface: one import path per name, and README's Layout table."""
 
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
-import airyflow
-
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 ROW = re.compile(r"^\| `(airyflow\.\w+)` \| (.*) \|$")
 NAME = re.compile(r"`(\.?[A-Za-z_]\w*)`")
 
@@ -20,17 +22,36 @@ def layout_rows():
     return [m.groups() for m in map(ROW.match, table.splitlines()) if m]
 
 
-def test_all_names_resolve():
-    assert len(set(airyflow.__all__)) == len(airyflow.__all__)
-    for name in airyflow.__all__:
-        assert getattr(airyflow, name) is not None, name
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports airyflow from src/."""
+    return subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                          capture_output=True, text=True, timeout=60)
 
 
-def test_all_holds_no_field_or_verify_name():
-    # the field layer and the oracle suite each have one import path, their
-    # submodule; the root re-exports the names of the other four
-    owners = {getattr(airyflow, name).__module__ for name in airyflow.__all__}
-    assert owners == {"airyflow.airy", "airyflow.flow", "airyflow.bvp", "airyflow.errors"}
+def test_root_binds_no_module_name():
+    # each name has one import path, the module that defines it: a bare
+    # `import airyflow` loads no submodule, and the root serves none of
+    # their names, not even once they are loaded
+    probe = (
+        "import sys, airyflow\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('airyflow')))\n"
+        "from types import ModuleType\n"
+        "from airyflow import airy, bvp, errors, field, flow, verify\n"
+        "print(*sorted(name for module in (airy, bvp, errors, field, flow, verify)\n"
+        "              for name, value in vars(module).items()\n"
+        "              if not name.startswith('__') and not isinstance(value, ModuleType)\n"
+        "              and hasattr(airyflow, name)))\n"
+    )
+    assert run_python(probe).stdout == "airyflow\n\n"
+
+
+def test_readme_quick_start_runs():
+    text = README.read_text()
+    block = text.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    done = run_python(block)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "True"
 
 
 def test_layout_names_are_module_attributes():

@@ -8,28 +8,25 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from airyflow import (
-    AiryQuartet,
+from airyflow.airy import AiryQuartet, airy_eval
+from airyflow.bvp import InitialData, c_from_initial, default_c_bracket, solve_bvp, solve_ivp
+from airyflow.errors import (
     DegenerateModelError,
     FlowDomainError,
-    FlowParams,
-    InitialData,
     NoSignChangeError,
     PoleCrossingError,
     PoleError,
+)
+from airyflow.flow import (
+    FlowParams,
     SolutionConstants,
-    airy_eval,
-    c_from_initial,
     constants_from_u0,
-    default_c_bracket,
     derive_constants,
     exact_u1,
     exact_u1_derivative,
     find_poles,
-    solve_bvp,
-    solve_ivp,
+    shooter,
 )
-from airyflow.flow import shooter
 from airyflow.verify import random_flow_case
 
 # frozen: normalized coefficients for u10 = 0 at t0 = 0 are exactly

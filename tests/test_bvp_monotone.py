@@ -16,23 +16,12 @@ import random
 
 import pytest
 
-from airyflow import (
-    AiryQuartet,
-    FlowDomainError,
-    FlowParams,
-    InitialData,
-    NoSignChangeError,
-    PoleError,
-    SolutionConstants,
-    constants_from_u0,
-    default_c_bracket,
-    exact_u1,
-    solve_bvp,
-    solve_ivp,
-)
 from airyflow import flow
-from airyflow.bvp import ENDPOINT_RTOL, SCAN_POINTS
-from airyflow.flow import shooter
+from airyflow.airy import AiryQuartet
+from airyflow.bvp import (ENDPOINT_RTOL, SCAN_POINTS, InitialData, default_c_bracket, solve_bvp,
+                          solve_ivp)
+from airyflow.errors import FlowDomainError, NoSignChangeError, PoleError
+from airyflow.flow import FlowParams, SolutionConstants, constants_from_u0, exact_u1, shooter
 from airyflow.verify import random_flow_case
 from oracles import reference_solve_bvp, sign_scan_cells
 

@@ -17,10 +17,9 @@ from functools import cache
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from airyflow import (AiryOverflowError, FlowDomainError, FlowParams, InitialData,
-                      NoSignChangeError, PoleCrossingError, derive_constants, exact_u1,
-                      find_poles, solve_bvp, solve_ivp)
-from airyflow.bvp import ENDPOINT_RTOL
+from airyflow.bvp import ENDPOINT_RTOL, InitialData, solve_bvp, solve_ivp
+from airyflow.errors import AiryOverflowError, FlowDomainError, NoSignChangeError, PoleCrossingError
+from airyflow.flow import FlowParams, derive_constants, exact_u1, find_poles
 from airyflow.verify import random_flow_case
 
 from oracles import u1_propagator

@@ -2,20 +2,15 @@
 
 import json
 import math
+import random
+from dataclasses import replace
 
 import pytest
 
-from airyflow import (
-    FlowParams,
-    GridDomainError,
-    InitialData,
-    SolutionConstants,
-    exact_u1,
-    exact_u1_derivative,
-    find_poles,
-    solve_ivp,
-)
 from airyflow import flow
+from airyflow.bvp import InitialData, solve_ivp
+from airyflow.errors import GridDomainError
+from airyflow.flow import FlowParams, SolutionConstants, exact_u1, exact_u1_derivative, find_poles
 from airyflow.field import (
     FlowProfile,
     GridSpec,
@@ -264,6 +259,51 @@ class TestSerialization:
         blob = json.dumps({"grid": doc["grid"], "samples": samples}).encode()
         with pytest.raises(ValueError, match="full grid"):
             parse(blob, "json")
+
+    def test_parse_rejects_json_samples_off_the_grid(self):
+        # every node moved 7.0 along x, off the grid block's x in [0, 1.5]
+        doc = json.loads(emit(self.make_field(), "json"))
+        for sm in doc["samples"]:
+            sm["s"] = sm["x"] = sm["x"] + 7.0
+        with pytest.raises(ValueError, match="full grid"):
+            parse(json.dumps(doc).encode(), "json")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_parse_rejects_s_other_than_x(self, fmt):
+        field = self.make_field()
+        samples = list(field.samples)
+        samples[5] = replace(samples[5], s=samples[5].s + 0.25)
+        with pytest.raises(ValueError, match="full grid"):
+            parse(emit(replace(field, samples=tuple(samples)), fmt), fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_parse_rejects_reversed_samples(self, fmt):
+        # every node once, but not in emit's row-major order
+        field = self.make_field()
+        with pytest.raises(ValueError, match="full grid"):
+            parse(emit(replace(field, samples=field.samples[::-1]), fmt), fmt)
+
+    def test_random_grids_roundtrip_bytes(self):
+        # emit -> parse -> emit is byte-identical for CSV, for JSON, and for
+        # JSON written from a CSV-parsed field, whose inferred grid need not
+        # reproduce its own nodes through xs(): `misses` counts those grids
+        rng = random.Random(27)
+        p, consts = solved_case()
+        misses = 0
+        for _ in range(300):
+            x_min, x_max = sorted(rng.uniform(0.0, p.length) for _ in range(2))
+            grid = GridSpec(x_min=x_min, x_max=x_max, y_min=rng.uniform(-2.0, 0.0),
+                            y_max=rng.uniform(0.5, 2.0), nx=rng.randint(2, 40),
+                            ny=rng.randint(2, 4))
+            field = reconstruct_field(StreamlineFamily.straight(0.4), p, consts, grid)
+            for fmt in ("csv", "json"):
+                blob = emit(field, fmt)
+                assert emit(parse(blob, fmt), fmt) == blob
+            from_csv = parse(emit(field, "csv"), "csv")
+            blob = emit(from_csv, "json")
+            assert emit(parse(blob, "json"), "json") == blob
+            misses += from_csv.grid.xs() != [sm.x for sm in from_csv.samples[:grid.nx]]
+        assert misses
 
     def csv_with(self, column, value, flag):
         """The emitted CSV with `value` in `column` (and the valid flag

@@ -5,23 +5,20 @@ import random
 
 import pytest
 
-from airyflow import (
-    DegenerateModelError,
+from airyflow import flow
+from airyflow.airy import airy_eval
+from airyflow.bvp import InitialData, solve_ivp
+from airyflow.errors import (DegenerateModelError, FlowDomainError, ModelInvalidError,
+                             NoConvergenceError, PoleError)
+from airyflow.flow import (
     FlowParams,
-    ModelInvalidError,
-    PoleError,
     SolutionConstants,
-    airy_eval,
     derive_constants,
     exact_u1,
     exact_u1_derivative,
     find_poles,
     map_t,
-    solve_ivp,
 )
-from airyflow import flow
-from airyflow.bvp import InitialData
-from airyflow.errors import FlowDomainError, NoConvergenceError
 from airyflow.verify import check_fd_riccati, check_fd_second_order, random_flow_case
 
 # frozen from the arbitrary-precision oracle

@@ -13,21 +13,19 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from airyflow import (
-    FlowDomainError,
+from airyflow import flow
+from airyflow.airy import airy_eval
+from airyflow.bvp import ENDPOINT_RTOL, SCAN_POINTS, default_c_bracket
+from airyflow.errors import FlowDomainError, PoleError
+from airyflow.flow import (
     FlowParams,
-    PoleError,
     SolutionConstants,
-    airy_eval,
     constants_from_u0,
-    default_c_bracket,
     exact_u1,
     find_poles,
+    has_interior_pole,
     map_t,
 )
-from airyflow import flow
-from airyflow.bvp import ENDPOINT_RTOL, SCAN_POINTS
-from airyflow.flow import has_interior_pole
 from airyflow.verify import random_flow_case
 from oracles import reference_half_turns, sign_scan_cells
 

@@ -7,16 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from airyflow import (
-    FlowParams,
-    GridTooCoarseError,
-    SolutionConstants,
-    exact_u1,
-    find_poles,
-    solve_ivp,
-)
-from airyflow.bvp import InitialData
 from airyflow import verify
+from airyflow.bvp import InitialData, solve_ivp
+from airyflow.errors import GridTooCoarseError
+from airyflow.flow import FlowParams, SolutionConstants, exact_u1, find_poles
 from airyflow.field import (
     FlowProfile,
     GridSpec,
