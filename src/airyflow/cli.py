@@ -95,39 +95,6 @@ def parse_field_config(text: str) -> dict[str, str]:
     return entries
 
 
-def config_from_file(path: Path):
-    """(params, data, family, grid, output, format, gnuplot script path
-    or None) from a field config file."""
-    # deferred: field.py, json and 7 dataclasses add ~8-9 ms to a ~73 ms launch
-    from . import field as field_mod
-
-    entries = parse_field_config(path.read_text())
-
-    def num(key: str) -> float:
-        return _finite(key, entries[key])
-
-    params = FlowParams(nu=num("nu"), grad_term=num("grad_term"), f1=num("f1"),
-                        length=num("length"))
-    data = InitialData(u10=num("u10"), u1dot0=num("u1dot0"))
-    grid = field_mod.GridSpec(
-        x_min=num("x_min"),
-        x_max=num("x_max"),
-        y_min=num("y_min"),
-        y_max=num("y_max"),
-        nx=int(entries["nx"]),
-        ny=int(entries["ny"]),
-    )
-    fmt = entries["format"]
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"format must be csv or json, got {fmt!r}")
-    gnuplot = Path(entries["gnuplot_script"]) if "gnuplot_script" in entries else None
-    kind = entries["family"]
-    family = getattr(field_mod.StreamlineFamily, kind)(
-        *(read(key, entries[key]) for key, read in _FAMILIES[kind].items())
-    )
-    return params, data, family, grid, Path(entries["output"]), fmt, gnuplot
-
-
 # ---------------------------------------------------------------------------
 # subcommand drivers
 
@@ -205,16 +172,34 @@ def _run_bvp(args) -> int:
 
 
 def _run_field(args) -> int:
-    # deferred: field.py, json and 7 dataclasses add ~8-9 ms to a ~73 ms launch
+    # deferred: field.py, json and 6 dataclasses add ~8-9 ms to a ~73 ms launch
     from . import field as field_mod
 
-    params, data, family, grid, output, fmt, gnuplot = config_from_file(args.config)
+    entries = parse_field_config(args.config.read_text())
+
+    def num(key: str) -> float:
+        return _finite(key, entries[key])
+
+    params = FlowParams(nu=num("nu"), grad_term=num("grad_term"), f1=num("f1"),
+                        length=num("length"))
+    data = InitialData(u10=num("u10"), u1dot0=num("u1dot0"))
+    grid = field_mod.GridSpec(x_min=num("x_min"), x_max=num("x_max"), y_min=num("y_min"),
+                              y_max=num("y_max"), nx=int(entries["nx"]), ny=int(entries["ny"]))
+    fmt = entries["format"]
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"format must be csv or json, got {fmt!r}")
+    kind = entries["family"]
+    family = getattr(field_mod.StreamlineFamily, kind)(
+        *(read(key, entries[key]) for key, read in _FAMILIES[kind].items())
+    )
     consts = solve_ivp(data, params)
     sampled = field_mod.reconstruct_field(family, params, consts, grid)
+    output = Path(entries["output"])
     output.write_bytes(field_mod.emit(sampled, fmt))
     n_invalid = sum(1 for sm in sampled.samples if not sm.valid)
     print(f"wrote {output} ({len(sampled.samples)} samples, {n_invalid} at poles)")
-    if gnuplot is not None:
+    if "gnuplot_script" in entries:
+        gnuplot = Path(entries["gnuplot_script"])
         gnuplot.write_text(field_mod.gnuplot_script(str(output)))
         print(f"wrote {gnuplot}")
     return 0

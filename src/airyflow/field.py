@@ -21,13 +21,13 @@ class StreamlineFamily:
     """The streamlines phi1(s) = s, phi2(s; y0) = y0 + psi(s): the first
     two derivatives of psi, and the tangent slope phi2' = psi'.
 
-    Each shape of psi is its own frozen subclass, made by the
-    constructors below.
+    The constructors below make the two frozen subclasses; a straight
+    family, psi(s) = slope * s, is the degree-1 polynomial.
     """
 
     @staticmethod
     def straight(slope: float) -> "StreamlineFamily":
-        return StraightFamily(float(slope))
+        return PolynomialFamily((0.0, float(slope)))
 
     @staticmethod
     def sinusoidal(amplitude: float, wavenumber: float) -> "StreamlineFamily":
@@ -39,19 +39,6 @@ class StreamlineFamily:
 
     def phi2_dot(self, s: float) -> float:
         return self.psi_dot(s)
-
-
-@dataclass(frozen=True)
-class StraightFamily(StreamlineFamily):
-    """psi(s) = slope * s."""
-
-    slope: float
-
-    def psi_dot(self, s: float) -> float:
-        return self.slope
-
-    def psi_ddot(self, s: float) -> float:
-        return 0.0
 
 
 @dataclass(frozen=True)
@@ -250,8 +237,10 @@ def _sample(values: list) -> VelocitySample:
 
 def parse(blob: bytes, fmt: str = "csv") -> SampledField:
     """Inverse of emit(); raises ValueError for any malformed document.
-    CSV has no grid block, so its grid spans the samples' nodes; xs() may
-    round the last node away from the emitting grid's x_max."""
+    The grid is JSON's grid block, or for CSV the span of the samples' x
+    and y with one node per distinct value (xs() may round the last node
+    away from the emitting grid's x_max).  In both formats sample k must lie
+    strictly within half a step of that grid's row-major node k."""
     text = blob.decode("ascii")
     if fmt == "csv":
         lines = [ln for ln in text.split("\n") if ln]
@@ -266,13 +255,9 @@ def parse(blob: bytes, fmt: str = "csv") -> SampledField:
             samples.append(_sample([*numbers, {"true": True, "false": False}.get(flag, flag)]))
         if not samples:
             raise ValueError("samples do not fill a full grid")
-        xs = sorted({sm.x for sm in samples})
-        ys = sorted({sm.y for sm in samples})
-        grid = GridSpec(
-            x_min=xs[0], x_max=xs[-1], y_min=ys[0], y_max=ys[-1],
-            nx=len(xs), ny=len(ys),
-        )
-        hx = hy = math.ulp(0.0)  # |d| below the least positive double: d == 0
+        xs, ys = {sm.x for sm in samples}, {sm.y for sm in samples}
+        grid = GridSpec(x_min=min(xs), x_max=max(xs), y_min=min(ys), y_max=max(ys),
+                        nx=len(xs), ny=len(ys))
     elif fmt == "json":
         doc = json.loads(text)
         if not (isinstance(doc, dict) and doc.keys() == {"grid", "samples"}
@@ -290,15 +275,14 @@ def parse(blob: bytes, fmt: str = "csv") -> SampledField:
         if type(spec["nx"]) is not int or type(spec["ny"]) is not int:
             raise ValueError(f"nx and ny must be ints, got {spec['nx']!r}, {spec['ny']!r}")
         grid = GridSpec(**spec)
-        if len(samples) != grid.nx * grid.ny:  # before listing a huge grid's nodes
-            raise ValueError("samples do not fill a full grid")
-        # half a step: a CSV-inferred grid need not reproduce its nodes by xs()
-        xs, ys = grid.xs(), grid.ys()
-        hx, hy = (xs[1] - xs[0]) / 2.0, (ys[1] - ys[0]) / 2.0
     else:
         raise ValueError(f"unknown format {fmt!r}")
+    if len(samples) != grid.nx * grid.ny:  # before listing a huge grid's nodes
+        raise ValueError("samples do not fill a full grid")
     # sample k is emit's row-major node k (x varying fastest), with s == x
-    if len(samples) != grid.nx * grid.ny or not all(
+    xs, ys = grid.xs(), grid.ys()
+    hx, hy = (xs[1] - xs[0]) / 2.0, (ys[1] - ys[0]) / 2.0
+    if not all(
         sm.s == sm.x and abs(sm.x - xs[k % grid.nx]) < hx and abs(sm.y - ys[k // grid.nx]) < hy
         for k, sm in enumerate(samples)
     ):

@@ -24,7 +24,8 @@ from airyflow.cli import run
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
-# the README's field config, once per output format
+# the README's field config, once per output format; the straight and
+# polynomial cases swap in their family's lines and a 20x6 grid
 FIELD_CONFIG = """\
 nu = 1.0
 grad_term = -2.0
@@ -32,18 +33,22 @@ f1 = 0.0
 length = 1.5
 u10 = 0.2
 u1dot0 = -0.4
-family = sinusoidal
-amplitude = 0.1
-wavenumber = 3.141592653589793
+{family}
 x_min = 0.0
 x_max = 1.5
 y_min = -1.0
 y_max = 1.0
-nx = 50
-ny = 50
+nx = {nx}
+ny = {ny}
 output = field.{fmt}
 format = {fmt}
 """
+SINUSOIDAL = "family = sinusoidal\namplitude = 0.1\nwavenumber = 3.141592653589793"
+
+
+def field_config(fmt: str, family: str = SINUSOIDAL, nx: int = 50, ny: int = 50) -> dict:
+    return {"run.cfg": FIELD_CONFIG.format(fmt=fmt, family=family, nx=nx, ny=ny)}
+
 
 FLOW = ["--nu", "1", "--grad-term", "-2", "--f1", "0"]
 
@@ -68,8 +73,16 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
          "--c-min", "-1", "--c-max", "1"],
         {},
     ),
-    "field_csv": (["field", "--config", "run.cfg"], {"run.cfg": FIELD_CONFIG.format(fmt="csv")}),
-    "field_json": (["field", "--config", "run.cfg"], {"run.cfg": FIELD_CONFIG.format(fmt="json")}),
+    "field_csv": (["field", "--config", "run.cfg"], field_config("csv")),
+    "field_json": (["field", "--config", "run.cfg"], field_config("json")),
+    "field_straight": (
+        ["field", "--config", "run.cfg"],
+        field_config("csv", "family = straight\nslope = 0.7", nx=20, ny=6),
+    ),
+    "field_polynomial": (
+        ["field", "--config", "run.cfg"],
+        field_config("json", "family = polynomial\ncoeffs = 0.1,-0.3,0.2", nx=20, ny=6),
+    ),
     "verify": (["verify", "--seed", "0"], {}),
 }
 

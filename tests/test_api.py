@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import airyflow
+
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
 ROW = re.compile(r"^\| `(airyflow\.\w+)` \| (.*) \|$")
@@ -27,6 +29,12 @@ def run_python(code: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-c", code],
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
                           capture_output=True, text=True, timeout=60)
+
+
+def test_tests_import_this_checkout():
+    # pytest.ini puts src/ first on the path, so plain `pytest` tests this
+    # checkout and never an installed copy of the package
+    assert Path(airyflow.__file__).resolve().is_relative_to(ROOT / "src")
 
 
 def test_root_binds_no_module_name():

@@ -96,6 +96,16 @@ class TestSolveIvp:
         with pytest.raises(DegenerateModelError):
             solve_ivp(InitialData(u10=0.0, u1dot0=0.0), p)
 
+    def test_pole_at_origin(self):
+        # c = 2**93 - (2**47)**2 / 2 is exactly 0, and u1(0) = 2**47 lies in
+        # the pole band of z(0)
+        p = FlowParams(nu=1.0, grad_term=-2.0, f1=0.0, length=1.0)
+        assert c_from_initial(2.0**47, 2.0**93, 1.0) == 0.0
+        with pytest.raises(PoleError) as info:
+            solve_ivp(InitialData(u10=2.0**47, u1dot0=2.0**93), p)
+        assert info.value.s == 0.0
+        assert 0.0 < info.value.nearest_pole < 1e-13
+
     def test_roundtrip_on_random_cases(self):
         rng = random.Random(12345)
         for _ in range(100):

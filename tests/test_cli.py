@@ -138,6 +138,17 @@ class TestIvp:
         assert lines[0] == "s,u1"
         assert len(lines) == 12
 
+    def test_pole_at_length(self, capsys, tmp_path):
+        # L is the first pole that the ivp_poles golden case prints
+        out_path = tmp_path / "prof.csv"
+        code, out, err = invoke(capsys, "ivp", "--nu", "1", "--grad-term", "-2", "--f1", "0",
+                                "--L", "0.65187033617918244", "--u10", "0", "--u1dot0", "12",
+                                "--emit", str(out_path), "--samples", "5")
+        assert (code, err) == (0, "")
+        assert "u1(L)  = undefined (pole at L)\n" in out
+        lines = out_path.read_text().splitlines()
+        assert len(lines) == 6 and lines[-1] == "0.65187033617918244,"
+
     def test_missing_required_flag(self, capsys):
         code, _, _ = invoke(capsys, "ivp", "--nu", "1")
         assert code == 2
@@ -251,6 +262,15 @@ class TestDomainLimits:
         assert (code, err) == (0, "")
         c = float(out.splitlines()[0].split("=")[1])
         assert abs(c - -17.23340320023033) <= 1e-8
+
+    def test_pole_at_origin(self, capsys):
+        # c = 2**93 - (2**47)**2 / 2 is exactly 0, and u1(0) = 2**47 lies in
+        # the pole band of z(0)
+        code, out, err = invoke(capsys, "ivp", *self.FLOW, "--u10", "140737488355328",
+                                "--u1dot0", "9903520314283042199192993792")
+        assert (code, out) == (1, "")
+        assert err == ("error: denominator vanishes near s = 0.0 "
+                       "(nearest pole at s = 1.4116519281736767e-14)\n")
 
     def test_t0_past_unscaled_range(self, capsys):
         # t(0) = 80: the plain (c1, c2) pair has c2 = 0 there, and u1(0)
@@ -481,6 +501,22 @@ class TestField:
         assert (code, err) == (2, f"error: key {key!r} does not belong to family {kind!r}\n")
         assert out == "" and not out_file.exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda text: text + "nonsense line\n",
+         "line 19: expected 'key = value', got 'nonsense line'"),
+        (lambda text: text + "nu = 2.0\n", "line 19: duplicate key 'nu'"),
+        (lambda text: text.replace("family = sinusoidal", "family = spiral"),
+         "family must be straight|sinusoidal|polynomial, got 'spiral'"),
+        (lambda text: text.replace("format = csv", "format = xml"),
+         "format must be csv or json, got 'xml'"),
+    ], ids=["not_key_value", "duplicate_key", "unknown_family", "unknown_format"])
+    def test_config_error_writes_nothing(self, capsys, tmp_path, edit, message):
+        cfg, _ = self.write_config(tmp_path)
+        cfg.write_text(edit(cfg.read_text()))
+        code, out, err = invoke(capsys, "field", "--config", str(cfg))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "field", "--config", str(tmp_path / "nope.cfg"))
         assert code == 2
@@ -510,6 +546,16 @@ class TestVerify:
         assert len(lines) >= 15
         assert all(ln.startswith("PASS") for ln in lines)
         assert "all checks passed" in out
+
+    def test_failed_check_exits_1(self, capsys, monkeypatch):
+        from airyflow import verify
+
+        monkeypatch.setattr(verify, "check_wronskian", lambda: 1.0)
+        code, out, err = invoke(capsys, "verify", "--seed", "0")
+        assert code == 1
+        assert "FAIL airy_wronskian_sweep max_residual=1.000000e+00 tol=1e-10\n" in out
+        assert "all checks passed" not in out
+        assert err == "verification FAILED\n"
 
     def test_seed_changes_cases_not_format(self, capsys):
         _, out1, _ = invoke(capsys, "verify", "--seed", "3")

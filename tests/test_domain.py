@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from airyflow.bvp import ENDPOINT_RTOL, InitialData, solve_bvp, solve_ivp
 from airyflow.errors import AiryOverflowError, FlowDomainError, NoSignChangeError, PoleCrossingError
-from airyflow.flow import FlowParams, derive_constants, exact_u1, find_poles
+from airyflow.flow import FlowParams, constants_from_u0, derive_constants, exact_u1, find_poles
 from airyflow.verify import random_flow_case
 
 from oracles import u1_propagator
@@ -194,3 +194,14 @@ def test_bvp_gate_root_on_narrow_bracket():
     assert abs(sol.c - GATE_C) <= BVP_C_ATOL
     want, cond = u1_propagator(GATE_PARAMS, 4.0, sol.initial_slope, GATE_PARAMS.length)
     assert abs(want + 6.0) <= ORACLE_RTOL * cond * (1.0 + abs(want))
+
+
+@pytest.mark.parametrize("s", [-5.0, -25.0])
+def test_u1_below_the_anchor_matches_oracle(s):
+    # the pair is anchored at t(0) = 20 (zeta0 ~ 59.6); t(-5) = 15 and
+    # t(-25) = -5 have a smaller Airy scale, so z weights c2 by e**(2D), D < 0
+    params = FlowParams(nu=1.0, grad_term=-2.0, f1=0.0, length=1.0)
+    consts, _ = constants_from_u0(params, -40.0, 0.3)
+    want, cond = u1_propagator(params, 0.3, -40.0 + 0.5 * 0.3 * 0.3, s)
+    got = exact_u1(s, params, consts)
+    assert abs(got - want) <= ORACLE_RTOL * cond * (1.0 + abs(want)), (got, want, cond)

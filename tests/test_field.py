@@ -108,6 +108,17 @@ class TestReconstruct:
         with pytest.raises(GridDomainError):
             reconstruct_field(StreamlineFamily.straight(0.0), p, consts, grid)
 
+    @pytest.mark.parametrize("change, match", [
+        ({"nx": 1}, "nx, ny >= 2"),
+        ({"ny": 1}, "nx, ny >= 2"),
+        ({"x_min": 1.5}, "increasing"),
+        ({"y_min": 2.0}, "increasing"),
+    ], ids=["nx_1", "ny_1", "x_min_eq_x_max", "y_min_gt_y_max"])
+    def test_grid_spec_rejects(self, change, match):
+        spec = {"x_min": 0.0, "x_max": 1.5, "y_min": -1.0, "y_max": 1.0, "nx": 6, "ny": 5}
+        with pytest.raises(ValueError, match=match):
+            GridSpec(**{**spec, **change})
+
     def test_pole_samples_flagged_invalid(self):
         params = FlowParams(nu=1.0, grad_term=-2.0, f1=0.0, length=2.2)
         consts = SolutionConstants(a=-1.0, b=4.0, c=8.0, c1=1.0, c2=0.0)
@@ -229,8 +240,10 @@ class TestSerialization:
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse(b"not,a,header\n1,2,3\n", "csv")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown format 'xml'"):
             emit(self.make_field(), "xml")
+        with pytest.raises(ValueError, match="unknown format 'xml'"):
+            parse(emit(self.make_field(), "csv"), "xml")
 
     def test_parse_rejects_header_without_samples(self):
         with pytest.raises(ValueError, match="full grid"):
@@ -259,6 +272,30 @@ class TestSerialization:
         blob = json.dumps({"grid": doc["grid"], "samples": samples}).encode()
         with pytest.raises(ValueError, match="full grid"):
             parse(blob, "json")
+
+    @pytest.mark.parametrize("xs, ys", [
+        ((0.0, 0.1, 1.0), (0.0, 1.0)),
+        ((0.0, 1.0), (0.0, 0.1, 1.0)),
+        ((0.0, 0.75, 1.0), (0.0, 1.0)),
+    ], ids=["uneven_x", "uneven_y", "half_step_x"])
+    def test_parse_rejects_uneven_csv_nodes(self, xs, ys):
+        # every node once and in row-major order, but the middle x (or y) lies
+        # half a step or more from the grid's middle node 0.5: the JSON
+        # written from such a field would not parse
+        rows = "".join(f"{x!r},{x!r},{y!r},1.0,0.0,true\n" for y in ys for x in xs)
+        with pytest.raises(ValueError, match="full grid"):
+            parse(("s,x,y,u1,u2,valid\n" + rows).encode(), "csv")
+
+    def test_parse_accepts_csv_nodes_within_half_a_step(self):
+        # 0.7 lies within half a step (0.25) of the middle node 0.5, so the
+        # CSV parses, onto the nodes 0, 0.5, 1.0, and so does its JSON
+        rows = "".join(f"{x!r},{x!r},{y!r},1.0,0.0,true\n"
+                       for y in (0.0, 1.0) for x in (0.0, 0.7, 1.0))
+        field = parse(("s,x,y,u1,u2,valid\n" + rows).encode(), "csv")
+        assert field.grid == GridSpec(x_min=0.0, x_max=1.0, y_min=0.0, y_max=1.0, nx=3, ny=2)
+        assert field.grid.xs() == [0.0, 0.5, 1.0]
+        assert [sm.x for sm in field.samples[:3]] == [0.0, 0.7, 1.0]
+        assert parse(emit(field, "json"), "json") == field
 
     def test_parse_rejects_json_samples_off_the_grid(self):
         # every node moved 7.0 along x, off the grid block's x in [0, 1.5]
@@ -323,6 +360,7 @@ class TestSerialization:
         ("u2", "inf", "true", "finite"),
         ("x", "inf", "true", "finite"),
         ("u1", "0.5", "false", "empty where valid is false"),
+        ("u1", "0.5,0.5", "true", "6 cells"),
     ])
     def test_parse_rejects_malformed_csv_sample(self, column, value, flag, match):
         with pytest.raises(ValueError, match=match):
@@ -345,7 +383,9 @@ class TestSerialization:
         (lambda doc: doc["grid"].update(nx="4"), "ints"),
         (lambda doc: doc.update(samples={}), "samples list"),
         (lambda doc: doc.pop("grid"), "grid object"),
-    ], ids=["string_nx", "samples_not_a_list", "no_grid"])
+        (lambda doc: doc["grid"].update(extra=1), "exactly the keys of a GridSpec"),
+        (lambda doc: doc["grid"].update(x_max=math.inf), "finite floats"),
+    ], ids=["string_nx", "samples_not_a_list", "no_grid", "grid_extra_key", "infinite_range"])
     def test_parse_rejects_malformed_json_document(self, edit, match):
         doc = json.loads(emit(self.make_field(), "json"))
         edit(doc)
