@@ -125,6 +125,10 @@ class GridSpec:
             raise ValueError(f"need nx, ny >= 2, got ({self.nx}, {self.ny})")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError("grid ranges must be increasing")
+        for axis, nodes in (("x", self.xs()), ("y", self.ys())):
+            # an overflowing step makes NaN or inf nodes, a step below an ulp repeats one
+            if not (all(map(math.isfinite, nodes)) and all(map(float.__lt__, nodes, nodes[1:]))):
+                raise ValueError(f"grid {axis} nodes must be finite and distinct")
 
     def xs(self) -> list[float]:
         dx = (self.x_max - self.x_min) / (self.nx - 1)
@@ -256,8 +260,8 @@ def parse(blob: bytes, fmt: str = "csv") -> SampledField:
         if not samples:
             raise ValueError("samples do not fill a full grid")
         xs, ys = {sm.x for sm in samples}, {sm.y for sm in samples}
-        grid = GridSpec(x_min=min(xs), x_max=max(xs), y_min=min(ys), y_max=max(ys),
-                        nx=len(xs), ny=len(ys))
+        spec = {"x_min": min(xs), "x_max": max(xs), "y_min": min(ys), "y_max": max(ys),
+                "nx": len(xs), "ny": len(ys)}
     elif fmt == "json":
         doc = json.loads(text)
         if not (isinstance(doc, dict) and doc.keys() == {"grid", "samples"}
@@ -274,11 +278,11 @@ def parse(blob: bytes, fmt: str = "csv") -> SampledField:
             raise ValueError(f"the grid ranges must be finite floats, got {spec!r}")
         if type(spec["nx"]) is not int or type(spec["ny"]) is not int:
             raise ValueError(f"nx and ny must be ints, got {spec['nx']!r}, {spec['ny']!r}")
-        grid = GridSpec(**spec)
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    if len(samples) != grid.nx * grid.ny:  # before listing a huge grid's nodes
+    if len(samples) != spec["nx"] * spec["ny"]:  # before GridSpec lists a huge grid's nodes
         raise ValueError("samples do not fill a full grid")
+    grid = GridSpec(**spec)
     # sample k is emit's row-major node k (x varying fastest), with s == x
     xs, ys = grid.xs(), grid.ys()
     hx, hy = (xs[1] - xs[0]) / 2.0, (ys[1] - ys[0]) / 2.0

@@ -16,6 +16,7 @@ nested-rhs loop; a generic stepper over tuple states is 5x slower.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -27,6 +28,7 @@ from .errors import FlowDomainError, GridTooCoarseError
 from .flow import (
     FlowParams,
     SolutionConstants,
+    _riccati_rhs,
     exact_u1,
     exact_u1_derivative,
     find_poles,
@@ -188,22 +190,35 @@ def integrate_second_order(
 # Finite-difference checks of the kinematic identities on sampled fields.
 # Both checks take fresh analytic stencil evaluations centered on the
 # field's grid nodes; with the s = x parameterization nothing depends on
-# y, so the stencils collapse along grid columns.
+# y, so the stencils collapse along grid columns.  Every check in this
+# module takes its central differences from _stencils and reduces its
+# residuals with _worst.
 
-def _usable_xs(field, h: float) -> list[float]:
+def _stencils(f, xs, h: float) -> list[tuple]:
+    """(x, f(x - h), f(x), f(x + h)) for each x in xs: the values of every
+    central difference here, each evaluated once."""
+    return [(x, f(x - h), f(x), f(x + h)) for x in xs]
+
+
+def _worst(residuals) -> float:
+    """The largest of the nonnegative residuals: 0.0 when there is none,
+    NaN when any is NaN.  The list, its sum and max all run in C."""
+    residuals = list(residuals)
+    return math.nan if math.isnan(sum(residuals)) else max(residuals, default=0.0)
+
+
+def _field_stencils(field, h: float):
+    """(profile, family, u1 stencils of step h) at the grid columns at least
+    3h inside the field's x-range."""
+    if field.profile is None or field.family is None:
+        raise ValueError("field carries no analytic profile/family to check against")
     grid = field.grid
     xs = [x for x in grid.xs() if grid.x_min + 3.0 * h <= x <= grid.x_max - 3.0 * h]
     if len(xs) * grid.ny < 4:
         raise GridTooCoarseError(
             f"only {len(xs) * grid.ny} usable interior nodes at h = {h!r}"
         )
-    return xs
-
-
-def _field_profile(field):
-    if field.profile is None or field.family is None:
-        raise ValueError("field carries no analytic profile/family to check against")
-    return field.profile, field.family
+    return field.profile, field.family, _stencils(field.profile.u1, xs, h)
 
 
 def check_prop1(field, h: float) -> float:
@@ -213,18 +228,16 @@ def check_prop1(field, h: float) -> float:
     node; the right side is the along-streamline product pulled back
     through s = x.  Kinematic: holds for any profile, solution or not.
     """
-    profile, family = _field_profile(field)
     h = float(h)
-    worst = 0.0
-    for x in _usable_xs(field, h):
-        u1c = profile.u1(x)
-        dv1_dx = (profile.u1(x + h) - profile.u1(x - h)) / (2.0 * h)
+    profile, family, columns = _field_stencils(field, h)
+    residuals = []
+    for x, um, u1c, up in columns:
+        dv1_dx = (up - um) / (2.0 * h)
         dv1_dy = 0.0  # v1(x, y) = u1(x) has no y dependence
         v2 = family.phi2_dot(x) * u1c
         lhs = u1c * dv1_dx + v2 * dv1_dy
-        rhs = u1c * profile.u1dot(x, u1c)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+        residuals.append(abs(lhs - u1c * profile.u1dot(x, u1c)))
+    return _worst(residuals)
 
 
 def check_prop2_prop3(field, h: float) -> tuple[float, float]:
@@ -234,22 +247,17 @@ def check_prop2_prop3(field, h: float) -> tuple[float, float]:
     so the Laplacian of v1 must equal u1'' and the pressure sample
     p = q(x) with affine q must be harmonic.  Five-point stencils.
     """
-    profile, family = _field_profile(field)
     if field.pressure_affine is None:
         raise ValueError("field carries no affine pressure sample")
     q0, qdot = field.pressure_affine
     h = float(h)
+    profile, _, columns = _field_stencils(field, h)
     h2 = h * h
-    worst_v1 = 0.0
-    worst_p = 0.0
-    for x in _usable_xs(field, h):
-        u1c = profile.u1(x)
-        lap_v1 = (profile.u1(x + h) - 2.0 * u1c + profile.u1(x - h)) / h2
-        worst_v1 = max(worst_v1, abs(lap_v1 - profile.u1ddot(x, u1c)))
-        p = lambda xx: q0 + qdot * xx
-        lap_p = (p(x + h) - 2.0 * p(x) + p(x - h)) / h2  # y part is exactly 0
-        worst_p = max(worst_p, abs(lap_p))
-    return worst_v1, worst_p
+    lap_v1 = [abs((up - 2.0 * u1c + um) / h2 - profile.u1ddot(x, u1c))
+              for x, um, u1c, up in columns]
+    p_columns = _stencils(lambda x: q0 + qdot * x, [x for x, *_ in columns], h)
+    lap_p = [abs((pp - 2.0 * p + pm) / h2) for _, pm, p, pp in p_columns]  # y part is exactly 0
+    return _worst(lap_v1), _worst(lap_p)
 
 
 def continuity_bracket(family, s: float, dg_dy: float = 0.0) -> float:
@@ -329,73 +337,50 @@ class VerificationReport:
 
 def check_wronskian() -> float:
     """Max |Ai Bi' - Ai' Bi - 1/pi| for t = -50, -49.75, ..., 50."""
-    worst = 0.0
-    t = -50.0
     inv_pi = 1.0 / math.pi
-    while t <= 50.0:
-        q = airy_eval(t)
-        worst = max(worst, abs(q.ai * q.bi_prime - q.ai_prime * q.bi - inv_pi))
-        t += 0.25
-    return worst
+    quartets = (airy_eval(0.25 * k - 50.0) for k in range(401))
+    return _worst(abs(q.ai * q.bi_prime - q.ai_prime * q.bi - inv_pi) for q in quartets)
 
 
 def check_airy_ode(ts) -> float:
     """Max |y'' - t y| over t in ts for y = Ai, Bi, with y'' the central
     second difference of fresh evaluations at t +- 1e-4."""
-    worst = 0.0
     h = 1e-4
-    for t in ts:
-        q, qp, qm = airy_eval(t), airy_eval(t + h), airy_eval(t - h)
-        for y, yp, ym in ((q.ai, qp.ai, qm.ai), (q.bi, qp.bi, qm.bi)):
-            worst = max(worst, abs((yp - 2.0 * y + ym) / (h * h) - t * y))
-    return worst
+    return _worst(abs((yp - 2.0 * y + ym) / (h * h) - t * y)
+                  for t, qm, q, qp in _stencils(airy_eval, ts, h)
+                  for ym, y, yp in ((qm.ai, q.ai, qp.ai), (qm.bi, q.bi, qp.bi)))
 
 
 def check_airy_derivative_fd(ts) -> float:
     """Max |central difference of y - y'| / (1 + |y'|) over t in ts for
     y = Ai, Bi, at step 1e-5; relative to the derivative so that
     exponentially large Bi does not mask the check."""
-    worst = 0.0
-    for t in ts:
-        qp, qm, q = airy_eval(t + 1e-5), airy_eval(t - 1e-5), airy_eval(t)
-        for yp, ym, dy in ((qp.ai, qm.ai, q.ai_prime), (qp.bi, qm.bi, q.bi_prime)):
-            worst = max(worst, abs((yp - ym) / 2e-5 - dy) / (1.0 + abs(dy)))
-    return worst
+    return _worst(abs((yp - ym) / 2e-5 - dy) / (1.0 + abs(dy))
+                  for _, qm, q, qp in _stencils(airy_eval, ts, 1e-5)
+                  for ym, yp, dy in ((qm.ai, qp.ai, q.ai_prime), (qm.bi, qp.bi, q.bi_prime)))
 
 
 def check_fd_riccati(params, consts) -> float:
     """Max |central difference of u1 - Riccati right side| at
     s = k L/FD_SAMPLES, k = 1 .. FD_SAMPLES - 1; the right side at the
     closed form is exact_u1_derivative."""
-    worst = 0.0
-    length = params.length
     h = RICCATI_FD_STEP
-    for k in range(1, FD_SAMPLES):
-        s = k * length / FD_SAMPLES
-        du_fd = (exact_u1(s + h, params, consts) - exact_u1(s - h, params, consts)) / (
-            2.0 * h
-        )
-        worst = max(worst, abs(du_fd - exact_u1_derivative(s, params, consts)))
-    return worst
+    ss = [k * params.length / FD_SAMPLES for k in range(1, FD_SAMPLES)]
+    return _worst(abs((up - um) / (2.0 * h) - _riccati_rhs(s, u0, params, consts))
+                  for s, um, u0, up in _stencils(lambda s: exact_u1(s, params, consts), ss, h))
 
 
 def check_fd_second_order(params, consts) -> float:
     """Max |u1 u1' - f1 + grad_term - nu u1''| by central differences at
     s = k L/FD_SAMPLES, k = 2 .. FD_SAMPLES - 2."""
-    worst = 0.0
-    length = params.length
     h = SECOND_ORDER_FD_STEP
-    for k in range(2, FD_SAMPLES - 1):
-        s = k * length / FD_SAMPLES
-        um = exact_u1(s - h, params, consts)
-        u0 = exact_u1(s, params, consts)
-        up = exact_u1(s + h, params, consts)
+    ss = [k * params.length / FD_SAMPLES for k in range(2, FD_SAMPLES - 1)]
+    residuals = []
+    for _, um, u0, up in _stencils(lambda s: exact_u1(s, params, consts), ss, h):
         du = (up - um) / (2.0 * h)
         ddu = (up - 2.0 * u0 + um) / (h * h)
-        worst = max(
-            worst, abs(u0 * du - params.f1 + params.grad_term - params.nu * ddu)
-        )
-    return worst
+        residuals.append(abs(u0 * du - params.f1 + params.grad_term - params.nu * ddu))
+    return _worst(residuals)
 
 
 def check_rk4(params, data, consts, step: float, stride: int = 1) -> tuple[float, float]:
@@ -406,9 +391,9 @@ def check_rk4(params, data, consts, step: float, stride: int = 1) -> tuple[float
     ss = _grid(params.length, step)
     ric = _riccati(params, consts.c, data.u10, ss)
     sec = _second_order(params, data.u10, data.u1dot0, ss)
-    closed = max(abs(u - exact_u1(s, params, consts))
-                 for s, u in zip(ss[::stride], ric[::stride]))
-    return closed, max(abs(a - b) for a, b in zip(ric, sec))
+    closed = _worst(abs(u - exact_u1(s, params, consts))
+                    for s, u in zip(ss[::stride], ric[::stride]))
+    return closed, _worst(map(abs, map(operator.sub, ric, sec)))
 
 
 def check_pole_truncation(params, consts, s_end: float, step: float) -> float:
@@ -417,8 +402,8 @@ def check_pole_truncation(params, consts, s_end: float, step: float) -> float:
     when there is no pole or a run does not blow up after its pole.
     """
     poles = find_poles(consts, 0.0, s_end)
-    worst = 0.0 if poles else math.inf
     starts = [0.0] + [0.5 * (a + b) for a, b in zip(poles, poles[1:])]
+    gaps = []
     for s_start, pole in zip(starts, poles):
         # restarting at s_start shifts the integrator clock: fold gap*s_start into c
         c = consts.c + params.forcing_gap * s_start
@@ -426,8 +411,8 @@ def check_pole_truncation(params, consts, s_end: float, step: float) -> float:
         ss = _grid(s_end - s_start, step)
         n = len(_riccati(params, c, u_start, ss))
         gap = s_start + ss[n] - pole if n < len(ss) else math.inf
-        worst = max(worst, gap if gap >= 0.0 else math.inf)
-    return worst
+        gaps.append(math.inf if gap < 0.0 else gap)
+    return _worst(gaps) if poles else math.inf
 
 
 def check_emit_roundtrip(sampled) -> bool:
@@ -462,14 +447,14 @@ def run_verification(seed: int = 0) -> VerificationReport:
     checks.append(
         CheckResult(
             "riccati_residual_fd",
-            max(check_fd_riccati(p, k) for p, _, k in cases),
+            _worst(check_fd_riccati(p, k) for p, _, k in cases),
             1e-6,
         )
     )
     checks.append(
         CheckResult(
             "second_order_residual_fd",
-            max(check_fd_second_order(p, k) for p, _, k in cases),
+            _worst(check_fd_second_order(p, k) for p, _, k in cases),
             1e-4,
         )
     )
@@ -477,14 +462,14 @@ def run_verification(seed: int = 0) -> VerificationReport:
     # RK4 against the closed form at every 0.002 in s; at step 1e-4 the
     # gap is already rounding (~1e-14), so a finer step buys nothing
     closed_gaps, form_gaps = zip(*(check_rk4(*case, 1e-4, 20) for case in cases[:3]))
-    checks.append(CheckResult("rk4_vs_closed_form", max(closed_gaps), 1e-9))
+    checks.append(CheckResult("rk4_vs_closed_form", _worst(closed_gaps), 1e-9))
 
     # observed RK4 order from a step-halving pair; steps large enough
     # that truncation dominates the closed-form evaluation noise
     ratio = check_rk4(*cases[0], 8e-3)[0] / check_rk4(*cases[0], 4e-3)[0]
     checks.append(CheckResult("rk4_order", abs(math.log2(ratio) - 4.0), 0.32))
 
-    checks.append(CheckResult("riccati_vs_second_order", max(form_gaps), 1e-8))
+    checks.append(CheckResult("riccati_vs_second_order", _worst(form_gaps), 1e-8))
 
     # kinematic identities on a sinusoidal family with the exact profile
     params, data, consts = cases[1]
@@ -520,7 +505,7 @@ def run_verification(seed: int = 0) -> VerificationReport:
 
     # continuity bracket: exactly zero for translate families
     straight = field_mod.StreamlineFamily.straight(0.7)
-    worst = max(abs(continuity_bracket(straight, s)) for s in (0.0, 0.4, 1.3))
+    worst = _worst(abs(continuity_bracket(straight, s)) for s in (0.0, 0.4, 1.3))
     checks.append(CheckResult("continuity_straight_family", worst, 0.0))
     poly = field_mod.StreamlineFamily.polynomial((0.0, 0.0, 1.0))
     checks.append(
@@ -540,21 +525,19 @@ def run_verification(seed: int = 0) -> VerificationReport:
     checks.append(CheckResult("pole_vs_rk4_truncation", residual, 10 * 1e-4))
 
     # solver round-trips
-    worst = 0.0
-    for params, data, consts in cases:
-        worst = max(
-            worst,
-            abs(exact_u1(0.0, params, consts) - data.u10) / (1.0 + abs(data.u10)),
-            abs(exact_u1_derivative(0.0, params, consts) - data.u1dot0)
-            / (1.0 + abs(data.u1dot0)),
-        )
+    worst = _worst(
+        abs(got - want) / (1.0 + abs(want))
+        for params, data, consts in cases
+        for got, want in ((exact_u1(0.0, params, consts), data.u10),
+                          (exact_u1_derivative(0.0, params, consts), data.u1dot0))
+    )
     checks.append(CheckResult("ivp_roundtrip", worst, 1e-9))
 
-    worst = 0.0
-    for params, data, consts in cases[:4]:
-        u1L = exact_u1(params.length, params, consts)
-        sol = solve_bvp(data.u10, u1L, params, (consts.c - 2.0, consts.c + 2.0))
-        worst = max(worst, abs(sol.c - consts.c))
+    worst = _worst(
+        abs(solve_bvp(data.u10, exact_u1(params.length, params, consts), params,
+                      (consts.c - 2.0, consts.c + 2.0)).c - consts.c)
+        for params, data, consts in cases[:4]
+    )
     checks.append(CheckResult("bvp_roundtrip", worst, 1e-8))
 
     # serialization round-trip (emit -> parse -> emit, byte-identical)

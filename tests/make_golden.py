@@ -84,6 +84,8 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
         field_config("json", "family = polynomial\ncoeffs = 0.1,-0.3,0.2", nx=20, ny=6),
     ),
     "verify": (["verify", "--seed", "0"], {}),
+    # the seed whose prop1 residual once crossed its tolerance
+    "verify_seed5": (["verify", "--seed", "5"], {}),
 }
 
 

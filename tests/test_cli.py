@@ -509,7 +509,11 @@ class TestField:
          "family must be straight|sinusoidal|polynomial, got 'spiral'"),
         (lambda text: text.replace("format = csv", "format = xml"),
          "format must be csv or json, got 'xml'"),
-    ], ids=["not_key_value", "duplicate_key", "unknown_family", "unknown_format"])
+        (lambda text: text.replace("y_min = -1.0", "y_min = -1e308")
+         .replace("y_max = 1.0", "y_max = 1e308"),
+         "grid y nodes must be finite and distinct"),
+    ], ids=["not_key_value", "duplicate_key", "unknown_family", "unknown_format",
+            "y_span_overflows"])
     def test_config_error_writes_nothing(self, capsys, tmp_path, edit, message):
         cfg, _ = self.write_config(tmp_path)
         cfg.write_text(edit(cfg.read_text()))

@@ -113,7 +113,13 @@ class TestReconstruct:
         ({"ny": 1}, "nx, ny >= 2"),
         ({"x_min": 1.5}, "increasing"),
         ({"y_min": 2.0}, "increasing"),
-    ], ids=["nx_1", "ny_1", "x_min_eq_x_max", "y_min_gt_y_max"])
+        # the step overflows to inf, so the nodes are nan, inf, ...
+        ({"y_min": -1e308, "y_max": 1e308}, "grid y nodes must be finite and distinct"),
+        # a step of a quarter ulp rounds the nodes onto two values
+        ({"x_min": 1.0, "x_max": math.nextafter(1.0, 2.0), "nx": 5},
+         "grid x nodes must be finite and distinct"),
+    ], ids=["nx_1", "ny_1", "x_min_eq_x_max", "y_min_gt_y_max", "y_span_overflows",
+            "x_step_below_ulp"])
     def test_grid_spec_rejects(self, change, match):
         spec = {"x_min": 0.0, "x_max": 1.5, "y_min": -1.0, "y_max": 1.0, "nx": 6, "ny": 5}
         with pytest.raises(ValueError, match=match):

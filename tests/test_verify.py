@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from airyflow import verify
+from airyflow import airy, verify
 from airyflow.bvp import InitialData, solve_ivp
 from airyflow.errors import GridTooCoarseError
 from airyflow.flow import FlowParams, SolutionConstants, exact_u1, find_poles
@@ -20,6 +20,7 @@ from airyflow.field import (
 )
 from airyflow.verify import (
     BLOWUP_LIMIT,
+    CheckResult,
     check_prop1,
     check_prop2_prop3,
     continuity_bracket,
@@ -306,6 +307,19 @@ class TestKinematicIdentities:
         with pytest.raises(GridTooCoarseError):
             check_prop1(field, 0.5)  # 3h margin swallows every node
 
+    @pytest.mark.parametrize("check, tol", [
+        (lambda field: check_prop1(field, 1e-3), 1e-5),
+        (lambda field: check_prop2_prop3(field, 1e-3)[0], 1e-4),
+    ], ids=["prop1", "prop2"])
+    def test_nan_column_fails(self, check, tol):
+        # u1 is NaN at one interior column: the residual there is NaN, and
+        # the report reads a NaN residual as a failure
+        field = airy_profile_field()
+        x_nan, u1 = field.grid.xs()[4], field.profile.u1
+        profile = replace(field.profile, u1=lambda s: math.nan if s == x_nan else u1(s))
+        assert check(field) <= tol
+        assert not CheckResult("prop", check(replace(field, profile=profile)), tol).passed
+
     def test_requires_profile(self):
         field = airy_profile_field()
         bare = SampledField(grid=field.grid, samples=field.samples)
@@ -349,6 +363,21 @@ class TestSharedChecks:
         for name, (check, tol) in checks.items():
             assert check(off if name == "ode_forms" else data) > tol, name
 
+        # exact_u1 NaN at one point each check reads past its first: the
+        # x + h point of a mid-span stencil, and the 11th compared RK4 sample.
+        # A NaN residual fails as the report reads it (r > tol is False)
+        mid = 24 * params.length / verify.FD_SAMPLES
+        nan_at = {mid + verify.RICCATI_FD_STEP, mid + verify.SECOND_ORDER_FD_STEP,
+                  _grid(params.length, 1e-4)[200]}
+        monkeypatch.setattr(
+            verify, "exact_u1", lambda s, p, k: math.nan if s in nan_at else exact(s, p, k)
+        )
+        for name in ("fd_riccati", "fd_second_order", "rk4"):
+            check, tol = checks[name]
+            result = CheckResult(name, check(data), tol)
+            assert not result.passed, name
+            assert result.format_line() == f"FAIL {name} max_residual=nan tol={tol:g}"
+
     def test_perturbed_quartet_fails_each_airy_check(self, monkeypatch):
         # Ai + 1e-3 t**2 adds 2e-3 - 1e-3 t**3 to y'' - t y and 2e-3 t to
         # the difference quotient; the points and tolerances are
@@ -370,6 +399,18 @@ class TestSharedChecks:
         for name, (check, ts, tol) in checks.items():
             assert check(ts) > tol, name
 
+        # Ai NaN at one t each check reads past its first, and in the
+        # Wronskian sweep at t = 10; a NaN residual fails as the report
+        # reads it (r > tol is False)
+        nan_at = {-3.0 + 1e-4, -2.6 + 1e-5, 10.0}
+        monkeypatch.setattr(
+            verify, "airy_eval",
+            lambda t: replace(exact(t), ai=math.nan) if t in nan_at else exact(t),
+        )
+        for name, (check, ts, tol) in checks.items():
+            assert not CheckResult(name, check(ts), tol).passed, name
+        assert not CheckResult("wronskian", verify.check_wronskian(), 1e-10).passed
+
 
 class TestVerificationReport:
     def test_all_checks_pass(self):
@@ -381,8 +422,10 @@ class TestVerificationReport:
         # each of the three RK4 cases runs each ODE form's list loop once;
         # the order pair adds one run of each form, and the pole check one
         # Riccati run.  The 12x4 field of the prop checks is also the one
-        # serialized
-        calls = {"_riccati": 0, "_second_order": 0, "reconstruct_field": 0}
+        # serialized.  The Airy kernel's two entry points pin the closed-form
+        # and Airy evaluations of every check
+        calls = {"_riccati": 0, "_second_order": 0, "reconstruct_field": 0,
+                 "_quartet": 0, "_positive_sums": 0}
 
         def count(module, name):
             fn = getattr(module, name)
@@ -396,8 +439,11 @@ class TestVerificationReport:
         count(verify, "_riccati")
         count(verify, "_second_order")
         count(verify.field_mod, "reconstruct_field")
+        count(airy, "_quartet")
+        count(airy, "_positive_sums")
         assert run_verification(seed=0).all_passed
-        assert calls == {"_riccati": 6, "_second_order": 5, "reconstruct_field": 1}
+        assert calls == {"_riccati": 6, "_second_order": 5, "reconstruct_field": 1,
+                         "_quartet": 5166, "_positive_sums": 167}
 
     def test_seed_5_passes(self):
         # prop1's FD step once left truncation of 1.16e-5 against its 1e-5
