@@ -207,12 +207,15 @@ def _worst(residuals) -> float:
     return math.nan if math.isnan(sum(residuals)) else max(residuals, default=0.0)
 
 
-def _field_stencils(field, h: float):
+def _field_stencils(field, h, pressure: bool = False):
     """(profile, family, u1 stencils of step h) at the grid columns at least
-    3h inside the field's x-range."""
+    3h inside the field's x-range; with pressure, the field must also carry
+    its affine pressure sample."""
     if field.profile is None or field.family is None:
         raise ValueError("field carries no analytic profile/family to check against")
-    grid = field.grid
+    if pressure and field.pressure_affine is None:
+        raise ValueError("field carries no affine pressure sample")
+    h, grid = float(h), field.grid
     xs = [x for x in grid.xs() if grid.x_min + 3.0 * h <= x <= grid.x_max - 3.0 * h]
     if len(xs) * grid.ny < 4:
         raise GridTooCoarseError(
@@ -228,8 +231,8 @@ def check_prop1(field, h: float) -> float:
     node; the right side is the along-streamline product pulled back
     through s = x.  Kinematic: holds for any profile, solution or not.
     """
-    h = float(h)
     profile, family, columns = _field_stencils(field, h)
+    h = float(h)
     residuals = []
     for x, um, u1c, up in columns:
         dv1_dx = (up - um) / (2.0 * h)
@@ -247,11 +250,9 @@ def check_prop2_prop3(field, h: float) -> tuple[float, float]:
     so the Laplacian of v1 must equal u1'' and the pressure sample
     p = q(x) with affine q must be harmonic.  Five-point stencils.
     """
-    if field.pressure_affine is None:
-        raise ValueError("field carries no affine pressure sample")
+    profile, _, columns = _field_stencils(field, h, pressure=True)
     q0, qdot = field.pressure_affine
     h = float(h)
-    profile, _, columns = _field_stencils(field, h)
     h2 = h * h
     lap_v1 = [abs((up - 2.0 * u1c + um) / h2 - profile.u1ddot(x, u1c))
               for x, um, u1c, up in columns]

@@ -323,8 +323,20 @@ class TestKinematicIdentities:
     def test_requires_profile(self):
         field = airy_profile_field()
         bare = SampledField(grid=field.grid, samples=field.samples)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no analytic profile"):
             check_prop1(bare, 1e-3)
+        with pytest.raises(ValueError, match="no analytic profile"):
+            check_prop2_prop3(bare, 1e-3)
+
+    def test_prop2_error_order(self):
+        # profile, then pressure, then the grid: h = 0.5 swallows every node
+        no_pressure = airy_profile_field(pressure=None)
+        with pytest.raises(ValueError, match="no affine pressure sample"):
+            check_prop2_prop3(no_pressure, 0.5)
+        with pytest.raises(GridTooCoarseError):
+            check_prop2_prop3(airy_profile_field(), 0.5)
+        with pytest.raises(GridTooCoarseError):
+            check_prop1(no_pressure, 0.5)
 
 
 class TestContinuityBracket:
