@@ -7,9 +7,10 @@ c and the ratio c2/c1, so two well-posed modes are offered:
 * BVP mode: u1(0) and u1(L) are enforced by shooting on c; u1'(0) is an
   output, recoverable from c = nu*u1'(0) - u1(0)**2/2.  The Pruefer angle
   n pi - arccot u1(L) (n poles in (0, L]) is continuous and increasing in
-  c, so the root is unique: a binary search over a SCAN_POINTS grid counts
-  the candidates past the first pole crossing c*, and Newton on the angle
-  refines the root.  flow.shooter sets a solve up once; one shot at a
+  c, so the root is unique, and Newton on the angle finds it from a sign
+  bracket of the c bracket's two ends.  The SCAN_POINTS grid serves only
+  the diagnostic count of candidates past the first pole crossing c*,
+  made when it is read.  flow.shooter sets a solve up once; one shot at a
   given c then costs two Airy evaluations, both in flow: at t(0) for the
   pair, and at t(L) for u1(L), the angle and its slope.
 
@@ -19,22 +20,16 @@ deliberately unsupported.
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import FlowDomainError, NoSignChangeError, PoleCrossingError, PoleError
-from .flow import (
-    FlowParams,
-    SolutionConstants,
-    _anchor,
-    _model,
-    _nearest_pole,
-    _newton_root,
-    _require_derived,
-    _require_finite,
-    _u1_at,
-    shooter,
-)
+from .flow import (FlowParams, SolutionConstants, _anchor, _model, _nearest_pole, _newton_root,
+                   _require_derived, _require_finite, _u1_at, shooter)
 
 SCAN_POINTS = 256
 ENDPOINT_RTOL = 1e-9
@@ -97,8 +92,14 @@ class BvpSolution:
     initial_slope: float  # u1'(0) implied by c and u10
     endpoint_residual: float
     roots: tuple[float, ...]  # the one pole-free root, (c,)
-    excluded_candidates: int  # grid candidates at or past the first pole crossing
-    shots: int  # distinct c values shot, two Airy evaluations each
+    shots: int  # distinct c values shot by the solve, two Airy evaluations each
+    count_excluded: Callable[[], int] = dataclasses.field(compare=False, repr=False)
+
+    @cached_property
+    def excluded_candidates(self) -> int:
+        """Grid candidates at or past the first pole crossing, counted on first
+        read by a binary search over the SCAN_POINTS grid (about 8 more shots)."""
+        return self.count_excluded()
 
 
 def default_c_bracket(u10: float, u1L: float, nu: float) -> tuple[float, float]:
@@ -118,17 +119,15 @@ def solve_bvp(
 
     With u1(0) fixed, the angle A(c) of flow.shooter is continuous and
     strictly increasing, so A(c) = -arccot(u1L) has one root, below the
-    first pole crossing c*.  A binary search over SCAN_POINTS grid
-    candidates counts those with a pole in (0, L] (excluded); safeguarded
-    Newton on A refines the root between the nearest shots on either side.
-    The default bracket doubles its width outward until it holds the root;
-    an explicit one raises PoleCrossingError when every candidate is
-    excluded and NoSignChangeError when the root lies outside it.  A root
-    no double reaches to ENDPOINT_RTOL (u1(L) jumps to +inf within rounding
-    of c*) raises FlowDomainError, as do constants whose u1(0), read from
-    the last shot, misses u10 as in solve_ivp.  Deterministic; a shot is
-    two Airy calls, one at t(0) and one at t(L), and SolutionConstants is
-    built once, for the answer.
+    first pole crossing c*.  Safeguarded Newton on A finds it in the sign
+    bracket of the shots at c_lo and at the last grid candidate.  The
+    default bracket doubles its width outward until it holds the root; an
+    explicit one raises PoleCrossingError when c_lo is past c* (so is every
+    candidate) and NoSignChangeError when the root lies outside it.
+    FlowDomainError when neither Newton's end nor a neighbouring double
+    across which u1(L) is monotone meets u1(L) to ENDPOINT_RTOL (it jumps
+    to +inf within rounding of c*) and u1(0) as in solve_ivp.  A shot is
+    two Airy calls; SolutionConstants is built once, for the answer.
     """
     u10, u1L = _require_finite("u10", u10), _require_finite("u1L", u1L)
     grow = c_bracket is None
@@ -154,16 +153,18 @@ def solve_bvp(
     def candidate(i: int) -> float:
         return c_lo + (c_hi - c_lo) * i / (SCAN_POINTS - 1)
 
-    # binary search for k, the first candidate with a pole in (0, L]
-    k, end = 0, SCAN_POINTS
-    while k < end:
-        mid = (k + end) // 2
-        k, end = (k, mid) if shot(candidate(mid))[0] == math.inf else (mid + 1, end)
-    if k == 0 and not grow:
-        raise PoleCrossingError(SCAN_POINTS)
+    def excluded() -> int:  # SCAN_POINTS - k, k the first candidate with a pole
+        k, end = 0, SCAN_POINTS
+        while k < end:
+            mid = (k + end) // 2
+            k, end = (k, mid) if shot(candidate(mid))[0] == math.inf else (mid + 1, end)
+        return SCAN_POINTS - k
 
-    # when every shot lies on one side of the root, shoot the bracket's end
-    # there; the default bracket doubles its width outward past the root
+    if shot(c_lo)[0] == math.inf and not grow:
+        raise PoleCrossingError(SCAN_POINTS)
+    shot(candidate(SCAN_POINTS - 1))
+    # when both ends lie on one side of the root, the default bracket doubles
+    # its width outward past it
     for side, c, far in ((1.0, c_lo, c_hi), (-1.0, candidate(SCAN_POINTS - 1), c_lo)):
         if all(side * s[1] > 0.0 for s in shots.values()):
             while side * shot(c)[1] > 0.0 and grow:
@@ -171,16 +172,29 @@ def solve_bvp(
     lo = max((c for c, s in shots.items() if s[1] <= 0.0), default=None)
     hi = min((c for c, s in shots.items() if s[1] >= 0.0), default=None)
     if lo is None or hi is None:
-        raise NoSignChangeError(shot(c_lo)[0] - u1L, shot(candidate(k - 1))[0] - u1L)
+        raise NoSignChangeError(shot(c_lo)[0] - u1L,
+                                shot(candidate(SCAN_POINTS - excluded() - 1))[0] - u1L)
+
+    def answer(c: float) -> BvpSolution:
+        u1, _, _, fields, q0 = shot(c)
+        if not abs(u1 - u1L) <= ENDPOINT_RTOL * (1.0 + abs(u1L)):
+            raise FlowDomainError(f"no c reaches u1(L) = {u1L!r}: Newton ends at c = {c!r}, "
+                                  f"where u1(L) = {u1!r}")
+        consts = SolutionConstants(*fields)
+        _check_u10(_u1_at(params, consts, q0, consts.zeta0), u10)
+        return BvpSolution(constants=consts, c=c, initial_slope=(c + 0.5 * u10 * u10) / params.nu,
+                           endpoint_residual=u1 - u1L, roots=(c,), shots=len(shots),
+                           count_excluded=excluded)
 
     # Newton starts from the end nearer the root, whose shot it reuses
     c = _newton_root(lambda c: shot(c)[1:3], lo, hi, min((lo, hi), key=lambda c: abs(shots[c][1])))
-    u1, _, _, fields, q0 = shot(c)
-    if not abs(u1 - u1L) <= ENDPOINT_RTOL * (1.0 + abs(u1L)):
-        raise FlowDomainError(f"no c reaches u1(L) = {u1L!r}: Newton ends at c = {c!r}, "
-                              f"where u1(L) = {u1!r}")
-    consts = SolutionConstants(*fields)
-    _check_u10(_u1_at(params, consts, q0, consts.zeta0), u10)
-    return BvpSolution(constants=consts, c=c, initial_slope=(c + 0.5 * u10 * u10) / params.nu,
-                       endpoint_residual=u1 - u1L, roots=(c,), excluded_candidates=SCAN_POINTS - k,
-                       shots=len(shots))
+    try:
+        return answer(c)
+    except FlowDomainError as err:
+        # a neighbour x of Newton's end may meet both where the doubles resolve the root
+        for x in (math.nextafter(c, -math.inf), math.nextafter(c, math.inf)):
+            with contextlib.suppress(FlowDomainError):
+                below, above = (shot(math.nextafter(x, y))[0] for y in (-math.inf, math.inf))
+                if below <= shot(x)[0] <= above:
+                    return answer(x)
+        raise err

@@ -25,7 +25,7 @@ and an isfinite/abs blow-up test.  The library's loops must reproduce
 their output bit for bit.  In the same way, reference_taylor runs the
 unit-solution recurrence on every call, where airy._taylor reads it from
 a table, reference_solve_bvp makes each shot from the public
-per-step functions, four Airy evaluations per candidate, where
+per-step functions, four Airy evaluations per shot, where
 solve_bvp reuses two quartets, reference_reduced_phase reduces the
 phase of the t < -9 branch in 45-digit decimal arithmetic, where
 airy._reduced_phase reduces it in integers scaled by 2**128, and
@@ -413,8 +413,8 @@ def reference_asymptotic_negative(t: float) -> tuple[float, float, float, float]
 def reference_solve_bvp(u10: float, u1L: float, params, c_bracket=None):
     """(c, excluded_candidates, endpoint_residual) by solve_bvp's search,
     each shot built from constants_from_u0, find_poles and exact_u1, with
-    the Pruefer angle and its slope written out here; raises the same
-    errors with the same arguments."""
+    the Pruefer angle and its slope written out here, and u1(0) of the
+    answer from exact_u1; raises the same errors with the same arguments."""
     from airyflow.airy import airy_scaled
     from airyflow.bvp import ANGLE_NOISE, ENDPOINT_RTOL, SCAN_POINTS, default_c_bracket
     from airyflow.errors import FlowDomainError, NoSignChangeError, PoleCrossingError, PoleError
@@ -475,31 +475,61 @@ def reference_solve_bvp(u10: float, u1L: float, params, c_bracket=None):
     def candidate(i):
         return c_lo + (c_hi - c_lo) * i / (SCAN_POINTS - 1)
 
-    k, end = 0, SCAN_POINTS
-    while k < end:
-        mid = (k + end) // 2
-        if shot(candidate(mid))[1] == math.inf:
-            end = mid
-        else:
-            k = mid + 1
-    if k == 0 and not grow:
+    def excluded():
+        """The grid candidates from the first with a pole in (0, L] on."""
+        k, end = 0, SCAN_POINTS
+        while k < end:
+            mid = (k + end) // 2
+            if shot(candidate(mid))[1] == math.inf:
+                end = mid
+            else:
+                k = mid + 1
+        return SCAN_POINTS - k
+
+    # the bracket's two ends, c_lo and the last candidate, then its growth
+    if shot(c_lo)[1] == math.inf and not grow:
         raise PoleCrossingError(SCAN_POINTS)
+    top = candidate(SCAN_POINTS - 1)
+    shot(top)
     if all(s[2] > 0.0 for s in shots.values()):
-        c = candidate(0)
+        c = c_lo
         while shot(c)[2] > 0.0 and grow:
             c -= c_hi - c
     elif all(s[2] < 0.0 for s in shots.values()):
-        c = candidate(SCAN_POINTS - 1)
+        c = top
         while shot(c)[2] < 0.0 and grow:
             c += c - c_lo
     lo = max((c for c, s in shots.items() if s[2] <= 0.0), default=None)
     hi = min((c for c, s in shots.items() if s[2] >= 0.0), default=None)
     if lo is None or hi is None:
-        raise NoSignChangeError(shot(c_lo)[1] - u1L, shot(candidate(k - 1))[1] - u1L)
+        raise NoSignChangeError(shot(c_lo)[1] - u1L,
+                                shot(candidate(SCAN_POINTS - excluded() - 1))[1] - u1L)
     start = min((lo, hi), key=lambda c: abs(shots[c][2]))
     c = _newton_root(lambda c: shot(c)[2:], lo, hi, start)
-    u1 = shot(c)[1]
-    if not abs(u1 - u1L) <= ENDPOINT_RTOL * (1.0 + abs(u1L)):
-        raise FlowDomainError(f"no c reaches u1(L) = {u1L!r}: Newton ends at c = {c!r}, "
-                              f"where u1(L) = {u1!r}")
-    return c, SCAN_POINTS - k, u1 - u1L
+
+    def answer(c):
+        consts, u1 = shot(c)[:2]
+        if not abs(u1 - u1L) <= ENDPOINT_RTOL * (1.0 + abs(u1L)):
+            raise FlowDomainError(f"no c reaches u1(L) = {u1L!r}: Newton ends at c = {c!r}, "
+                                  f"where u1(L) = {u1!r}")
+        try:
+            u0 = exact_u1(0.0, params, consts)
+        except PoleError:
+            u0 = math.inf
+        if not abs(u0 - u10) <= ENDPOINT_RTOL * (1.0 + abs(u10)):
+            raise FlowDomainError(f"the constants miss u1(0) = {u10!r}: they give {u0!r}")
+        return c, excluded(), u1 - u1L
+
+    try:
+        return answer(c)
+    except FlowDomainError as err:
+        # a neighbour x of Newton's end, with u1(L) monotone across x
+        for x in (math.nextafter(c, -math.inf), math.nextafter(c, math.inf)):
+            try:
+                u1s = [shot(math.nextafter(x, -math.inf))[1], shot(x)[1],
+                       shot(math.nextafter(x, math.inf))[1]]
+                if u1s == sorted(u1s):
+                    return answer(x)
+            except FlowDomainError:
+                pass
+        raise err

@@ -1,6 +1,8 @@
 """Print the repr of every answer of the BVP survey, one line each, so two
 trees can be compared by diffing their output.  An answer is the
 BvpSolution of solve_bvp or the repr of the FlowDomainError it raised.
+A last line sums them up: the solves, the count of each error type and
+the shots (BvpSolution.shots) of all solves.
 
 The survey: random_flow_case seeds 0-5 x DRAWS draws, each solved for the
 u1(L) of its generating constants on three brackets (the default one,
@@ -15,8 +17,9 @@ repository root, once per tree:
 from __future__ import annotations
 
 import random
+from collections import Counter
 
-from airyflow.bvp import InitialData, solve_bvp, solve_ivp
+from airyflow.bvp import BvpSolution, InitialData, solve_bvp, solve_ivp
 from airyflow.errors import FlowDomainError
 from airyflow.flow import exact_u1
 from airyflow.verify import random_flow_case
@@ -26,14 +29,15 @@ SEEDS = range(6)
 DRAWS = 40
 
 
-def answer(u10: float, u1L: float, params, bracket=None) -> str:
+def answer(u10: float, u1L: float, params, bracket=None) -> BvpSolution | FlowDomainError:
     try:
-        return repr(solve_bvp(u10, u1L, params, bracket))
+        return solve_bvp(u10, u1L, params, bracket)
     except FlowDomainError as err:
-        return repr(err)
+        return err
 
 
-def lines():
+def answers():
+    """(label, answer) for every case of the survey, in order."""
     for seed in SEEDS:
         rng = random.Random(seed)
         for index in range(DRAWS):
@@ -41,17 +45,23 @@ def lines():
             u1L, c = exact_u1(params.length, params, consts), consts.c
             for name, bracket in (("default", None), ("c+-2", (c - 2.0, c + 2.0)),
                                   ("c+1..c+3", (c + 1.0, c + 3.0))):
-                yield f"seed {seed} draw {index} {name}: {answer(data.u10, u1L, params, bracket)}"
+                yield f"seed {seed} draw {index} {name}", answer(data.u10, u1L, params, bracket)
     for index, (params, u10, u1dot0) in enumerate(_ivp_draws()):
         consts = solve_ivp(InitialData(u10=u10, u1dot0=u1dot0), params)
         u1L = exact_u1(params.length, params, consts)
         for target in [u1L + shift for shift in LOWVISC_SHIFTS] + list(LARGE_TARGETS):
-            yield f"lowvisc {index} u1L={target!r}: {answer(u10, target, params)}"
+            yield f"lowvisc {index} u1L={target!r}", answer(u10, target, params)
 
 
 def main() -> None:
-    for line in lines():
-        print(line)
+    outcomes, shots = Counter(), 0
+    for label, out in answers():
+        print(f"{label}: {out!r}")
+        solved = isinstance(out, BvpSolution)
+        outcomes["solves" if solved else type(out).__name__] += 1
+        shots += out.shots if solved else 0
+    print("total: " + ", ".join(f"{n} {kind}" for kind, n in sorted(outcomes.items()))
+          + f"; {shots} shots")
 
 
 if __name__ == "__main__":

@@ -4,11 +4,13 @@ With u1(0) fixed, u1(L) strictly increases in c on the pole-free set,
 and that set is a half-line c < c*.  So the candidates with a pole in
 (0, L] form a suffix of the SCAN_POINTS grid, the usable residuals
 increase along it, and a binary search can count them without the full
-scan.  Through c* and beyond, the Pruefer angle A = n pi - arccot u1(L)
-stays continuous and increasing, so Newton on A finds the one root
-wherever it lies.  The dense oracle below is that full scan, kept only
-here; its pole predicate is the test-side sign scan of oracles.py, not
-the library's phase count that solve_bvp uses.
+scan; the grid serves only that count (excluded_candidates), made when
+it is read.  Through c* and beyond, the Pruefer angle A = n pi - arccot
+u1(L) stays continuous and increasing, so Newton on A finds the one root
+from a sign bracket of the c bracket's two ends, wherever it lies.  The
+dense oracle below is that full scan, kept only here; its pole predicate
+is the test-side sign scan of oracles.py, not the library's phase count
+that solve_bvp uses.
 """
 
 import math
@@ -16,14 +18,15 @@ import random
 
 import pytest
 
-from airyflow import flow
+from airyflow import bvp, flow
 from airyflow.airy import AiryQuartet
 from airyflow.bvp import (ENDPOINT_RTOL, SCAN_POINTS, InitialData, default_c_bracket, solve_bvp,
                           solve_ivp)
 from airyflow.errors import FlowDomainError, NoSignChangeError, PoleError
 from airyflow.flow import FlowParams, SolutionConstants, constants_from_u0, exact_u1, shooter
 from airyflow.verify import random_flow_case
-from oracles import reference_solve_bvp, sign_scan_cells
+from oracles import reference_solve_bvp, sign_scan_cells, u1_propagator
+from test_domain import ORACLE_RTOL, _ivp_draws
 
 N_DRAWS = 40
 
@@ -199,13 +202,19 @@ def test_large_targets_reach_endpoint_rtol():
     # arccot u1L - arccot u1(L), as fine as u1(L) itself.  At
     # -1e8 the slope's [t z**2 - z_t**2] cancels (t(0) ~ 2.5e15) and Newton
     # may stop short: then the error names the target, never a wrong c.
+    # There, from u10 = -3, Newton reaches u1(L) at c = -5e15, but the
+    # constants give u1(0) = -3.000000005481785 (the pair's rounding, times
+    # 2 nu (-a)**(1/3), at t(0) ~ 2.5e15), and the u1(0) guard refuses them.
     for u10 in (0.0, 1.0, -3.0):
         for u1L, bracket in ((-1e6, None), (1e6, None), (-1e7, (-6e13, -4e13)),
                              (-1e7, (-6e13, 0.0)), (-1e8, (-6e15, -4e15))):
             try:
                 sol = solve_bvp(u10, u1L, README_PARAMS, bracket)
             except FlowDomainError as err:
-                assert u1L == -1e8 and str(err).startswith("no c reaches u1(L) = -100000000.0")
+                assert u1L == -1e8, (u10, bracket, err)
+                if not str(err).startswith("no c reaches u1(L) = -100000000.0"):
+                    assert (u10, bracket) == (-3.0, (-6e15, -4e15))
+                    assert str(err).startswith("the constants miss u1(0) = -3.0")
                 continue
             u1 = exact_u1(README_PARAMS.length, README_PARAMS, sol.constants)
             assert abs(u1 - u1L) <= ENDPOINT_RTOL * (1.0 + abs(u1L)), (u10, u1L, bracket)
@@ -234,6 +243,54 @@ def test_root_past_last_usable_candidate_is_found():
     assert grid[k - 1] < sol.c < grid[k]
     assert abs(sol.c - c_root) <= 1e-12 * (1.0 + abs(c_root))
     assert sol.excluded_candidates == SCAN_POINTS - k
+
+
+def test_default_bracket_shot_total():
+    # the bracket's two ends, its growth and Newton: 323 shots for the 40
+    # default-bracket solves of random_flow_case(Random(0)), where a binary
+    # search over the 256 candidates first took 567
+    rng = random.Random(0)
+    total = 0
+    for _ in range(N_DRAWS):
+        params, data, consts = random_flow_case(rng)
+        total += solve_bvp(data.u10, exact_u1(params.length, params, consts), params).shots
+    assert total == 323
+
+
+def test_finish_takes_a_neighbour_only_where_u1L_is_monotone(monkeypatch):
+    # low-viscosity draws of test_domain.py.  Draw 157, u1L = 1e6: Newton's
+    # end misses the target, and its lower neighbour, across which u1(L)
+    # increases, meets it.  Draw 273's shifted target: Newton's upper
+    # neighbour meets it, but u1(L) falls past that neighbour, so the doubles
+    # do not resolve the root there, and the 40-digit oracle refuses it
+    ends = []
+    newton = bvp._newton_root
+
+    def recorded(*args):
+        ends.append(newton(*args))
+        return ends[-1]
+
+    monkeypatch.setattr(bvp, "_newton_root", recorded)
+    draws = _ivp_draws()
+    params, u10, _ = draws[157]
+    sol, shoot = solve_bvp(u10, 1e6, params), shooter(params, u10)
+    assert sol.c == math.nextafter(ends[-1], -math.inf)
+    assert abs(shoot(ends[-1])[0] - 1e6) > ENDPOINT_RTOL * (1.0 + 1e6)
+    u1s = [shoot(c)[0] for c in (math.nextafter(sol.c, -math.inf), sol.c, ends[-1])]
+    assert u1s == sorted(u1s)
+
+    params, u10, _ = draws[273]
+    target, shoot = -1.2441190500840067, shooter(params, u10)
+    with pytest.raises(FlowDomainError, match="no c reaches") as err:
+        solve_bvp(u10, target, params)
+    up = math.nextafter(ends[-1], math.inf)
+    assert abs(shoot(up)[0] - target) <= ENDPOINT_RTOL * (1.0 + abs(target))
+    assert shoot(math.nextafter(up, math.inf))[0] < shoot(up)[0]
+    want, cond = u1_propagator(params, u10, (up + 0.5 * u10 * u10) / params.nu, params.length)
+    assert abs(target - want) > ORACLE_RTOL * cond * (1.0 + abs(want))
+    with pytest.raises(FlowDomainError) as ref:
+        reference_solve_bvp(u10, target, params)
+    assert ref.value.args == err.value.args
 
 
 def test_root_below_bracket_has_no_sign_change():
@@ -276,14 +333,15 @@ def quartets_built(monkeypatch):
 
 def test_readme_case_work_count(airy_calls, quartets_built, monkeypatch):
     # Sharing the Airy values at t(0) and t(L) makes a shot two Airy
-    # evaluations.  15 shots: 8 of the binary search and 7 Newton iterates
+    # evaluations.  10 shots: the bracket's two ends and 8 Newton iterates
     # on the angle, the last of them the root (its residual is within
-    # ANGLE_NOISE, so no final shot); Newton starts from the shot of the
-    # bracket end nearer the root.  Newton on u1(L) from the midpoint of
-    # the pole-free candidates took 8 steps and a final shot, 34
-    # evaluations.  A shot works on floats; SolutionConstants is built once,
-    # for the answer (it was once per shot, 15), and AiryQuartet never (it
-    # was once per evaluation, 30).
+    # ANGLE_NOISE, so no final shot); Newton starts from the end nearer the
+    # root.  A binary search over the 256 candidates first took 15 shots
+    # (8 of the search), and Newton on u1(L) from the midpoint of the
+    # pole-free candidates 8 steps and a final shot, 34 evaluations.  A shot
+    # works on floats; SolutionConstants is built once, for the answer (it
+    # was once per shot, 15), and AiryQuartet never (it was once per
+    # evaluation, 30).  The excluded candidates are counted when read.
     built = [0]
     post_init = SolutionConstants.__post_init__
 
@@ -293,11 +351,15 @@ def test_readme_case_work_count(airy_calls, quartets_built, monkeypatch):
 
     monkeypatch.setattr(SolutionConstants, "__post_init__", counted)
     sol = solve_bvp(0.0, 0.25, README_PARAMS)
-    assert sol.excluded_candidates == 58
     assert built[0] == 1
-    assert sol.shots == 15
-    assert airy_calls[0] == 30
+    assert sol.shots == 10
+    assert airy_calls[0] == 20
     assert quartets_built[0] == 0
+    # the first read of the count shoots the binary search's 8 candidates,
+    # the second reads the cached count
+    assert sol.excluded_candidates == 58
+    assert sol.excluded_candidates == 58
+    assert airy_calls[0] == 36 and built[0] == 1 and quartets_built[0] == 0
 
 
 def test_quartet_built_only_at_the_public_edge(quartets_built):

@@ -621,5 +621,5 @@ def test_bvp_launch_leaves_field_layer_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True, timeout=60).stdout
     lines = out.splitlines()
-    assert lines[0] == "c       = 1.2035028197303359"
+    assert lines[0] == "c       = 1.2035028197303357"
     assert lines[-3:] == ["0 False False", "False False False False", "True True True"]
