@@ -8,11 +8,11 @@ c and the ratio c2/c1, so two well-posed modes are offered:
   output, recoverable from c = nu*u1'(0) - u1(0)**2/2.  The Pruefer angle
   n pi - arccot u1(L) (n poles in (0, L]) is continuous and increasing in
   c, so the root is unique, and Newton on the angle finds it from a sign
-  bracket of the c bracket's two ends.  The SCAN_POINTS grid serves only
-  the diagnostic count of candidates past the first pole crossing c*,
-  made when it is read.  flow.shooter sets a solve up once; one shot at a
-  given c then costs two Airy evaluations, both in flow: at t(0) for the
-  pair, and at t(L) for u1(L), the angle and its slope.
+  bracket of the shots at the c bracket's two ends.  The SCAN_POINTS grid
+  serves only the diagnostic count of candidates past the first pole
+  crossing c*, made when it is read.  flow.shooter sets a solve up once;
+  one shot at a given c then costs two Airy evaluations, both in flow: at
+  t(0) for the pair, and at t(L) for u1(L), the angle and its slope.
 
 Imposing all three conditions at once is generically unsatisfiable and
 deliberately unsupported.
@@ -27,7 +27,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import FlowDomainError, NoSignChangeError, PoleCrossingError, PoleError
+from .errors import FlowDomainError, NoSignChangeError, PoleError
 from .flow import (FlowParams, SolutionConstants, _anchor, _model, _nearest_pole, _newton_root,
                    _require_derived, _require_finite, _u1_at, shooter)
 
@@ -120,10 +120,10 @@ def solve_bvp(
     With u1(0) fixed, the angle A(c) of flow.shooter is continuous and
     strictly increasing, so A(c) = -arccot(u1L) has one root, below the
     first pole crossing c*.  Safeguarded Newton on A finds it in the sign
-    bracket of the shots at c_lo and at the last grid candidate.  The
-    default bracket doubles its width outward until it holds the root; an
-    explicit one raises PoleCrossingError when c_lo is past c* (so is every
-    candidate) and NoSignChangeError when the root lies outside it.
+    bracket of the shots at c_lo and c_hi.  The default bracket doubles its
+    width outward until it holds the root; an explicit one raises
+    NoSignChangeError when the root lies outside it, with both residuals
+    inf when c_lo is past c*.
     FlowDomainError when neither Newton's end nor a neighbouring double
     across which u1(L) is monotone meets u1(L) to ENDPOINT_RTOL (it jumps
     to +inf within rounding of c*) and u1(0) as in solve_ivp.  A shot is
@@ -160,20 +160,18 @@ def solve_bvp(
             k, end = (k, mid) if shot(candidate(mid))[0] == math.inf else (mid + 1, end)
         return SCAN_POINTS - k
 
-    if shot(c_lo)[0] == math.inf and not grow:
-        raise PoleCrossingError(SCAN_POINTS)
-    shot(candidate(SCAN_POINTS - 1))
+    shot(c_lo), shot(c_hi)
     # when both ends lie on one side of the root, the default bracket doubles
     # its width outward past it
-    for side, c, far in ((1.0, c_lo, c_hi), (-1.0, candidate(SCAN_POINTS - 1), c_lo)):
+    for side, c, far in ((1.0, c_lo, c_hi), (-1.0, c_hi, c_lo)):
         if all(side * s[1] > 0.0 for s in shots.values()):
             while side * shot(c)[1] > 0.0 and grow:
                 c = _require_derived("c", c - (far - c))
     lo = max((c for c, s in shots.items() if s[1] <= 0.0), default=None)
     hi = min((c for c, s in shots.items() if s[1] >= 0.0), default=None)
-    if lo is None or hi is None:
-        raise NoSignChangeError(shot(c_lo)[0] - u1L,
-                                shot(candidate(SCAN_POINTS - excluded() - 1))[0] - u1L)
+    if lo is None or hi is None:  # at c_lo and the largest pole-free shot, c_lo if none is
+        top = max((c for c, s in shots.items() if s[0] < math.inf), default=c_lo)
+        raise NoSignChangeError(shots[c_lo][0] - u1L, shots[top][0] - u1L)
 
     def answer(c: float) -> BvpSolution:
         u1, _, _, fields, q0 = shot(c)

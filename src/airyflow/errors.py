@@ -57,7 +57,8 @@ class NoConvergenceError(FlowDomainError):
 
 class NoSignChangeError(FlowDomainError):
     """The root lies outside an explicit c bracket.  Carries the endpoint
-    residuals u1(L) - u1L at its lower end and last pole-free candidate."""
+    residuals u1(L) - u1L at its lower end and at the largest pole-free c
+    shot; both are inf when the lower end is past the first pole crossing."""
 
     def __init__(self, residual_lo: float, residual_hi: float):
         self.residual_lo = residual_lo
@@ -65,17 +66,6 @@ class NoSignChangeError(FlowDomainError):
         super().__init__(
             "no sign change of the endpoint residual over the bracket "
             f"(residuals {residual_lo!r} .. {residual_hi!r})"
-        )
-
-
-class PoleCrossingError(FlowDomainError):
-    """Every grid candidate of an explicit c bracket produced a pole
-    before the far boundary, so the root lies below the bracket."""
-
-    def __init__(self, excluded: int):
-        self.excluded = excluded
-        super().__init__(
-            f"all {excluded} scanned candidates hit a pole before the endpoint"
         )
 
 

@@ -417,7 +417,7 @@ def reference_solve_bvp(u10: float, u1L: float, params, c_bracket=None):
     answer from exact_u1; raises the same errors with the same arguments."""
     from airyflow.airy import airy_scaled
     from airyflow.bvp import ANGLE_NOISE, ENDPOINT_RTOL, SCAN_POINTS, default_c_bracket
-    from airyflow.errors import FlowDomainError, NoSignChangeError, PoleCrossingError, PoleError
+    from airyflow.errors import FlowDomainError, NoSignChangeError, PoleError
     from airyflow.flow import _newton_root, constants_from_u0, exact_u1, find_poles, map_t
 
     grow = c_bracket is None
@@ -486,24 +486,25 @@ def reference_solve_bvp(u10: float, u1L: float, params, c_bracket=None):
                 k = mid + 1
         return SCAN_POINTS - k
 
-    # the bracket's two ends, c_lo and the last candidate, then its growth
-    if shot(c_lo)[1] == math.inf and not grow:
-        raise PoleCrossingError(SCAN_POINTS)
-    top = candidate(SCAN_POINTS - 1)
-    shot(top)
+    # the bracket's two ends, c_lo and c_hi, then its growth
+    shot(c_lo)
+    shot(c_hi)
     if all(s[2] > 0.0 for s in shots.values()):
         c = c_lo
         while shot(c)[2] > 0.0 and grow:
             c -= c_hi - c
     elif all(s[2] < 0.0 for s in shots.values()):
-        c = top
+        c = c_hi
         while shot(c)[2] < 0.0 and grow:
             c += c - c_lo
     lo = max((c for c, s in shots.items() if s[2] <= 0.0), default=None)
     hi = min((c for c, s in shots.items() if s[2] >= 0.0), default=None)
     if lo is None or hi is None:
-        raise NoSignChangeError(shot(c_lo)[1] - u1L,
-                                shot(candidate(SCAN_POINTS - excluded() - 1))[1] - u1L)
+        # an explicit bracket: the residuals at c_lo and at the largest c
+        # shot with no pole in (0, L], or at c_lo again when every c has one
+        pole_free = [c for c, s in shots.items() if s[1] < math.inf]
+        top = max(pole_free) if pole_free else c_lo
+        raise NoSignChangeError(shot(c_lo)[1] - u1L, shot(top)[1] - u1L)
     start = min((lo, hi), key=lambda c: abs(shots[c][2]))
     c = _newton_root(lambda c: shot(c)[2:], lo, hi, start)
 

@@ -14,7 +14,6 @@ from airyflow.errors import (
     DegenerateModelError,
     FlowDomainError,
     NoSignChangeError,
-    PoleCrossingError,
     PoleError,
 )
 from airyflow.flow import (
@@ -157,10 +156,20 @@ class TestSolveBvp:
         assert err.value.residual_hi == pytest.approx(-4.981805, abs=1e-3)
 
     def test_pole_crossing_everywhere(self):
+        # c_lo is past the first pole crossing, so is every c of the bracket
         p = FlowParams(nu=0.2, grad_term=-8.0, f1=0.0, length=3.0)
-        with pytest.raises(PoleCrossingError) as err:
+        with pytest.raises(NoSignChangeError) as err:
             solve_bvp(0.5, 0.0, p, (10.3, 20.0))
-        assert err.value.excluded == 256
+        assert (err.value.residual_lo, err.value.residual_hi) == (math.inf, math.inf)
+
+    def test_no_sign_change_reports_largest_pole_free_shot(self):
+        # the root (c = 1.2035) lies below the bracket and c_hi past the
+        # crossing (c* = 5.4), so both residuals are the one at c_lo
+        p = FlowParams(nu=1.0, grad_term=-2.0, f1=0.0, length=1.0)
+        with pytest.raises(NoSignChangeError) as err:
+            solve_bvp(0.0, 0.25, p, (2.0, 8.0))
+        want = exact_u1(1.0, p, constants_from_u0(p, 2.0, 0.0)[0]) - 0.25
+        assert err.value.residual_lo == err.value.residual_hi == want > 0.0
 
     def test_invalid_bracket(self):
         p = FlowParams(nu=1.0, grad_term=-2.0, f1=0.0, length=1.0)
@@ -171,7 +180,8 @@ class TestSolveBvp:
         p = FlowParams(nu=1.0, grad_term=-2.0, f1=0.0, length=1.0)
         with pytest.raises(ValueError):
             solve_bvp(0.0, 0.0, p, (-math.inf, 1.0))
-        # finite ends whose candidate grid overflows: derived, a domain error
+        # finite ends whose candidate grid overflows: derived, a domain error;
+        # the count of excluded candidates still needs that grid
         with pytest.raises(FlowDomainError, match="c grid span"):
             solve_bvp(0.0, 0.0, p, (-1e306, 1e306))
 

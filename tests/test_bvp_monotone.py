@@ -380,15 +380,13 @@ def test_solve_ivp_is_one_airy_evaluation(airy_calls):
 
 
 def test_no_root_reuses_last_usable_residual(airy_calls):
-    # the golden bvp_no_root case: eight shots of the binary search and
-    # one at candidate 0 for the error; the residual at the last usable
-    # candidate is the search's own, not a ninth shot
+    # the golden bvp_no_root case: the error reads the residuals of the
+    # bracket's two end shots, c_lo and c_hi, and shoots nothing more
     with pytest.raises(NoSignChangeError) as err:
         solve_bvp(0.0, 0.25, README_PARAMS, (-1.0, 1.0))
-    assert airy_calls[0] == 18
-    grid = candidates((-1.0, 1.0))
-    assert err.value.residual_lo == endpoint_residual(README_PARAMS, 0.0, 0.25, grid[0])
-    assert err.value.residual_hi == endpoint_residual(README_PARAMS, 0.0, 0.25, grid[-1])
+    assert airy_calls[0] == 4
+    assert err.value.residual_lo == endpoint_residual(README_PARAMS, 0.0, 0.25, -1.0)
+    assert err.value.residual_hi == endpoint_residual(README_PARAMS, 0.0, 0.25, 1.0)
 
 
 def test_solve_bvp_matches_public_function_reference():
