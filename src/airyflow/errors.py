@@ -27,9 +27,9 @@ class DegenerateModelError(ModelInvalidError):
 
 
 class AiryOverflowError(FlowDomainError, OverflowError):
-    """Bi'(t) would exceed the double range, which it leaves first, at
-    t ~ 104.21 (Bi follows at t ~ 104.44).  Raised only by the public
-    airy_eval; the solver reads airy_scaled, finite for every finite t."""
+    """Bi'(t) would exceed the double range, which it leaves first, after
+    t = 104.20871750754523 (Bi follows at t ~ 104.44).  Raised only by the
+    public airy_eval; the solver reads airy_scaled, finite for every finite t."""
 
     def __init__(self, t: float):
         self.t = t

@@ -350,25 +350,16 @@ def reference_asymptotic_sums_positive(zeta: float) -> tuple[float, float, float
     return su_alt, su, sv_alt, sv
 
 
-def reference_asymptotic_positive(t: float) -> tuple[float, float, float, float]:
-    """airy._asymptotic_positive on reference_asymptotic_sums_positive."""
-    from airyflow.errors import AiryOverflowError
-    from airyflow.airy import _LOG_DBL_MAX, _SQRT_PI
+def reference_asymptotic_positive(t: float) -> tuple[tuple[float, float, float, float, float], float]:
+    """airy_scaled on t > 9, on reference_asymptotic_sums_positive:
+    ((Ai e**zeta, Bi e**-zeta, Ai' e**zeta, Bi' e**-zeta, t), zeta)."""
+    from airyflow.airy import _SQRT_PI
 
-    zeta = (2.0 / 3.0) * t ** 1.5
+    zeta = (2.0 / 3.0) * t * math.sqrt(t)
     xq = t ** 0.25
     su_alt, su, sv_alt, sv = reference_asymptotic_sums_positive(zeta)
-    log_bi = zeta + math.log(su / (_SQRT_PI * xq))
-    log_bip = zeta + math.log(sv * xq / _SQRT_PI)
-    if max(log_bi, log_bip) > _LOG_DBL_MAX:
-        raise AiryOverflowError(t)
-    em = math.exp(-zeta)
-    ep = math.exp(zeta)
-    ai = em * su_alt / (2.0 * _SQRT_PI * xq)
-    aip = -xq * em * sv_alt / (2.0 * _SQRT_PI)
-    bi = ep * su / (_SQRT_PI * xq)
-    bip = xq * ep * sv / _SQRT_PI
-    return ai, bi, aip, bip
+    return (su_alt / (2.0 * _SQRT_PI * xq), su / (_SQRT_PI * xq),
+            -xq * sv_alt / (2.0 * _SQRT_PI), xq * sv / _SQRT_PI, t), zeta
 
 
 def reference_asymptotic_negative(t: float) -> tuple[float, float, float, float]:

@@ -8,10 +8,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from mpmath import cos, floor, mpf, pi, sin, sqrt, workdps
+from mpmath import airybi, cos, floor, mpf, pi, sin, sqrt, workdps
 
-from airyflow.airy import (AiryQuartet, _asymptotic_negative, _asymptotic_positive,
-                           _reduced_phase, _taylor, airy_eval, airy_scaled)
+from airyflow.airy import _asymptotic_negative, _reduced_phase, _taylor, airy_eval, airy_scaled
+from airyflow.cli import run
 from airyflow.errors import AiryOverflowError
 from airyflow.verify import check_airy_derivative_fd, check_airy_ode
 
@@ -92,6 +92,36 @@ def test_bi_overflow_raises():
     airy_eval(104.0)  # still representable
 
 
+# Every double t of [104.15264094004154, 104.20871750754523] has a finite Bi',
+# but airy_eval once formed it as t**(1/4) e**zeta before its last factor and
+# returned inf there; the band's top is the last double whose Bi' is one
+BI_PRIME_BAND = (104.15264094004154, 104.20871750754523)
+
+
+def assert_bi_within_mpmath(bi, bi_prime, t):
+    with workdps(40):
+        for got, want in ((bi, airybi(t)), (bi_prime, airybi(t, 1))):
+            assert math.isfinite(got) and abs(mpf(got) - want) <= 1e-12 * want, t
+
+
+def test_bi_prime_finite_up_to_its_overflow():
+    lo, hi = BI_PRIME_BAND
+    rng = random.Random(32)
+    for t in [lo, hi] + [rng.uniform(lo, hi) for _ in range(60)]:
+        q = airy_eval(t)
+        assert all(math.isfinite(v) for v in (q.ai, q.ai_prime)), t
+        assert_bi_within_mpmath(q.bi, q.bi_prime, t)
+    with pytest.raises(AiryOverflowError):
+        airy_eval(math.nextafter(hi, math.inf))
+
+
+def test_cli_prints_finite_bi_prime_below_its_overflow(capsys):
+    assert run(["airy", "--t", "104.18"]) == 0
+    values = {k.strip(): float(v) for k, v in
+              (line.split("=") for line in capsys.readouterr().out.splitlines())}
+    assert_bi_within_mpmath(values["Bi(t)"], values["Bi'(t)"], 104.18)
+
+
 def test_scaled_tail_matches_scipy_airye():
     # airye is Ai e**zeta, Ai' e**zeta, Bi e**-zeta, Bi' e**-zeta on t > 0,
     # from AMOS, an independent implementation; it returns nan past t ~ 1e6
@@ -120,17 +150,38 @@ def test_scaled_tail_finite_far_out(t):
         assert sigma == math.inf
 
 
+def unscaled_or_overflow(q, t):
+    """airy_scaled's floats q at t > 9 times exp(-+(2/3) t**1.5), or
+    ("overflow", t) where the exponent or Bi' leaves the double range."""
+    ai, bi, ai_prime, bi_prime, _ = q
+    try:
+        em, ep = math.exp(-(2.0 / 3.0) * t ** 1.5), math.exp((2.0 / 3.0) * t ** 1.5)
+    except OverflowError:
+        return ("overflow", t)
+    if bi_prime * ep == math.inf:
+        return ("overflow", t)
+    return ai * em, bi * ep, ai_prime * em, bi_prime * ep, t
+
+
+def quartet_or_overflow(t):
+    try:
+        return dataclasses.astuple(airy_eval(t))
+    except AiryOverflowError as exc:
+        return ("overflow", exc.t)
+
+
 def assert_scaled_is_airy_eval(t):
     # up to t = 9 the solver's plain floats are airy_eval's fields, to the
-    # last bit and the sign of zero, with sigma = 0
+    # last bit and the sign of zero, with sigma = 0; past it airy_eval is
+    # those floats times exp(-+(2/3) t**1.5), to the last bit
     q, sigma = airy_scaled(t)
-    want = airy_eval(t)
-    names = [f.name for f in dataclasses.fields(AiryQuartet)]
-    assert [x.hex() for x in q] == [getattr(want, name).hex() for name in names], t
-    assert sigma == 0.0, t
+    want = q if t <= SERIES_BOUND else unscaled_or_overflow(q, t)
+    assert [x.hex() for x in quartet_or_overflow(t)] == [x.hex() for x in want], t
+    assert (sigma == 0.0) == (t <= SERIES_BOUND), t
 
 
-@pytest.mark.parametrize("t", [-1e300, -20.0, -9.0, 0.0, 5.0, 9.0, -0.0, 5e-324, -5e-324])
+@pytest.mark.parametrize("t", [-1e300, -20.0, -9.0, 0.0, 5.0, 9.0, -0.0, 5e-324, -5e-324,
+                               9.5, 11.0, 50.0, 104.2])
 def test_scaled_is_airy_eval_up_to_9(t):
     assert_scaled_is_airy_eval(t)
 
@@ -172,17 +223,11 @@ def test_far_negative_leading_order_against_mpmath(t):
             assert abs(mpf(got) - want) <= 4e-16 * scale
 
 
-def _quartet_or_overflow(tail, t):
-    try:
-        return tail(t)
-    except AiryOverflowError as exc:
-        return ("overflow", exc.t)
-
-
 def test_asymptotic_tails_match_per_tail_reference():
-    # both tails sum one shared series; their quartets, and past t ~ 104.2
-    # their overflow errors, are bit-identical to those of a copy of the
-    # series loop per tail
+    # both tails sum one shared series; the t > 9 tail's scaled floats and
+    # sigma, and the t < -9 tail's quartet, are bit-identical to those of a
+    # copy of the series loop per tail, and airy_eval on t > 9 is that
+    # reference unscaled, or past t ~ 104.2 its overflow error
     rng = random.Random(2)
     positive = [rng.uniform(9.0, 104.8) for _ in range(40000)]
     positive += [9.0 + k / 256 for k in range(1, 26000)]  # to 110.6
@@ -194,10 +239,12 @@ def test_asymptotic_tails_match_per_tail_reference():
         (positive if t > 9.0 else negative if t < -9.0 else []).append(t)
         t += 0.25
     assert len(positive) + len(negative) >= 200000
-    for points, tail, reference in ((positive, _asymptotic_positive, reference_asymptotic_positive),
-                                    (negative, _asymptotic_negative, reference_asymptotic_negative)):
-        for t in points:
-            assert _quartet_or_overflow(tail, t) == _quartet_or_overflow(reference, t), t
+    for t in positive:
+        want = reference_asymptotic_positive(t)
+        assert airy_scaled(t) == want, t
+        assert quartet_or_overflow(t) == unscaled_or_overflow(want[0], t), t
+    for t in negative:
+        assert _asymptotic_negative(t) == reference_asymptotic_negative(t), t
 
 
 @pytest.mark.parametrize("t", [0.0, 2.0, -3.0])

@@ -17,6 +17,12 @@ and `bvp_no_root` were re-captured when the Airy kernel's |t| <= 9 branch
 became Taylor steps from an anchor table: the kernel's last digits moved
 (Bi(-2.5) is now within 0.4 ulp of its true value), and every rule below
 holds them as strictly as before.
+
+`verify` and `verify_seed5` were re-captured when airy_eval past t = 9
+became airy_scaled's floats times exp(-+zeta): their airy_derivative_fd
+line, whose t = 11 stencil reads that tail, went from 1.641934e-10 to
+1.667433e-10; the re-capture also wrote the bvp_roundtrip residuals the
+BVP root search had already moved (7.771561e-16 and 3.774758e-15).
 """
 
 import hashlib

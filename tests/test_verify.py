@@ -10,7 +10,7 @@ import pytest
 from airyflow import airy, verify
 from airyflow.bvp import InitialData, solve_ivp
 from airyflow.errors import GridTooCoarseError
-from airyflow.flow import FlowParams, SolutionConstants, exact_u1, find_poles
+from airyflow.flow import FlowParams, SolutionConstants, exact_u1, find_poles, map_t
 from airyflow.field import (
     FlowProfile,
     GridSpec,
@@ -354,6 +354,19 @@ class TestContinuityBracket:
         assert continuity_bracket(fam, 1.0, dg_dy=1.0) == 2.0
 
 
+def test_random_flow_case_keeps_denominator_off_zero():
+    # the padded pole rule alone keeps |c1 Ai + c2 Bi| >= 1e-3 (|c1 Ai| + |c2 Bi|)
+    # at 49 points of [0, L] (a rule of its own once rejected such draws; over
+    # 50,000 draws it never fired, and the smallest margin was 4.2e-2)
+    for seed in range(300):
+        params, _, consts = random_flow_case(random.Random(seed))
+        c1, c2 = consts.coefficients
+        for k in range(49):
+            q = airy.airy_eval(map_t(k * params.length / 48.0, consts))
+            z1, z2 = c1 * q.ai, c2 * q.bi
+            assert abs(z1 + z2) >= 1e-3 * (abs(z1) + abs(z2)), (seed, k)
+
+
 class TestSharedChecks:
     def test_perturbed_solution_fails_each_check(self, monkeypatch):
         # the tolerances are run_verification's; a check that returned 0
@@ -434,12 +447,12 @@ class TestVerificationReport:
         # each of the three RK4 cases runs each ODE form's list loop once;
         # the order pair adds one run of each form, and the pole check one
         # Riccati run.  The 12x4 field of the prop checks is also the one
-        # serialized.  The Airy kernel's two entry points pin the closed-form
+        # serialized.  The Airy kernel's three branches pin the closed-form
         # and Airy evaluations of every check (the BVP round trip's root
-        # search shoots the bracket ends, not the candidate grid: 5,166
-        # _quartet calls with the grid's binary search)
+        # search shoots the bracket ends, not the candidate grid's binary
+        # search)
         calls = {"_riccati": 0, "_second_order": 0, "reconstruct_field": 0,
-                 "_quartet": 0, "_positive_sums": 0}
+                 "_taylor": 0, "_asymptotic_negative": 0, "_positive_sums": 0}
 
         def count(module, name):
             fn = getattr(module, name)
@@ -453,11 +466,12 @@ class TestVerificationReport:
         count(verify, "_riccati")
         count(verify, "_second_order")
         count(verify.field_mod, "reconstruct_field")
-        count(airy, "_quartet")
+        count(airy, "_taylor")
+        count(airy, "_asymptotic_negative")
         count(airy, "_positive_sums")
         assert run_verification(seed=0).all_passed
         assert calls == {"_riccati": 6, "_second_order": 5, "reconstruct_field": 1,
-                         "_quartet": 5104, "_positive_sums": 167}
+                         "_taylor": 4375, "_asymptotic_negative": 170, "_positive_sums": 167}
 
     def test_seed_5_passes(self):
         # prop1's FD step once left truncation of 1.16e-5 against its 1e-5
